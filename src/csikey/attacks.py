@@ -158,8 +158,6 @@ def decision_to_search(batch: SampleBatch, decision_oracle, p: SystemParams,
     if p.M > 16:
         raise DimensionGuardError("decision_to_search budget limited to M <= 16")
     x = np.zeros(p.n, dtype=np.int64)
-    if p.M == 1:
-        return x
     for j in range(p.n):
         a_new = psi_sample(p.k, rng, size=len(batch))
         tiny = np.abs(a_new) < 1e-300

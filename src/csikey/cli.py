@@ -8,11 +8,13 @@ Configuration precedence: CLI flags > JSON config file (--config) > defaults.
 """
 
 import argparse
+import functools
 import json
 import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from . import __version__
 from .attacks import (ML_SPACE_GUARD, ber_experiment, bdd_via_mimo,
                       make_decision_oracle, make_exact_ml_oracle,
                       decision_to_search, toy_bdd_setup)
-from .errors import ConfigurationError, CsikeyError
+from .errors import ConfigurationError, CsikeyError, OptionError
 from .lattice import enumerate_cvp
 from .numerics import make_rng
 from .params import check_secrecy_constraints, design_table
@@ -31,11 +33,20 @@ from .wiretap import SystemParams, make_instance, sample_A_dist
 SUBCOMMANDS = ("params-table", "ber", "key-agreement", "cipher",
                "reduction-demo", "decision-to-search")
 
-DEFAULTS = {
-    "n": 8, "m_rx": None, "log2m": 4, "alpha": 1.0, "k": 1.0,
-    "m_slack": 1.0, "trials": 100, "seed": 0, "out": None, "format": "csv",
-    "eta": 64, "coder": "repetition-3", "noise_scale": 1.0,
+# One typed definition per option, for the flags and the --config keys:
+# name -> (type, default, choices).  params-table takes n as a comma list.
+OPTIONS = {
+    "n": (int, 8, None), "m_rx": (int, None, None),
+    "log2m": (int, 4, None), "alpha": (float, 1.0, None),
+    "k": (float, 1.0, None), "m_slack": (float, 1.0, None),
+    "trials": (int, 100, None), "seed": (int, 0, None),
+    "out": (str, None, None), "format": (str, "csv", ("csv", "json")),
+    "eta": (int, 64, None),
+    "coder": (str, "repetition-3", ("none", "repetition-3")),
+    "noise_scale": (float, 1.0, None),
 }
+DEFAULTS = {name: default for name, (_, default, _) in OPTIONS.items()}
+N_LIST = ("n", "params-table")  # the (option, subcommand) taking a list
 
 
 @dataclass
@@ -46,12 +57,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise ConfigurationError(f"unknown subcommand {self.subcommand!r}")
+        _check_options(self.options, self.subcommand)
         merged = dict(DEFAULTS)
         merged.update({k: v for k, v in self.options.items() if v is not None})
+        if self.subcommand == "params-table" and self.options.get("n") is None:
+            merged["n"] = "80,128,196,256"  # the paper's dimensions
         if merged["trials"] < 1:
             raise ConfigurationError("trials must be >= 1")
-        if merged["format"] not in ("csv", "json"):
-            raise ConfigurationError("format must be csv or json")
         self.options = merged
 
     def system_params(self) -> SystemParams:
@@ -72,12 +84,15 @@ class ExperimentRecord:
     git_describe: str
 
 
+@functools.cache
 def _git_describe() -> str:
+    """`git describe` of this package's own tree, once per process."""
     try:
         return subprocess.run(
-            ["git", "describe", "--always", "--dirty"], capture_output=True,
-            text=True, timeout=5, check=True).stdout.strip()
-    except Exception:
+            ["git", "-C", str(Path(__file__).resolve().parent), "describe",
+             "--always", "--dirty"], capture_output=True, text=True,
+            timeout=5, check=True).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
 
 
@@ -106,11 +121,10 @@ def _warn_gate(p: SystemParams):
 
 
 def _run_params_table(cfg: ExperimentConfig) -> list:
-    raw = cfg.options["n"]
-    if raw == DEFAULTS["n"]:
-        ns = [80, 128, 196, 256]
-    else:
-        ns = [int(s) for s in str(raw).split(",")]
+    try:
+        ns = [int(s) for s in str(cfg.options["n"]).split(",")]
+    except ValueError:
+        raise ConfigurationError("n must be a comma list of integers") from None
     return design_table(ns, m_slack=float(cfg.options["m_slack"]))
 
 
@@ -234,21 +248,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--n", help="antenna count (comma list for params-table)")
-        sp.add_argument("--m-rx", type=int, dest="m_rx")
-        sp.add_argument("--log2m", type=int)
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--k", type=float)
-        sp.add_argument("--m-slack", type=float, dest="m_slack")
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("csv", "json"))
+        for opt, (typ, _, choices) in OPTIONS.items():
+            sp.add_argument("--" + opt.replace("_", "-"), choices=choices,
+                            type=str if (opt, name) == N_LIST else typ)
         sp.add_argument("--config", help="JSON file with option defaults")
-        sp.add_argument("--eta", type=int)
-        sp.add_argument("--coder", choices=("none", "repetition-3"))
-        sp.add_argument("--noise-scale", type=float, dest="noise_scale")
     return parser
+
+
+def _check_options(options: dict, subcommand: str):
+    """Raise OptionError on an unknown name or a mistyped value."""
+    for name, value in options.items():
+        if name not in OPTIONS:
+            raise OptionError(f"unknown option {name!r}")
+        typ, _, choices = OPTIONS[name]
+        if (name, subcommand) == N_LIST:
+            typ = (int, str)
+        elif typ is float:
+            typ = (int, float)  # JSON may write 2.0 as 2
+        if value is not None and (
+                isinstance(value, bool) or not isinstance(value, typ)
+                or (choices and value not in choices)):
+            raise OptionError(f"option {name!r}: invalid value {value!r}")
 
 
 def main(argv=None) -> int:
@@ -259,17 +279,19 @@ def main(argv=None) -> int:
     if config_path:
         try:
             with open(config_path) as fh:
-                options.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+                options = json.load(fh)
+            if not isinstance(options, dict):
+                raise ValueError("it does not hold a JSON object")
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 2
     options.update({k: v for k, v in args.items() if v is not None})
     try:
-        if subcommand != "params-table" and "n" in options \
-                and options["n"] is not None:
-            options["n"] = int(options["n"])
         cfg = ExperimentConfig(subcommand, options)
         record = run(cfg)
+    except OptionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CsikeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import ParameterError, WidthTooSmallError
 from .numerics import gram_schmidt
@@ -42,22 +41,10 @@ def tvd_gaussians(w1: float, w2: float) -> float:
     # Densities cross where the log-densities agree.
     x2 = 2.0 * s1**2 * s2**2 * math.log(s2 / s1) / (s2**2 - s1**2)
     x = math.sqrt(x2)
-    # The narrow density dominates on (-x, x).
-    inner1 = stats.norm.cdf(x / s1) - stats.norm.cdf(-x / s1)
-    inner2 = stats.norm.cdf(x / s2) - stats.norm.cdf(-x / s2)
-    return float(inner1 - inner2)
-
-
-def tvd_gaussians_quad(w1: float, w2: float) -> float:
-    """Quadrature evaluation of the same distance (independent cross-check)."""
-    s1, s2 = psi_std(w1), psi_std(w2)
-
-    def absdiff(x):
-        return abs(stats.norm.pdf(x, scale=s1) - stats.norm.pdf(x, scale=s2))
-
-    hi = 12.0 * max(s1, s2)
-    val, _ = integrate.quad(absdiff, -hi, hi, epsabs=1e-12, limit=200)
-    return 0.5 * val
+    # The narrow density dominates on (-x, x); P(|X| < x) = erf(x / (s sqrt 2)).
+    inner1 = math.erf(x / (s1 * math.sqrt(2.0)))
+    inner2 = math.erf(x / (s2 * math.sqrt(2.0)))
+    return inner1 - inner2
 
 
 def sample_discrete_gaussian_int(width, center, rng: np.random.Generator):
@@ -105,7 +92,6 @@ class DiscreteGaussianSpec:
     basis: np.ndarray
     r: float
     center: np.ndarray | None = None
-    safety: float = 1.0
     allow_narrow: bool = False
     _gso: tuple = field(default=None, repr=False, compare=False)
 
@@ -121,7 +107,7 @@ class DiscreteGaussianSpec:
             raise ParameterError("center dimension does not match the lattice")
         self._gso = gram_schmidt(self.basis)
         gso_max = float(np.max(np.linalg.norm(self._gso[0], axis=0)))
-        self.width_threshold = gso_max * max(1.0, math.log2(n)) * self.safety
+        self.width_threshold = gso_max * max(1.0, math.log2(n))
         if self.r <= self.width_threshold and not self.allow_narrow:
             raise WidthTooSmallError(
                 f"r={self.r} below quality threshold {self.width_threshold:.4g}; "

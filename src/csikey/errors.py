@@ -33,6 +33,10 @@ class ConfigurationError(CsikeyError):
     """A stated precondition of a reduction or protocol is violated."""
 
 
+class OptionError(ConfigurationError):
+    """An experiment option with an unknown name or a value of the wrong type."""
+
+
 class SearchFailureError(CsikeyError):
     """A search wrapper exhausted its options without a verified answer."""
 

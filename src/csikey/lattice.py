@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DimensionGuardError, IllConditionedError
+from .errors import DegenerateBasisError, DimensionGuardError
 from .numerics import gram_schmidt, pseudo_inverse
 
 ENUM_DIM_LIMIT = 8
@@ -44,13 +44,6 @@ class LatticeBasis:
         if self._gso is None:
             self._gso = gram_schmidt(self.matrix)
         return self._gso
-
-    @property
-    def gso_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.gso[0], axis=0)
-
-    def volume(self) -> float:
-        return float(np.prod(self.gso_norms))
 
     def to_json(self):
         return {"columns": self.matrix.T.tolist()}
@@ -100,35 +93,47 @@ def int_det(m) -> int:
 def lll_reduce(b: LatticeBasis, delta: float = DEFAULT_DELTA) -> ReductionResult:
     """LLL reduction of the basis columns with Lovasz parameter delta.
 
-    The unimodular transform is tracked in exact integer arithmetic, so
+    The Gram-Schmidt data is computed once and updated at each swap.  The
+    unimodular transform is tracked in exact integer arithmetic, so
     reduced = b.matrix @ transform holds exactly for integer inputs.
     """
     if not 0.25 < delta < 1:
         raise ValueError(f"delta must lie in (0.25, 1), got {delta}")
-    basis = b.matrix.astype(float).copy()
+    basis = b.matrix.astype(float)
     n = basis.shape[1]
-    u = np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                 dtype=object)
+    u = np.eye(n, dtype=object)
     bstar, mu = gram_schmidt(basis)
     norms2 = np.sum(bstar**2, axis=0)
     swaps = 0
     k = 1
     while k < n:
-        for j in range(k - 1, -1, -1):
+        # Size-reduce only where |mu| > 1/2: the entries that round to non-zero.
+        big = (np.abs(mu[k, :k]) > 0.5).nonzero()[0]
+        while big.size:
+            j = big[-1]
             q = round(mu[k, j])
-            if q != 0:
-                basis[:, k] -= q * basis[:, j]
-                u[:, k] = u[:, k] - q * u[:, j]
-                mu[k, : j + 1] -= q * mu[j, : j + 1]
-        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+            basis[:, k] -= q * basis[:, j]
+            u[:, k] = u[:, k] - q * u[:, j]
+            mu[k, : j + 1] -= q * mu[j, : j + 1]
+            big = (np.abs(mu[k, :j]) > 0.5).nonzero()[0]
+        m = mu[k, k - 1]
+        if norms2[k] >= (delta - m**2) * norms2[k - 1]:
             k += 1
-        else:
-            basis[:, [k - 1, k]] = basis[:, [k, k - 1]]
-            u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            bstar, mu = gram_schmidt(basis)
-            norms2 = np.sum(bstar**2, axis=0)
-            swaps += 1
-            k = max(k - 1, 1)
+            continue
+        # Swap b_{k-1}, b_k; update the GSO in place (Cohen GTM 138 Alg. 2.6.3).
+        pair = slice(k - 1, k + 1)
+        basis[:, pair] = basis[:, pair][:, ::-1]
+        u[:, pair] = u[:, pair][:, ::-1]
+        mu[pair, : k - 1] = mu[pair, : k - 1][::-1]
+        new = norms2[k] + m**2 * norms2[k - 1]
+        mu[k, k - 1] = m * norms2[k - 1] / new
+        norms2[k] = norms2[k - 1] * norms2[k] / new
+        norms2[k - 1] = new
+        t = mu[k + 1:, k].copy()
+        mu[k + 1:, k] = mu[k + 1:, k - 1] - m * t
+        mu[k + 1:, k - 1] = t + mu[k, k - 1] * mu[k + 1:, k]
+        swaps += 1
+        k = max(k - 1, 1)
     return ReductionResult(LatticeBasis(basis), u, swaps, delta)
 
 
@@ -308,22 +313,7 @@ def _int_rank(rows) -> int:
 
 def dual_basis(b: LatticeBasis) -> LatticeBasis:
     """Dual lattice basis B (B^T B)^{-1} (equals (B^T)^{-1} for square B)."""
-    try:
-        d = pseudo_inverse(b.matrix.T)
-    except IllConditionedError:
-        raise
-    return LatticeBasis(d)
-
-
-def gapsvp_decide(b: LatticeBasis, d: float, gamma: float,
-                  override: bool = False) -> str:
-    """Promise decision: YES if lambda_1 <= d, NO if lambda_1 > gamma*d."""
-    _, lam1 = enumerate_svp(b, override=override)
-    if lam1 <= d:
-        return "YES"
-    if lam1 > gamma * d:
-        return "NO"
-    return "UNRESOLVED"
+    return LatticeBasis(pseudo_inverse(b.matrix.T))
 
 
 def sivp_solve_small(b: LatticeBasis, gamma: float = 1.0) -> np.ndarray:

@@ -48,27 +48,26 @@ def svd(a: np.ndarray) -> SvdTriple:
 
 
 def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classical Gram-Schmidt on the columns of b (no normalization).
+    """Gram-Schmidt data of the columns of b, from a Householder QR.
 
     Returns (bstar, mu) with b_i = bstar_i + sum_{j<i} mu[i, j] * bstar_j.
-    mu is lower triangular with unit diagonal.
+    mu is lower triangular with unit diagonal.  A column counts as
+    linearly dependent when its part orthogonal to the earlier columns is
+    below 1e-13 of its own norm, so the test does not depend on the scale.
     """
     b = np.asarray(b, dtype=float)
     m, n = b.shape
-    bstar = np.zeros_like(b)
-    mu = np.eye(n)
-    norms2 = np.zeros(n)
-    scale = max(np.linalg.norm(b), 1.0)
-    for i in range(n):
-        v = b[:, i].copy()
-        for j in range(i):
-            mu[i, j] = np.dot(b[:, i], bstar[:, j]) / norms2[j]
-            v -= mu[i, j] * bstar[:, j]
-        norms2[i] = np.dot(v, v)
-        if norms2[i] <= (1e-13 * scale) ** 2:
-            raise DegenerateBasisError(f"column {i} is linearly dependent")
-        bstar[:, i] = v
-    return bstar, mu
+    if not np.all(np.isfinite(b)):
+        raise NumericalError("gram_schmidt input contains non-finite entries")
+    if m < n:
+        raise DegenerateBasisError(f"{n} columns in dimension {m} are dependent")
+    q, r = np.linalg.qr(b)
+    d = np.diag(r)
+    dependent = np.flatnonzero(np.abs(d) <= 1e-13 * np.linalg.norm(b, axis=0))
+    if dependent.size:
+        raise DegenerateBasisError(
+            f"column {dependent[0]} is linearly dependent")
+    return q * d, (r / d[:, None]).T
 
 
 def pseudo_inverse(a: np.ndarray) -> np.ndarray:

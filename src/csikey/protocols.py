@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DegenerateBasisError, ParameterError
 from .params import check_secrecy_constraints
@@ -58,9 +58,9 @@ class ToeplitzSeed:
                                 dtype=np.uint8), input_len, eta)
 
     def matrix(self) -> np.ndarray:
-        first_col = self.bits[self.input_len - 1:]
-        first_row = self.bits[self.input_len - 1::-1]
-        return toeplitz(first_col, first_row).astype(np.uint8)
+        """The eta x input_len matrix T[i, j] = bits[input_len - 1 + i - j]
+        (a read-only view of the seed bits)."""
+        return sliding_window_view(self.bits, self.input_len)[:, ::-1]
 
 
 def universal_hash(seed: ToeplitzSeed, bits: np.ndarray, eta: int) -> np.ndarray:

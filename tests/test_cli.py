@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import csikey
+from csikey import cli
 from csikey.cli import (DEFAULTS, ExperimentConfig, build_parser, main,
                         render, rows_to_csv, run)
 from csikey.errors import ConfigurationError
@@ -108,6 +114,59 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     assert main(["ber", "--trials", "0"]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("doc", [{"trials": "ten"}, {"trails": 3},
+                                 {"n": "eight"}, {"coder": "rot13"}, [3]])
+def test_bad_config_file_exits_2(tmp_path, capsys, doc):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    assert main(["ber", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_params_table_n_from_config_file(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 8}))
+    assert main(["params-table", "--config", str(cfg_file)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [row.split(",")[0] for row in lines[2:]] == ["8"]
+
+
+def test_output_does_not_depend_on_cwd(tmp_path, monkeypatch, capsys):
+    outs = []
+    for cwd in (tmp_path, Path(csikey.__file__).parent):
+        monkeypatch.chdir(cwd)
+        cli._git_describe.cache_clear()
+        assert main(["ber", "--n", "4", "--trials", "2", "--format",
+                     "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_git_describe_runs_once_per_process(monkeypatch):
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    cli._git_describe.cache_clear()
+    for _ in range(3):
+        run(ExperimentConfig("params-table", {}))
+    assert len(calls) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(csikey.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, csikey.cli; print(sorted(m for m "
+         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_rows_to_csv_17_digits():

@@ -6,8 +6,7 @@ import pytest
 from csikey.distributions import (DiscreteGaussianSpec, continuous_from_discrete,
                                   discrete_gaussian_sample, psi_sample, psi_std,
                                   sample_discrete_gaussian_int,
-                                  smoothing_upper_bound, tvd_gaussians,
-                                  tvd_gaussians_quad)
+                                  smoothing_upper_bound, tvd_gaussians)
 from csikey.errors import WidthTooSmallError
 from csikey.numerics import make_rng
 
@@ -33,6 +32,19 @@ def test_psi_scale_family():
 
 def test_tvd_identical_zero():
     assert tvd_gaussians(1.3, 1.3) == 0.0
+
+
+def tvd_gaussians_quad(w1: float, w2: float) -> float:
+    """Quadrature evaluation of the same distance (independent cross-check)."""
+    from scipy import integrate, stats
+    s1, s2 = psi_std(w1), psi_std(w2)
+
+    def absdiff(x):
+        return abs(stats.norm.pdf(x, scale=s1) - stats.norm.pdf(x, scale=s2))
+
+    hi = 12.0 * max(s1, s2)
+    val, _ = integrate.quad(absdiff, -hi, hi, epsabs=1e-12, limit=200)
+    return 0.5 * val
 
 
 def test_tvd_matches_quadrature():

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from csikey.attacks import babai_attack
 from csikey.errors import DimensionGuardError
 from csikey.lattice import (LatticeBasis, babai_nearest_plane, dual_basis,
-                            enumerate_cvp, enumerate_svp, gapsvp_decide,
+                            enumerate_cvp, enumerate_svp,
                             int_det, is_lll_reduced, lll_reduce,
                             sivp_solve_small, successive_minima)
 from csikey.numerics import make_rng
+from csikey.wiretap import (SystemParams, eve_receive, make_instance,
+                            random_message, transmit_to_bob)
+from lattice_reference import babai_reference, lll_recompute
 
 
 def _random_int_basis(rng, n, lo=-9, hi=9):
@@ -41,6 +45,60 @@ def test_lll_unimodular_and_conditions():
         assert np.allclose(b.matrix @ red.transform.astype(float),
                            red.reduced.matrix)
         assert is_lll_reduced(red.reduced)
+
+
+def _attack_channels(count):
+    """Eve's (G, y, M) in the first `count` trials of acceptance 13."""
+    k = 0.002
+    p = SystemParams(n=16, m_rx=16, M=256, alpha=1.05 * math.sqrt(16) * k**2,
+                     k=k)
+    rng = make_rng(1300)
+    for _ in range(count):
+        inst = make_instance(p, rng)
+        x = random_message(p, rng)
+        transmit_to_bob(inst, x, p, rng)
+        g, y = eve_receive(inst, x, p, rng)
+        yield g, y, p.M
+
+
+def _assert_matches_reference(g):
+    red = lll_reduce(LatticeBasis(g))
+    reduced, u, swaps = lll_recompute(g)
+    assert red.swaps == swaps
+    assert np.array_equal(red.transform, u)
+    assert np.array_equal(red.reduced.matrix, reduced)
+    return reduced, u
+
+
+def test_lll_matches_reference_on_attack_channels():
+    # The incremental LLL takes every decision the recompute-per-swap LLL
+    # takes, so the outputs and Eve's Babai estimates are identical.
+    for g, y, M in _attack_channels(50):
+        reduced, u = _assert_matches_reference(g)
+        assert np.array_equal(babai_attack(g, y, M).estimate,
+                              babai_reference(reduced, u, y, M))
+
+
+def test_lll_matches_reference_on_integer_bases():
+    # Wide entries: with entries in [-9, 9] some bases meet a mu that is
+    # exactly a half-integer, which each float Gram-Schmidt rounds to its
+    # own side; both results are LLL-reduced, as the test above checks.
+    rng = make_rng(11)
+    for n in range(2, 9):
+        for _ in range(10):
+            _assert_matches_reference(
+                _random_int_basis(rng, n, lo=-999, hi=999).matrix)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e8])
+def test_lll_does_not_depend_on_scale(scale):
+    rng = make_rng(12)
+    for _ in range(5):
+        b = rng.normal(size=(6, 6))
+        base = lll_reduce(LatticeBasis(b))
+        red = lll_reduce(LatticeBasis(scale * b))
+        assert base.swaps > 0 and red.swaps == base.swaps
+        assert np.array_equal(red.transform, base.transform)
 
 
 def test_lll_classic_2d():
@@ -112,13 +170,6 @@ def test_dual_basis_roundtrip():
     d = dual_basis(b)
     assert np.allclose(d.matrix.T @ b.matrix, np.eye(4), atol=1e-9)
     assert np.allclose(dual_basis(d).matrix, b.matrix, atol=1e-9)
-
-
-def test_gapsvp_decide():
-    b = LatticeBasis(np.eye(3))
-    assert gapsvp_decide(b, 1.0, 2.0) == "YES"
-    assert gapsvp_decide(b, 0.4, 2.0) == "NO"
-    assert gapsvp_decide(b, 0.9, 2.0) == "UNRESOLVED"
 
 
 def test_sivp_small():

@@ -3,6 +3,7 @@ import pytest
 
 from csikey.errors import DegenerateBasisError, IllConditionedError
 from csikey.numerics import gram_schmidt, make_rng, pseudo_inverse, svd
+from lattice_reference import classical_gram_schmidt
 
 
 def test_make_rng_reproducible():
@@ -49,6 +50,26 @@ def test_gram_schmidt_volume_identity():
     bstar, _ = gram_schmidt(b)
     vol = np.prod(np.linalg.norm(bstar, axis=0))
     assert vol == pytest.approx(abs(np.linalg.det(b)), rel=1e-9)
+
+
+def test_gram_schmidt_matches_classical_reference():
+    rng = make_rng(3)
+    for shape in [(2, 2), (5, 5), (16, 16), (12, 8)]:
+        b = rng.normal(size=shape)
+        bstar, mu = gram_schmidt(b)
+        ref_bstar, ref_mu = classical_gram_schmidt(b)
+        assert np.allclose(bstar, ref_bstar, rtol=0, atol=1e-12)
+        assert np.allclose(mu, ref_mu, rtol=0, atol=1e-12)
+        assert np.array_equal(np.triu(mu, 1), np.zeros_like(mu))
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e8])
+def test_gram_schmidt_does_not_depend_on_scale(scale):
+    b = make_rng(4).normal(size=(6, 6))
+    bstar, mu = gram_schmidt(b)
+    scaled_bstar, scaled_mu = gram_schmidt(scale * b)
+    assert np.allclose(scaled_mu, mu, rtol=0, atol=1e-12)
+    assert np.allclose(scaled_bstar, scale * bstar, rtol=1e-12, atol=0)
 
 
 def test_gram_schmidt_degenerate():

@@ -33,6 +33,15 @@ def test_hash_linearity_and_zero():
     assert np.array_equal((hx + hy) % 2, hxy)
 
 
+def test_toeplitz_matrix_entries():
+    seed = ToeplitzSeed.random(7, 4, make_rng(9))
+    t = seed.matrix()
+    assert t.shape == (4, 7)
+    for i in range(4):
+        for j in range(7):
+            assert t[i, j] == seed.bits[7 - 1 + i - j]
+
+
 def test_hash_length_mismatch():
     seed = ToeplitzSeed.random(10, 4, make_rng(1))
     with pytest.raises(ParameterError):
