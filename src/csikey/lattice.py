@@ -139,7 +139,8 @@ def lll_reduce(b: LatticeBasis, delta: float = DEFAULT_DELTA) -> ReductionResult
 
 def is_lll_reduced(b: LatticeBasis, delta: float = DEFAULT_DELTA,
                    tol: float = 1e-9) -> bool:
-    """Post-hoc check of size reduction and the Lovasz condition."""
+    """Post-hoc check of size reduction and the Lovasz condition, both
+    relative (tol scales |mu| and ||b*_{k-1}||^2), so free of the scale."""
     bstar, mu = b.gso
     norms2 = np.sum(bstar**2, axis=0)
     n = b.rank
@@ -148,7 +149,7 @@ def is_lll_reduced(b: LatticeBasis, delta: float = DEFAULT_DELTA,
             if abs(mu[i, j]) > 0.5 + tol:
                 return False
     for k in range(1, n):
-        if norms2[k] < (delta - mu[k, k - 1] ** 2) * norms2[k - 1] - tol:
+        if norms2[k] < (delta - mu[k, k - 1] ** 2 - tol) * norms2[k - 1]:
             return False
     return True
 

@@ -36,12 +36,12 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def svd(a: np.ndarray) -> SvdTriple:
-    """Full SVD with sigma sorted non-increasing (numpy convention)."""
+    """Thin SVD: U is m x min(m, n), sigma non-increasing (numpy convention)."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NumericalError("svd input contains non-finite entries")
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"svd failed to converge on {a.shape} matrix") from exc
     return SvdTriple(U=u, sigma=s, V=vh.T)

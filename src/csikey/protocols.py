@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DegenerateBasisError, ParameterError
 from .params import check_secrecy_constraints
@@ -57,18 +56,15 @@ class ToeplitzSeed:
         return cls(rng.integers(0, 2, size=input_len + eta - 1,
                                 dtype=np.uint8), input_len, eta)
 
-    def matrix(self) -> np.ndarray:
-        """The eta x input_len matrix T[i, j] = bits[input_len - 1 + i - j]
-        (a read-only view of the seed bits)."""
-        return sliding_window_view(self.bits, self.input_len)[:, ::-1]
-
 
 def universal_hash(seed: ToeplitzSeed, bits: np.ndarray, eta: int) -> np.ndarray:
-    """GF(2) Toeplitz matrix-vector product condensing input to eta bits."""
+    """GF(2) Toeplitz product T @ bits, T[i, j] = seed.bits[input_len-1+i-j],
+    condensing input to eta bits: the valid part of a convolution, mod 2."""
     bits = np.asarray(bits, dtype=np.uint8) & 1
     if eta != seed.eta or bits.shape[0] != seed.input_len:
         raise ParameterError("seed sized for a different input/output length")
-    return (seed.matrix() @ bits.astype(np.int64)) % 2
+    return np.convolve(seed.bits.astype(np.int64), bits.astype(np.int64),
+                       "valid") % 2
 
 
 def secrecy_bits_per_message(p: SystemParams) -> float:
@@ -103,6 +99,14 @@ class KeyAgreementConfig:
                 f"bits, not enough for eta={self.eta}")
 
 
+def _majority_vote(votes: np.ndarray) -> np.ndarray:
+    """Per-symbol majority of three votes (rows); when all three differ,
+    the smallest wins."""
+    a, b, c = votes
+    return np.where((a == b) | (a == c), a,
+                    np.where(b == c, b, votes.min(axis=0)))
+
+
 def _bob_receive_message(cfg: KeyAgreementConfig, inst: WiretapInstance,
                          x: np.ndarray, rng: np.random.Generator,
                          noise_scale: float) -> np.ndarray:
@@ -111,14 +115,7 @@ def _bob_receive_message(cfg: KeyAgreementConfig, inst: WiretapInstance,
         bob_decode(inst, transmit_to_bob(inst, x, cfg.p, rng,
                                          noise_scale=noise_scale), cfg.p)
         for _ in range(reps)])
-    if reps == 1:
-        return votes[0]
-    # per-symbol majority; with no majority the median picks a middle value
-    out = np.empty(cfg.p.n, dtype=np.int64)
-    for j in range(cfg.p.n):
-        vals, counts = np.unique(votes[:, j], return_counts=True)
-        out[j] = vals[np.argmax(counts)]
-    return out
+    return votes[0] if reps == 1 else _majority_vote(votes)
 
 
 def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator,
@@ -210,6 +207,6 @@ def decrypt(ctx: CipherContext, y: np.ndarray, inst: WiretapInstance) -> np.ndar
     tri = inst.svdA
     if tri.sigma_min < SIGMA_FLOOR:
         raise DegenerateBasisError("channel matrix is effectively rank deficient")
-    shaped = (tri.U.T @ np.asarray(y, dtype=float))[:p.n] / tri.sigma[:p.n]
+    shaped = (tri.U.T @ np.asarray(y, dtype=float)) / tri.sigma
     scaled = 2.0 / p.M * np.mod(shaped - ctx.s, p.M)
     return (np.rint(scaled).astype(np.int64) % 2).astype(np.int64)

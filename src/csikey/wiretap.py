@@ -78,6 +78,8 @@ class WiretapInstance:
     svdA: SvdTriple = field(default=None)
 
     def __post_init__(self):
+        if self.A.shape[0] < self.A.shape[1]:
+            raise DegenerateBasisError("fewer receive antennas than streams")
         if self.svdA is None:
             self.svdA = svd(self.A)
 
@@ -150,11 +152,10 @@ def transmit_to_bob(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
 def bob_decode(inst: WiretapInstance, y: np.ndarray, p: SystemParams) -> np.ndarray:
     """Receiver shaping U^T y then per-stream rounding by 1/sigma_i."""
     tri = inst.svdA
-    n = inst.A.shape[1]
-    if np.any(tri.sigma[:n] < SIGMA_FLOOR):
+    if tri.sigma_min < SIGMA_FLOOR:
         raise DegenerateBasisError("channel matrix numerically rank deficient")
     shaped = tri.U.T @ np.asarray(y, dtype=float)
-    est = np.rint(shaped[:n] / tri.sigma[:n]).astype(np.int64)
+    est = np.rint(shaped / tri.sigma).astype(np.int64)
     return np.clip(est, 0, p.M - 1)
 
 

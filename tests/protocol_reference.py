@@ -1,0 +1,90 @@
+"""Slow reference implementations that the key-agreement path is tested
+against: the dense Toeplitz matrix and its matrix-vector hash, the
+per-symbol np.unique majority vote, and a key agreement that decodes with a
+full-matrices SVD of each channel.
+"""
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from csikey.numerics import SvdTriple
+from csikey.params import check_secrecy_constraints
+from csikey.protocols import ToeplitzSeed, bits_to_hex, encode_symbols
+from csikey.wiretap import (WiretapInstance, make_instance, random_message,
+                            transmit_to_bob)
+
+
+def toeplitz_matrix(seed):
+    """The eta x input_len matrix T[i, j] = bits[input_len - 1 + i - j]
+    (a read-only view of the seed bits)."""
+    return sliding_window_view(seed.bits, seed.input_len)[:, ::-1]
+
+
+def dense_hash(seed, bits):
+    """T @ bits mod 2 with the dense Toeplitz matrix."""
+    bits = np.asarray(bits, dtype=np.uint8) & 1
+    return (toeplitz_matrix(seed) @ bits.astype(np.int64)) % 2
+
+
+def unique_vote(votes):
+    """Per-column majority: the most frequent value, the smallest on ties."""
+    out = np.empty(votes.shape[1], dtype=np.int64)
+    for j in range(votes.shape[1]):
+        vals, counts = np.unique(votes[:, j], return_counts=True)
+        out[j] = vals[np.argmax(counts)]
+    return out
+
+
+def full_svd(a):
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    return SvdTriple(U=u, sigma=s, V=vh.T)
+
+
+def _full_bob_decode(inst, y, p):
+    """Bob's decoder on the first n rows of U^T y, with U m_rx x m_rx."""
+    n = inst.A.shape[1]
+    shaped = inst.svdA.U.T @ np.asarray(y, dtype=float)
+    est = np.rint(shaped[:n] / inst.svdA.sigma[:n]).astype(np.int64)
+    return np.clip(est, 0, p.M - 1)
+
+
+def reference_key_agreement(cfg, rng):
+    """run_key_agreement with the full SVD, the loop vote and the dense
+    hash; it draws from rng in the same order."""
+    p = cfg.p
+    gate = check_secrecy_constraints(p)
+    reps = 3 if cfg.coder == "repetition-3" else 1
+    alice_bits, bob_bits, messages = [], [], []
+    errors = 0
+    for _ in range(cfg.c):
+        drawn = make_instance(p, rng)
+        inst = WiretapInstance(drawn.A, drawn.B, svdA=full_svd(drawn.A))
+        x = random_message(p, rng)
+        votes = np.stack([
+            _full_bob_decode(inst, transmit_to_bob(inst, x, p, rng), p)
+            for _ in range(reps)])
+        x_hat = votes[0] if reps == 1 else unique_vote(votes)
+        errors += int(np.any(x_hat != x))
+        alice_bits.append(encode_symbols(x, p.M))
+        bob_bits.append(encode_symbols(x_hat, p.M))
+        messages.append({"alice": bits_to_hex(alice_bits[-1]),
+                         "bob": bits_to_hex(bob_bits[-1])})
+    alice_bits = np.concatenate(alice_bits)
+    bob_bits = np.concatenate(bob_bits)
+    seed = ToeplitzSeed.random(alice_bits.shape[0], cfg.eta, rng)
+    alice_key = dense_hash(seed, alice_bits)
+    bob_key = dense_hash(seed, bob_bits)
+    return {
+        "params": p.to_json(),
+        "eta": cfg.eta,
+        "c": cfg.c,
+        "coder": cfg.coder,
+        "encoding": "per-symbol little-endian, ceil(log2 M) bits",
+        "constraint_gate_ok": bool(gate.noise_ok and gate.constellation_ok),
+        "messages": messages,
+        "message_errors": errors,
+        "hash_seed": bits_to_hex(seed.bits),
+        "alice_key": bits_to_hex(alice_key),
+        "bob_key": bits_to_hex(bob_key),
+        "success": bool(np.array_equal(alice_key, bob_key)),
+    }

@@ -113,6 +113,8 @@ def test_key_agreement_and_cipher_subcommands(tmp_path):
 def test_invalid_config_exit_codes(tmp_path, capsys):
     assert main(["ber", "--trials", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["ber", "--n", "8", "--m-rx", "4", "--trials", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
     assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2
 
 

@@ -101,6 +101,13 @@ def test_lll_does_not_depend_on_scale(scale):
         assert np.array_equal(red.transform, base.transform)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-14])
+def test_is_lll_reduced_does_not_depend_on_scale(scale):
+    b = LatticeBasis(scale * np.diag([1.0, 0.1]))  # fails the Lovasz test
+    assert not is_lll_reduced(b)
+    assert is_lll_reduced(lll_reduce(b).reduced)
+
+
 def test_lll_classic_2d():
     # Strongly skewed 2-D basis reduces to vectors of the minimal norms.
     b = LatticeBasis(np.array([[1.0, 99.0], [0.0, 1.0]]))

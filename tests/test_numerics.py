@@ -23,7 +23,8 @@ def test_svd_reconstruction_and_orthogonality():
     for shape in [(4, 4), (12, 8), (8, 8)]:
         a = rng.normal(size=shape)
         tri = svd(a)
-        rebuilt = (tri.U[:, :tri.sigma.size] * tri.sigma) @ tri.V.T
+        assert tri.U.shape == shape and tri.V.shape == (shape[1], shape[1])
+        rebuilt = (tri.U * tri.sigma) @ tri.V.T
         assert np.linalg.norm(rebuilt - a) <= 1e-9 * np.linalg.norm(a)
         for q in (tri.U, tri.V):
             assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-9

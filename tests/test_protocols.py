@@ -4,10 +4,13 @@ import pytest
 from csikey.errors import ConfigurationError, ParameterError
 from csikey.numerics import make_rng
 from csikey.protocols import (CipherContext, KeyAgreementConfig, ToeplitzSeed,
-                              bits_to_hex, decrypt, encode_symbols, encrypt,
-                              min_message_count, run_key_agreement,
-                              secrecy_bits_per_message, universal_hash)
+                              _majority_vote, bits_to_hex, decrypt,
+                              encode_symbols, encrypt, min_message_count,
+                              run_key_agreement, secrecy_bits_per_message,
+                              universal_hash)
 from csikey.wiretap import SystemParams, make_instance
+from protocol_reference import (dense_hash, reference_key_agreement,
+                                toeplitz_matrix, unique_vote)
 
 
 def _params(**kw):
@@ -35,11 +38,23 @@ def test_hash_linearity_and_zero():
 
 def test_toeplitz_matrix_entries():
     seed = ToeplitzSeed.random(7, 4, make_rng(9))
-    t = seed.matrix()
+    t = toeplitz_matrix(seed)
     assert t.shape == (4, 7)
     for i in range(4):
         for j in range(7):
             assert t[i, j] == seed.bits[7 - 1 + i - j]
+
+
+@pytest.mark.parametrize("length,eta", [(7, 4), (80, 24), (17152, 256)])
+def test_hash_matches_dense_toeplitz(length, eta):
+    rng = make_rng(length)
+    seed = ToeplitzSeed.random(length, eta, rng)
+    for bits in (np.zeros(length, dtype=np.uint8),
+                 np.ones(length, dtype=np.uint8),
+                 rng.integers(0, 2, length, dtype=np.uint8)):
+        h = universal_hash(seed, bits, eta)
+        assert h.dtype == np.int64
+        assert np.array_equal(h, dense_hash(seed, bits))
 
 
 def test_hash_length_mismatch():
@@ -52,7 +67,7 @@ def test_hash_collision_rate():
     rng = make_rng(2)
     eta, length, pairs = 32, 64, 10**5
     seed = ToeplitzSeed.random(length, eta, rng)
-    t = seed.matrix().astype(np.int64)
+    t = toeplitz_matrix(seed).astype(np.int64)
     xs = rng.integers(0, 2, size=(pairs, length))
     ys = rng.integers(0, 2, size=(pairs, length))
     diff = (xs ^ ys)
@@ -99,6 +114,24 @@ def test_key_agreement_success_iff_all_messages_decode():
             saw_failure = True
             assert not tr["success"] or tr["message_errors"] == 0
     assert saw_failure  # the noise level must actually exercise failures
+
+
+def test_majority_vote_all_patterns():
+    votes = np.array(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"))
+    votes = votes.reshape(3, -1)
+    assert votes.shape == (3, 64)
+    assert np.array_equal(_majority_vote(votes), unique_vote(votes))
+
+
+# alpha=0.02 decodes every message; at alpha=0.1 the votes disagree, some
+# with no majority, and messages fail
+@pytest.mark.parametrize("alpha", [0.02, 0.1])
+@pytest.mark.parametrize("seed", range(5))
+def test_key_agreement_matches_reference(seed, alpha):
+    p = SystemParams(n=64, m_rx=128, M=16, alpha=alpha)
+    cfg = KeyAgreementConfig(p, 256, min_message_count(p, 256))
+    assert (run_key_agreement(cfg, make_rng(seed))
+            == reference_key_agreement(cfg, make_rng(seed)))
 
 
 def test_repetition_coding_reduces_errors():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from csikey.errors import ParameterError
+from csikey.errors import DegenerateBasisError, ParameterError
 from csikey.numerics import make_rng
 from csikey.wiretap import (SampleBatch, SystemParams, WiretapInstance,
                             bob_decode, eve_receive, instance_record,
@@ -29,6 +29,12 @@ def test_params_validation():
         _params(m_rx=8**3 + 1)
     with pytest.warns(UserWarning):
         _params(m_rx=8 * 16 + 1)
+
+
+def test_wide_channel_rejected():
+    # m_rx < n: A has rank below n, so Bob cannot separate the n streams
+    with pytest.raises(DegenerateBasisError):
+        make_instance(_params(n=8, m_rx=4), make_rng(0))
 
 
 def test_default_power_matches_expected_norm():
