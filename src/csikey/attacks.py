@@ -16,7 +16,8 @@ import numpy as np
 from .distributions import psi_sample, psi_std, smoothing_upper_bound
 from .errors import (ConfigurationError, DimensionGuardError, ParameterError,
                      ReductionFailureError, SearchFailureError)
-from .lattice import LatticeBasis, babai_nearest_plane, dual_basis, lll_reduce
+from .lattice import (LatticeBasis, babai_nearest_plane, closest_point,
+                      dual_basis, lll_reduce)
 from .numerics import pseudo_inverse
 from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
     transmit_to_bob, bob_decode, eve_receive
@@ -32,13 +33,6 @@ METHOD_ML = "ExactML"
 class DecoderOutcome:
     estimate: np.ndarray
     method: str
-    exact_match: bool | None = None
-    symbol_errors: int | None = None
-
-    def score_against(self, truth: np.ndarray) -> "DecoderOutcome":
-        errs = int(np.sum(self.estimate != np.asarray(truth)))
-        return DecoderOutcome(self.estimate, self.method,
-                              exact_match=errs == 0, symbol_errors=errs)
 
 
 @dataclass
@@ -72,29 +66,17 @@ def babai_attack(g: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
 def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     """Exact ML over [0, M)^n: argmin ||y - g x||, lexicographic ties.
 
-    Evaluates the quadratic form x^T (G^T G) x - 2 (G^T y)^T x over the full
-    candidate grid, so cost is independent of the sample count.
+    A Schnorr-Euchner sphere search over the columns of g in the box
+    [0, M-1]^n, with no reduction step (the box is in g's own coordinates).
+    A rank-deficient g, whose ML decisions all lie in tie sets, raises
+    DegenerateBasisError from gram_schmidt instead of returning the
+    lexicographically first point of the set.
     """
-    g = np.asarray(g, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = g.shape[1]
+    n = np.shape(g)[1]
     if M**n > ML_SPACE_GUARD:
         raise DimensionGuardError(f"M^n = {M**n} exceeds guard {ML_SPACE_GUARD}")
-    h = g.T @ g
-    b = g.T @ y
-    vals = np.arange(M, dtype=float)
-    score = np.zeros((M,) * n)
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = M
-        xi = vals.reshape(shape)
-        score += h[i, i] * xi**2 - 2.0 * b[i] * xi
-        for j in range(i + 1, n):
-            shape_j = [1] * n
-            shape_j[j] = M
-            score += 2.0 * h[i, j] * xi * vals.reshape(shape_j)
-    idx = np.unravel_index(np.argmin(score), score.shape)
-    return DecoderOutcome(np.array(idx, dtype=np.int64), METHOD_ML)
+    x = closest_point(LatticeBasis(g), y, (0, M - 1))
+    return DecoderOutcome(np.array(x, dtype=np.int64), METHOD_ML)
 
 
 def make_exact_ml_oracle(p: SystemParams):

@@ -138,24 +138,6 @@ def discrete_gaussian_sample(spec: DiscreteGaussianSpec, rng: np.random.Generato
     return points, coeffs
 
 
-def continuous_from_discrete(s1, s2, rng: np.random.Generator, c_bits: int = 8):
-    """Blend two independent samples (a, y) of the same noisy-inner-product
-    distribution with random rational weights, preserving the hidden x.
-
-    Weights are uniform integers in [1, 2**c_bits); the output is
-    ((ci*a1 + cj*a2) / (ci+cj), (ci*y1 + cj*y2) / (ci+cj)).
-    """
-    if c_bits < 1:
-        raise ParameterError("c_bits must be at least 1")
-    (a1, y1), (a2, y2) = s1, s2
-    ci = int(rng.integers(1, 2**c_bits))
-    cj = int(rng.integers(1, 2**c_bits))
-    w = ci + cj
-    a = (ci * np.asarray(a1, dtype=float) + cj * np.asarray(a2, dtype=float)) / w
-    y = (ci * y1 + cj * y2) / w
-    return a, y
-
-
 def smoothing_upper_bound(basis: np.ndarray, epsilon: float) -> float:
     """Upper bound sqrt(ln(2n(1+1/eps))/pi) * lambda_n on the smoothing width.
 

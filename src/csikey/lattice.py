@@ -2,8 +2,10 @@
 exact enumeration oracles at small dimension, dual bases, and small-n
 decision/search problems.
 
-Basis vectors are matrix columns.  The exact enumeration routines are
-Fincke-Pohst style searches and are guarded to n <= 8 unless overridden.
+Basis vectors are matrix columns.  Exact CVP, SVP, successive minima and
+box-constrained closest points all run one Schnorr-Euchner enumeration
+(Schnorr-Euchner 1994; Agrell-Eriksson-Vardy-Zeger 2002); CVP, SVP and
+the minima are guarded to n <= 8 unless overridden.
 """
 
 import math
@@ -44,13 +46,6 @@ class LatticeBasis:
         if self._gso is None:
             self._gso = gram_schmidt(self.matrix)
         return self._gso
-
-    def to_json(self):
-        return {"columns": self.matrix.T.tolist()}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(np.asarray(doc["columns"], dtype=float).T)
 
 
 @dataclass
@@ -179,119 +174,130 @@ def _check_dim(b: LatticeBasis, override: bool):
         )
 
 
-def _enumerate_within(b: LatticeBasis, target: np.ndarray, radius: float):
-    """Yield (coeffs, dist2) for all lattice points within radius of target.
+def _zigzag(c: float, lo, hi):
+    """The integers of [lo, hi] in order of distance from c."""
+    up = min(max(round(c), lo), hi)
+    down = up - 1
+    while up <= hi or down >= lo:
+        if up <= hi and (down < lo or up - c <= c - down):
+            yield up
+            up += 1
+        else:
+            yield down
+            down -= 1
 
-    Depth-first search over coefficients using the Gram-Schmidt
-    decomposition (Fincke-Pohst).
+
+def _search(b: LatticeBasis, target: np.ndarray, radius2: float, visit,
+            box=None):
+    """Schnorr-Euchner enumeration of the lattice points b z within squared
+    distance radius2 of target (in the span of b), each z_i in [lo, hi] when
+    box = (lo, hi) is given.  Each level tries coefficients nearest its
+    centre first, so the first leaf is the Babai point (clamped into the
+    box) and a level ends at its first coefficient beyond the radius.
+    visit(z, d2) is called at each leaf, z a tuple, and returns the squared
+    radius for the rest of the search.
     """
     bstar, mu = b.gso
     norms2 = np.sum(bstar**2, axis=0)
-    n = b.rank
-    # Target coordinates in the GSO frame.
-    tcoord = np.array([np.dot(target, bstar[:, i]) / norms2[i] for i in range(n)])
-    r2 = radius * radius
-    coeffs = np.zeros(n, dtype=np.int64)
+    tcoord = (np.asarray(target, dtype=float) @ bstar / norms2).tolist()
+    norms2, mu = norms2.tolist(), mu.tolist()
+    n = len(norms2)
+    lo, hi = box if box is not None else (-math.inf, math.inf)
+    z, center, levels = [0] * n, [0.0] * n, [None] * n
+    above = [0.0] * (n + 1)  # squared distance of the levels above
 
-    def rec(i, remaining, shift):
-        # shift[j] accumulates mu-contributions of already-fixed coefficients.
-        if i < 0:
-            yield coeffs.copy(), r2 - remaining + 0.0
-            return
-        center = tcoord[i] - shift[i]
-        half = math.sqrt(max(remaining, 0.0) / norms2[i])
-        lo = math.ceil(center - half - 1e-12)
-        hi = math.floor(center + half + 1e-12)
-        for z in range(lo, hi + 1):
-            d = (z - center) ** 2 * norms2[i]
-            if d > remaining + 1e-12:
-                continue
-            coeffs[i] = z
-            new_shift = shift.copy()
-            if i:
-                new_shift[:i] += z * mu[i, :i]
-            yield from rec(i - 1, remaining - d, new_shift)
+    def enter(i):
+        center[i] = tcoord[i] - sum(z[k] * mu[k][i] for k in range(i + 1, n))
+        levels[i] = _zigzag(center[i], lo, hi)
 
-    yield from rec(n - 1, r2, np.zeros(n))
+    i = n - 1
+    enter(i)
+    while i < n:
+        zi = next(levels[i], None)
+        if zi is not None:
+            d2 = above[i + 1] + (zi - center[i]) ** 2 * norms2[i]
+        if zi is None or d2 > radius2:
+            i += 1
+        elif i:
+            z[i], above[i] = zi, d2
+            i -= 1
+            enter(i)
+        else:
+            z[0] = zi
+            radius2 = visit(tuple(z), d2)
+
+
+def closest_point(b: LatticeBasis, target: np.ndarray, box=None) -> tuple:
+    """Coefficients z of the point b z closest to target, each z_i in
+    [lo, hi] when box = (lo, hi) is given; exact, in b's own coordinates (no
+    reduction step).  Ties go to the lexicographically smallest z."""
+    best = (math.inf, ())
+
+    def visit(z, d2):
+        nonlocal best
+        best = min(best, (d2, z))
+        return best[0]
+
+    _search(b, target, math.inf, visit, box)
+    return best[1]
 
 
 def enumerate_cvp(b: LatticeBasis, target: np.ndarray, override: bool = False):
     """Exact closest lattice point; ties broken by lexicographically
-    smallest coefficient vector."""
+    smallest coefficient vector of the LLL-reduced basis."""
     _check_dim(b, override)
-    target = np.asarray(target, dtype=float)
     red = lll_reduce(b)
-    point0, c0 = babai_nearest_plane(red.reduced, target)
-    best_d2 = float(np.sum((target - point0) ** 2))
-    best = (best_d2, tuple(c0.tolist()))
-    radius = math.sqrt(best_d2) + 1e-9
-    for coeffs, _ in _enumerate_within(red.reduced, target, radius):
-        point = red.reduced.matrix @ coeffs
-        d2 = float(np.sum((target - point) ** 2))
-        key = (d2, tuple(coeffs.tolist()))
-        if d2 < best[0] - 1e-9 or (abs(d2 - best[0]) <= 1e-9 and key[1] < best[1]):
-            best = (d2, key[1])
-    coeffs_red = np.array(best[1], dtype=object)
+    coeffs_red = np.array(closest_point(red.reduced, target), dtype=object)
     # Map back through the unimodular transform to original-basis coefficients.
-    coeffs_orig = red.transform @ coeffs_red
-    point = b.matrix @ coeffs_orig.astype(float)
-    return point, np.array([int(c) for c in coeffs_orig], dtype=np.int64)
+    coeffs = np.array([int(c) for c in red.transform @ coeffs_red], dtype=np.int64)
+    return b.matrix @ coeffs, coeffs
 
 
 def enumerate_svp(b: LatticeBasis, override: bool = False):
     """Exact shortest nonzero vector and lambda_1."""
     _check_dim(b, override)
     red = lll_reduce(b).reduced
-    norms = np.linalg.norm(red.matrix, axis=0)
-    best_norm2 = float(np.min(norms) ** 2)
-    best_coeffs = None
-    radius = math.sqrt(best_norm2) + 1e-9
-    origin = np.zeros(b.ambient_dim)
-    for coeffs, _ in _enumerate_within(red, origin, radius):
-        if not np.any(coeffs):
-            continue
-        v = red.matrix @ coeffs
-        d2 = float(np.dot(v, v))
-        if d2 < best_norm2 - 1e-12:
-            best_norm2 = d2
-            best_coeffs = coeffs.copy()
-    if best_coeffs is None:
-        best_coeffs = np.zeros(b.rank, dtype=np.int64)
-        best_coeffs[int(np.argmin(norms))] = 1
-    v = red.matrix @ best_coeffs
+    # Start just above the shortest reduced column (relative slack).
+    best = (float(np.min(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9), ())
+
+    def visit(z, d2):
+        nonlocal best
+        if any(z):
+            best = min(best, (d2, z))
+        return best[0]
+
+    _search(red, np.zeros(b.ambient_dim), best[0], visit)
+    v = red.matrix @ np.array(best[1])
     return v, float(np.linalg.norm(v))
 
 
 def successive_minima(b: LatticeBasis, override: bool = False) -> MinimaEstimate:
     """lambda_1..lambda_n, exact by enumeration for n <= 8."""
     n = b.rank
+    red = lll_reduce(b).reduced
     if n > ENUM_DIM_LIMIT and not override:
         # Upper bounds from an LLL-reduced basis; not exact.
-        red = lll_reduce(b).reduced
         norms = np.sort(np.linalg.norm(red.matrix, axis=0))
         return MinimaEstimate(norms, red.matrix, exact=False)
-    red = lll_reduce(b).reduced
-    radius = float(np.max(np.linalg.norm(red.matrix, axis=0))) + 1e-9
-    origin = np.zeros(b.ambient_dim)
+    # The minima are at most the longest reduced column (slack as in SVP).
+    radius2 = float(np.max(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9)
     cands = []
-    for coeffs, _ in _enumerate_within(red, origin, radius):
-        if not np.any(coeffs):
-            continue
-        v = red.matrix @ coeffs
-        cands.append((float(np.dot(v, v)), tuple(coeffs.tolist())))
-    cands.sort()
-    chosen_coeffs = []
-    values = []
-    vecs = []
-    for d2, coeffs in cands:
-        trial = chosen_coeffs + [coeffs]
-        if _int_rank(trial) == len(trial):
-            chosen_coeffs.append(coeffs)
+
+    def visit(z, d2):
+        if any(z):
+            cands.append((d2, z))
+        return radius2
+
+    _search(red, np.zeros(b.ambient_dim), radius2, visit)
+    chosen, values = [], []
+    for d2, coeffs in sorted(cands):
+        if _int_rank(chosen + [coeffs]) == len(chosen) + 1:
+            chosen.append(coeffs)
             values.append(math.sqrt(d2))
-            vecs.append(red.matrix @ np.array(coeffs))
-            if len(chosen_coeffs) == n:
+            if len(chosen) == n:
                 break
-    return MinimaEstimate(np.array(values), np.array(vecs).T, exact=True)
+    vecs = red.matrix @ np.array(chosen).T
+    return MinimaEstimate(np.array(values), vecs, exact=True)
 
 
 def _int_rank(rows) -> int:
@@ -316,12 +322,3 @@ def dual_basis(b: LatticeBasis) -> LatticeBasis:
     """Dual lattice basis B (B^T B)^{-1} (equals (B^T)^{-1} for square B)."""
     return LatticeBasis(pseudo_inverse(b.matrix.T))
 
-
-def sivp_solve_small(b: LatticeBasis, gamma: float = 1.0) -> np.ndarray:
-    """n linearly independent vectors of length <= gamma * lambda_n (n <= 6)."""
-    if b.rank > 6:
-        raise DimensionGuardError("sivp_solve_small limited to n <= 6")
-    est = successive_minima(b)
-    if np.max(est.values) > gamma * est.values[-1] + 1e-9:
-        raise DimensionGuardError("enumeration failed the gamma bound")
-    return est.vectors

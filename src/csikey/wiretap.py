@@ -8,7 +8,6 @@ per-sample noise width alpha (both conventions give the same received
 SNR); pass noise_width explicitly where that matters.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ import numpy as np
 
 from .distributions import psi_sample
 from .errors import DegenerateBasisError, ParameterError
-from .numerics import SvdTriple, make_rng, svd
+from .numerics import SvdTriple, svd
 
 SIGMA_FLOOR = 1e-12
 
@@ -83,18 +82,6 @@ class WiretapInstance:
         if self.svdA is None:
             self.svdA = svd(self.A)
 
-    def to_json(self, include_matrices: bool = True):
-        doc = {"m_rx": self.A.shape[0], "n": self.A.shape[1]}
-        if include_matrices:
-            doc["A"] = self.A.tolist()
-            doc["B"] = self.B.tolist()
-        return doc
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(A=np.asarray(doc["A"], dtype=float),
-                   B=np.asarray(doc["B"], dtype=float))
-
 
 @dataclass
 class SampleBatch:
@@ -126,10 +113,6 @@ def make_instance(p: SystemParams, rng: np.random.Generator) -> WiretapInstance:
     a = psi_sample(p.k, rng_a, size=(p.m_rx, p.n))
     b = psi_sample(p.k, rng_b, size=(p.m_rx, p.n))
     return WiretapInstance(A=a, B=b)
-
-
-def seeded_instance(p: SystemParams, seed: int, stream: int = 0) -> WiretapInstance:
-    return make_instance(p, make_rng(seed, stream))
 
 
 def precode(inst: WiretapInstance, x: np.ndarray) -> np.ndarray:
@@ -200,10 +183,3 @@ def sample_R_dist(p: SystemParams, rng: np.random.Generator,
     y = psi_sample(r_dist_width(p), rng, size=count)
     return SampleBatch(a=a, y=y, label=R_DIST)
 
-
-def instance_record(p: SystemParams, seed: int, inst: WiretapInstance,
-                    include_matrices: bool = False) -> str:
-    """Self-describing JSON document for experiment reproducibility."""
-    doc = {"params": p.to_json(), "seed": seed,
-           "instance": inst.to_json(include_matrices=include_matrices)}
-    return json.dumps(doc, sort_keys=True)

@@ -1,6 +1,7 @@
 """Slow reference implementations that the optimized lattice code is
 tested against: classical Gram-Schmidt, an LLL that recomputes it after
-every swap, and Babai nearest-plane on top of them.
+every swap, Babai nearest-plane on top of them, and exact ML decoding by a
+search of the whole M^n grid.
 """
 
 import numpy as np
@@ -75,3 +76,29 @@ def babai_reference(reduced, u, y, M):
         t -= c * reduced[:, i]
     est = np.array([int(c) for c in u @ coeffs.astype(object)], dtype=np.int64)
     return np.clip(est, 0, M - 1)
+
+
+def grid_ml(g, y, M):
+    """argmin over x in [0, M)^n of ||y - g x||, lexicographic ties.
+
+    Evaluates the quadratic form x^T (G^T G) x - 2 (G^T y)^T x over the full
+    M^n candidate grid.
+    """
+    g = np.asarray(g, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = g.shape[1]
+    h = g.T @ g
+    b = g.T @ y
+    vals = np.arange(M, dtype=float)
+    score = np.zeros((M,) * n)
+    for i in range(n):
+        shape = [1] * n
+        shape[i] = M
+        xi = vals.reshape(shape)
+        score += h[i, i] * xi**2 - 2.0 * b[i] * xi
+        for j in range(i + 1, n):
+            shape_j = [1] * n
+            shape_j[j] = M
+            score += 2.0 * h[i, j] * xi * vals.reshape(shape_j)
+    return np.array(np.unravel_index(np.argmin(score), score.shape),
+                    dtype=np.int64)

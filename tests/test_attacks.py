@@ -1,17 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+from csikey import attacks, cli
 from csikey.attacks import (BddInstance, BerResult, bdd_sample_count,
                             bdd_via_mimo, ber_experiment, babai_attack,
                             decision_to_search, error_handling_search,
                             exact_ml_decode, make_decision_oracle,
                             make_exact_ml_oracle, toy_bdd_setup,
                             verify_solution, zf_decode)
-from csikey.errors import (ConfigurationError, DimensionGuardError,
-                           ReductionFailureError)
+from csikey.errors import (ConfigurationError, DegenerateBasisError,
+                           DimensionGuardError, ReductionFailureError)
 from csikey.lattice import LatticeBasis, enumerate_cvp
 from csikey.numerics import make_rng
 from csikey.wiretap import SystemParams, sample_A_dist, sample_R_dist
+from lattice_reference import grid_ml
 
 
 def _params(**kw):
@@ -59,15 +63,55 @@ def test_exact_ml_matches_brute_force():
         assert np.array_equal(got, best)
 
 
+def test_exact_ml_matches_grid_on_ber_channels(monkeypatch):
+    # Every ML call of the first 10 `ber` seeds at n=4, M=16 and the
+    # minimum-noise point (40 trials each) agrees with the M^n grid.
+    calls = []
+
+    def checked(g, y, M):
+        out = exact_ml_decode(g, y, M)
+        assert np.array_equal(out.estimate, grid_ml(g, y, M))
+        calls.append(M)
+        return out
+
+    monkeypatch.setattr(attacks, "exact_ml_decode", checked)
+    k = 0.002
+    alpha = 1.05 * math.sqrt(4) * k**2
+    for seed in range(10):
+        assert cli.main(["ber", "--n", "4", "--m-rx", "4", "--log2m", "4",
+                         "--k", repr(k), "--alpha", repr(alpha),
+                         "--trials", "40", "--seed", str(seed)]) == 0
+    assert calls == [16] * 400
+
+
+@pytest.mark.parametrize("noise", [1.0, 1e2, 1e5])
+def test_exact_ml_matches_grid_at_any_noise(noise):
+    # At high noise the answer sits on the box boundary.
+    rng = make_rng(20)
+    for n in (2, 3, 4):
+        for _ in range(25):
+            M = int(rng.integers(2, 9))
+            g = rng.normal(size=(2 * n, n))
+            x = rng.integers(0, M, size=n)
+            y = g @ x + 0.1 * noise * rng.normal(size=2 * n)
+            assert np.array_equal(exact_ml_decode(g, y, M).estimate,
+                                  grid_ml(g, y, M))
+
+
+def test_exact_ml_tie_lexicographic():
+    # (0.5, 0.5) is equidistant from the four corners of [0, 1]^2.
+    got = exact_ml_decode(np.eye(2), np.array([0.5, 0.5]), 4).estimate
+    assert np.array_equal(got, [0, 0])
+
+
+def test_exact_ml_rank_deficient_channel_raises():
+    with pytest.raises(DegenerateBasisError):
+        exact_ml_decode(np.ones((4, 2)), np.ones(4), 4)
+
+
 def test_exact_ml_space_guard():
     with pytest.raises(DimensionGuardError):
         exact_ml_decode(np.ones((2, 10)), np.ones(2), 8)
-
-
-def test_decoder_outcome_scoring():
-    out = zf_decode(np.eye(3), np.array([1.0, 0.0, 2.0]), 4)
-    scored = out.score_against([1, 0, 1])
-    assert scored.symbol_errors == 1 and scored.exact_match is False
 
 
 def test_verify_solution_accepts_and_rejects():

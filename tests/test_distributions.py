@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from csikey.distributions import (DiscreteGaussianSpec, continuous_from_discrete,
-                                  discrete_gaussian_sample, psi_sample, psi_std,
+from csikey.distributions import (DiscreteGaussianSpec, discrete_gaussian_sample,
+                                  psi_sample, psi_std,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
 from csikey.errors import WidthTooSmallError
@@ -106,25 +106,6 @@ def test_discrete_gaussian_width_guard():
     with pytest.raises(WidthTooSmallError):
         DiscreteGaussianSpec(np.eye(2), 0.01)
     DiscreteGaussianSpec(np.eye(2), 0.01, allow_narrow=True)
-
-
-def test_continuous_from_discrete_preserves_structure():
-    rng = make_rng(8)
-    x = np.array([1.0, 2.0, 0.0, 3.0])
-    a1 = rng.normal(size=4)
-    a2 = rng.normal(size=4)
-    s1 = (a1, float(a1 @ x))
-    s2 = (a2, float(a2 @ x))
-    a_out, y_out = continuous_from_discrete(s1, s2, rng)
-    assert y_out == pytest.approx(float(a_out @ x), abs=1e-9)
-
-
-def test_continuous_from_discrete_midpoint():
-    rng = make_rng(9)
-    a1, a2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    out = continuous_from_discrete((a1, 2.0), (a2, 4.0), rng, c_bits=1)
-    assert np.allclose(out[0], 0.5 * (a1 + a2))
-    assert out[1] == pytest.approx(3.0)
 
 
 def test_smoothing_upper_bound_z1():

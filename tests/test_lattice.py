@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from csikey.attacks import babai_attack
+from csikey.attacks import babai_attack, exact_ml_decode
 from csikey.errors import DimensionGuardError
 from csikey.lattice import (LatticeBasis, babai_nearest_plane, dual_basis,
                             enumerate_cvp, enumerate_svp,
                             int_det, is_lll_reduced, lll_reduce,
-                            sivp_solve_small, successive_minima)
+                            successive_minima)
 from csikey.numerics import make_rng
 from csikey.wiretap import (SystemParams, eve_receive, make_instance,
                             random_message, transmit_to_bob)
@@ -166,6 +166,25 @@ def test_successive_minima_skewed_matches_known():
     assert est.values[1] == pytest.approx(math.sqrt(5.0))
 
 
+@pytest.mark.parametrize("scale", [1e8, 1.0, 1e-9, 1e-10, 1e-12])
+def test_enumeration_does_not_depend_on_scale(scale):
+    _, coeffs = enumerate_cvp(LatticeBasis(np.eye(2) * scale),
+                              np.array([0.9, 0.1]) * scale)
+    assert np.array_equal(coeffs, [1, 0])
+    skewed = LatticeBasis(np.array([[2.0, 1.0], [0.0, 2.0]]) * scale)
+    vec, lam1 = enumerate_svp(skewed)
+    assert lam1 == pytest.approx(2.0 * scale)
+    assert np.allclose(np.abs(vec), [2.0 * scale, 0.0], rtol=1e-12, atol=0)
+    est = successive_minima(skewed)
+    assert np.allclose(est.values, [2.0 * scale, math.sqrt(5.0) * scale],
+                       rtol=1e-12, atol=0)
+    rng = make_rng(13)
+    g = rng.normal(size=(6, 3))
+    y = g @ np.array([3.0, 0.0, 5.0]) + 0.5 * rng.normal(size=6)
+    assert np.array_equal(exact_ml_decode(g * scale, y * scale, 8).estimate,
+                          exact_ml_decode(g, y, 8).estimate)
+
+
 def test_dimension_guard():
     with pytest.raises(DimensionGuardError):
         enumerate_svp(LatticeBasis(np.eye(9)))
@@ -178,15 +197,3 @@ def test_dual_basis_roundtrip():
     assert np.allclose(d.matrix.T @ b.matrix, np.eye(4), atol=1e-9)
     assert np.allclose(dual_basis(d).matrix, b.matrix, atol=1e-9)
 
-
-def test_sivp_small():
-    b = LatticeBasis(np.diag([1.0, 4.0]))
-    vecs = sivp_solve_small(b, gamma=4.0)
-    assert np.linalg.matrix_rank(vecs) == 2
-
-
-def test_basis_json_roundtrip():
-    rng = make_rng(5)
-    b = _random_int_basis(rng, 3)
-    again = LatticeBasis.from_json(b.to_json())
-    assert np.array_equal(again.matrix, b.matrix)

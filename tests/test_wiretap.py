@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,11 +6,10 @@ from scipy import stats
 
 from csikey.errors import DegenerateBasisError, ParameterError
 from csikey.numerics import make_rng
-from csikey.wiretap import (SampleBatch, SystemParams, WiretapInstance,
-                            bob_decode, eve_receive, instance_record,
-                            make_instance, precode, r_dist_width,
+from csikey.wiretap import (SampleBatch, SystemParams, bob_decode,
+                            eve_receive, make_instance, precode, r_dist_width,
                             random_message, sample_A_dist, sample_R_dist,
-                            seeded_instance, transmit_to_bob)
+                            transmit_to_bob)
 
 
 def _params(**kw):
@@ -46,8 +44,8 @@ def test_default_power_matches_expected_norm():
 
 def test_instance_determinism_and_independence():
     p = _params()
-    a = seeded_instance(p, 42)
-    b = seeded_instance(p, 42)
+    a = make_instance(p, make_rng(42))
+    b = make_instance(p, make_rng(42))
     assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
     assert not np.array_equal(a.A, a.B)
 
@@ -62,7 +60,7 @@ def test_instance_entry_variance():
 
 def test_precode_preserves_norm():
     p = _params()
-    inst = seeded_instance(p, 1)
+    inst = make_instance(p, make_rng(1))
     x = random_message(p, make_rng(2))
     assert np.linalg.norm(precode(inst, x)) == pytest.approx(
         np.linalg.norm(x), rel=1e-9)
@@ -167,11 +165,3 @@ def test_sample_batch_validation():
         SampleBatch(a=np.zeros((3, 2)), y=np.zeros(2))
     with pytest.raises(ParameterError):
         SampleBatch(a=np.full((2, 2), np.nan), y=np.zeros(2))
-
-
-def test_instance_record_roundtrip():
-    p = _params(n=3, m_rx=3)
-    inst = seeded_instance(p, 11)
-    doc = json.loads(instance_record(p, 11, inst, include_matrices=True))
-    again = WiretapInstance.from_json(doc["instance"])
-    assert np.allclose(again.A, inst.A)
