@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import psi_sample, psi_std, smoothing_upper_bound
+from .distributions import (DiscreteGaussianSpec, discrete_gaussian_sample,
+                            psi_sample, psi_std, smoothing_upper_bound)
 from .errors import (ConfigurationError, DimensionGuardError, ParameterError,
                      ReductionFailureError, SearchFailureError)
 from .lattice import (LatticeBasis, babai_nearest_plane, closest_point,
@@ -106,13 +107,12 @@ def verify_solution(batch: SampleBatch, candidate: np.ndarray, p: SystemParams,
 
 
 def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
-                          rng: np.random.Generator, c: float = 1.0,
-                          grid_cap: int = 10**4) -> np.ndarray:
+                          rng: np.random.Generator) -> np.ndarray:
     """Solve from samples with unknown noise width beta <= alpha by padding
-    with widths from a grid of multiples of n^(-2c) * alpha^2."""
+    with widths from a grid of multiples of n^-2 * alpha^2 (at most 10^4)."""
     n = p.n
-    step = p.alpha**2 * n ** (-2.0 * c)
-    npoints = min(int(math.floor(p.alpha**2 / step)) + 1, grid_cap)
+    step = p.alpha**2 * n ** -2.0
+    npoints = min(int(math.floor(p.alpha**2 / step)) + 1, 10**4)
     for idx in range(npoints):
         gamma = idx * step
         padded_width = math.sqrt(p.alpha**2 + gamma)
@@ -184,8 +184,7 @@ def bdd_sample_count(p: SystemParams, r: float, sigma: float, d: float) -> int:
 
 
 def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
-                 rng: np.random.Generator, eps: float = 0.01,
-                 samples: int | None = None, max_attempts: int = 3):
+                 rng: np.random.Generator):
     """Solve bounded-distance decoding with a MIMO-search oracle.
 
     Draws dual-lattice discrete Gaussians of width r and emits noisy
@@ -194,6 +193,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     digits are recovered from the target magnitude and the oracle resolves
     the fine structure.  Returns (closest point, coefficient vector).
     """
+    eps = 0.01  # epsilon of the smoothing bounds
     basis = inst.basis
     bmat = basis.matrix
     n = basis.rank
@@ -226,11 +226,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
             f"statistical-hiding inequality fails: need "
             f"{lhs:.4g} >= {p.k / math.sqrt(2):.4g} > {eta_dual_scaled:.4g}")
 
-    if samples is None:
-        samples = bdd_sample_count(p, r, sigma, inst.bound_d)
-
-    from .distributions import DiscreteGaussianSpec, discrete_gaussian_sample
-
+    samples = bdd_sample_count(p, r, sigma, inst.bound_d)
     binv = pseudo_inverse(bmat)
     y = inst.target
     # High-order digits come from the target magnitude; the oracle only has
@@ -244,8 +240,8 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     ambiguous = np.flatnonzero(np.abs(frac) > 0.5 - amb_margin)[:6]
     offset = np.full(n, p.M // 2, dtype=np.int64)
 
-    dg = DiscreteGaussianSpec(dual.matrix, r, allow_narrow=True)
-    for _ in range(max_attempts):
+    dg = DiscreteGaussianSpec(dual, r)
+    for _ in range(3):
         for mask in range(2 ** len(ambiguous)):
             t0 = base.copy()
             for bit, j in enumerate(ambiguous):

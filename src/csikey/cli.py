@@ -10,9 +10,9 @@ Configuration precedence: CLI flags > JSON config file (--config) > defaults.
 import argparse
 import functools
 import json
+import math
 import subprocess
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -64,6 +64,8 @@ class ExperimentConfig:
             merged["n"] = "80,128,196,256"  # the paper's dimensions
         if merged["trials"] < 1:
             raise ConfigurationError("trials must be >= 1")
+        if not 0 <= merged["noise_scale"] < math.inf:
+            raise ConfigurationError("noise_scale must be finite and >= 0")
         self.options = merged
 
     def system_params(self) -> SystemParams:
@@ -79,7 +81,6 @@ class ExperimentConfig:
 class ExperimentRecord:
     config: dict
     results: list
-    wall_time: float
     version: str
     git_describe: str
 
@@ -219,13 +220,11 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> ExperimentRecord:
-    start = time.monotonic()
     results = _RUNNERS[cfg.subcommand](cfg)
     echo = {k: v for k, v in cfg.options.items() if k != "out"}
     return ExperimentRecord(
         config={"subcommand": cfg.subcommand, **echo},
         results=results,
-        wall_time=time.monotonic() - start,
         version=__version__,
         git_describe=_git_describe(),
     )
@@ -235,9 +234,7 @@ def render(record: ExperimentRecord, fmt: str) -> str:
     if fmt == "csv":
         header = f"# config: {json.dumps(record.config, sort_keys=True)}\n"
         return header + rows_to_csv(record.results)
-    doc = asdict(record)
-    doc.pop("wall_time")  # keep artifacts byte-identical across re-runs
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(record), indent=2, sort_keys=True) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,17 +1,18 @@
 """Gaussian machinery: continuous widths, discrete Gaussians on lattices,
-total variational distance, and the discrete-to-continuous sample transform.
+and total variational distance.
 
 Width convention: a Gaussian of width w has standard deviation w / sqrt(2*pi),
 so its density is proportional to exp(-pi * x**2 / w**2).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, WidthTooSmallError
-from .numerics import gram_schmidt
+from .errors import ParameterError
+from .lattice import (LatticeBasis, lll_reduce, nearest_plane,
+                      successive_minima)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -87,32 +88,16 @@ def sample_discrete_gaussian_int(width, center, rng: np.random.Generator):
 
 @dataclass
 class DiscreteGaussianSpec:
-    """D_{L,r} over the lattice spanned by the basis columns, centered at c."""
+    """D_{L,r} over the lattice spanned by the basis columns, centred at 0."""
 
-    basis: np.ndarray
+    basis: LatticeBasis
     r: float
-    center: np.ndarray | None = None
-    allow_narrow: bool = False
-    _gso: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=float)
+        if not isinstance(self.basis, LatticeBasis):
+            self.basis = LatticeBasis(self.basis)
         if self.r <= 0:
             raise ParameterError("width r must be positive")
-        n = self.basis.shape[1]
-        if self.center is None:
-            self.center = np.zeros(self.basis.shape[0])
-        self.center = np.asarray(self.center, dtype=float)
-        if self.center.shape[0] != self.basis.shape[0]:
-            raise ParameterError("center dimension does not match the lattice")
-        self._gso = gram_schmidt(self.basis)
-        gso_max = float(np.max(np.linalg.norm(self._gso[0], axis=0)))
-        self.width_threshold = gso_max * max(1.0, math.log2(n))
-        if self.r <= self.width_threshold and not self.allow_narrow:
-            raise WidthTooSmallError(
-                f"r={self.r} below quality threshold {self.width_threshold:.4g}; "
-                "pass allow_narrow=True to sample anyway"
-            )
 
 
 def discrete_gaussian_sample(spec: DiscreteGaussianSpec, rng: np.random.Generator,
@@ -123,19 +108,9 @@ def discrete_gaussian_sample(spec: DiscreteGaussianSpec, rng: np.random.Generato
     with points = coeffs @ basis.T exactly.
     """
     b = spec.basis
-    bstar, _ = spec._gso
-    m, n = b.shape
-    norms2 = np.sum(bstar**2, axis=0)
-    t = np.broadcast_to(spec.center, (size, m)).astype(float).copy()
-    coeffs = np.zeros((size, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        ci = t @ bstar[:, i] / norms2[i]
-        wi = spec.r / math.sqrt(norms2[i])
-        zi = sample_discrete_gaussian_int(np.full(size, wi), ci, rng)
-        coeffs[:, i] = zi
-        t -= np.outer(zi, b[:, i])
-    points = coeffs @ b.T
-    return points, coeffs
+    widths = spec.r / np.sqrt(b.gso[2])
+    return nearest_plane(b, np.zeros((size, b.ambient_dim)), lambda i, c:
+                         sample_discrete_gaussian_int(widths[i], c, rng))
 
 
 def smoothing_upper_bound(basis: np.ndarray, epsilon: float) -> float:
@@ -153,12 +128,10 @@ def smoothing_upper_bound(basis: np.ndarray, epsilon: float) -> float:
 
 
 def _lambda_n_estimate(basis: np.ndarray) -> float:
-    from . import lattice  # local import; lattice does not import us at module level
-
     n = basis.shape[1]
-    lb = lattice.LatticeBasis(basis)
+    lb = LatticeBasis(basis)
     if n <= 6:
-        est = lattice.successive_minima(lb)
+        est = successive_minima(lb)
         return float(est.values[-1])
-    reduced = lattice.lll_reduce(lb).reduced
+    reduced = lll_reduce(lb).reduced
     return float(np.max(np.linalg.norm(reduced.matrix, axis=0)))

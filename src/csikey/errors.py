@@ -25,10 +25,6 @@ class DimensionGuardError(CsikeyError):
     """Exact solver invoked above its dimension / search-space guard."""
 
 
-class WidthTooSmallError(CsikeyError):
-    """Discrete Gaussian width below the quality threshold for the basis."""
-
-
 class ConfigurationError(CsikeyError):
     """A stated precondition of a reduction or protocol is violated."""
 

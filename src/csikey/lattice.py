@@ -1,11 +1,11 @@
-"""Lattice core: basis handling, LLL reduction, Babai nearest-plane,
-exact enumeration oracles at small dimension, dual bases, and small-n
-decision/search problems.
+"""Lattice core: basis handling, LLL reduction, the nearest-plane walk,
+exact enumeration oracles at small dimension, and dual bases.
 
-Basis vectors are matrix columns.  Exact CVP, SVP, successive minima and
-box-constrained closest points all run one Schnorr-Euchner enumeration
-(Schnorr-Euchner 1994; Agrell-Eriksson-Vardy-Zeger 2002); CVP, SVP and
-the minima are guarded to n <= 8 unless overridden.
+Basis vectors are matrix columns; every routine reads one Gram-Schmidt
+record per basis (LatticeBasis.gso).  Babai's decoder and Klein's sampler
+are one nearest-plane walk.  Exact CVP, SVP, successive minima and
+box-constrained closest points are one Schnorr-Euchner enumeration
+(Schnorr-Euchner 1994; Agrell-Eriksson-Vardy-Zeger 2002), guarded to n <= 8.
 """
 
 import math
@@ -43,8 +43,10 @@ class LatticeBasis:
 
     @property
     def gso(self):
+        """(bstar, mu, norms2) with norms2[i] = ||b*_i||^2, computed once."""
         if self._gso is None:
-            self._gso = gram_schmidt(self.matrix)
+            bstar, mu = gram_schmidt(self.matrix)
+            self._gso = (bstar, mu, np.sum(bstar**2, axis=0))
         return self._gso
 
 
@@ -85,20 +87,18 @@ def int_det(m) -> int:
     return sign * a[-1][-1]
 
 
-def lll_reduce(b: LatticeBasis, delta: float = DEFAULT_DELTA) -> ReductionResult:
-    """LLL reduction of the basis columns with Lovasz parameter delta.
+def lll_reduce(b: LatticeBasis) -> ReductionResult:
+    """LLL reduction of the basis columns with Lovasz parameter DEFAULT_DELTA.
 
-    The Gram-Schmidt data is computed once and updated at each swap.  The
-    unimodular transform is tracked in exact integer arithmetic, so
-    reduced = b.matrix @ transform holds exactly for integer inputs.
+    Starts from copies of b's Gram-Schmidt record and updates them at each
+    swap.  The unimodular transform is tracked in exact integer arithmetic,
+    so reduced = b.matrix @ transform holds exactly for integer inputs.
     """
-    if not 0.25 < delta < 1:
-        raise ValueError(f"delta must lie in (0.25, 1), got {delta}")
     basis = b.matrix.astype(float)
     n = basis.shape[1]
     u = np.eye(n, dtype=object)
-    bstar, mu = gram_schmidt(basis)
-    norms2 = np.sum(bstar**2, axis=0)
+    _, mu, norms2 = b.gso
+    mu, norms2 = mu.copy(), norms2.copy()
     swaps = 0
     k = 1
     while k < n:
@@ -112,7 +112,7 @@ def lll_reduce(b: LatticeBasis, delta: float = DEFAULT_DELTA) -> ReductionResult
             mu[k, : j + 1] -= q * mu[j, : j + 1]
             big = (np.abs(mu[k, :j]) > 0.5).nonzero()[0]
         m = mu[k, k - 1]
-        if norms2[k] >= (delta - m**2) * norms2[k - 1]:
+        if norms2[k] >= (DEFAULT_DELTA - m**2) * norms2[k - 1]:
             k += 1
             continue
         # Swap b_{k-1}, b_k; update the GSO in place (Cohen GTM 138 Alg. 2.6.3).
@@ -129,15 +129,14 @@ def lll_reduce(b: LatticeBasis, delta: float = DEFAULT_DELTA) -> ReductionResult
         mu[k + 1:, k - 1] = t + mu[k, k - 1] * mu[k + 1:, k]
         swaps += 1
         k = max(k - 1, 1)
-    return ReductionResult(LatticeBasis(basis), u, swaps, delta)
+    return ReductionResult(LatticeBasis(basis), u, swaps, DEFAULT_DELTA)
 
 
 def is_lll_reduced(b: LatticeBasis, delta: float = DEFAULT_DELTA,
                    tol: float = 1e-9) -> bool:
     """Post-hoc check of size reduction and the Lovasz condition, both
     relative (tol scales |mu| and ||b*_{k-1}||^2), so free of the scale."""
-    bstar, mu = b.gso
-    norms2 = np.sum(bstar**2, axis=0)
+    _, mu, norms2 = b.gso
     n = b.rank
     for i in range(n):
         for j in range(i):
@@ -149,29 +148,33 @@ def is_lll_reduced(b: LatticeBasis, delta: float = DEFAULT_DELTA,
     return True
 
 
+def nearest_plane(b: LatticeBasis, targets: np.ndarray, pick):
+    """Nearest-plane walk from b_n down to b_1 for each row of targets; at
+    level i, pick(i, centres) turns the real coefficients along b*_i into
+    integers (rounding: Babai's decoder; a discrete Gaussian draw: Klein's
+    sampler).  Returns (points, coeffs), one row per target."""
+    bstar, _, norms2 = b.gso
+    t = np.array(targets, dtype=float)
+    coeffs = np.zeros((t.shape[0], b.rank), dtype=np.int64)
+    for i in range(b.rank - 1, -1, -1):
+        coeffs[:, i] = pick(i, t @ bstar[:, i] / norms2[i])
+        t -= coeffs[:, i, None] * b.matrix[:, i]
+    return coeffs @ b.matrix.T, coeffs
+
+
 def babai_nearest_plane(b: LatticeBasis, target: np.ndarray):
     """Babai's nearest-plane decoder.  Returns (lattice point, coefficients)."""
     target = np.asarray(target, dtype=float)
     if target.shape[0] != b.ambient_dim:
         raise ValueError("target dimension does not match the basis")
-    bstar, _ = b.gso
-    norms2 = np.sum(bstar**2, axis=0)
-    t = target.copy()
-    n = b.rank
-    coeffs = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        c = round(float(np.dot(t, bstar[:, i]) / norms2[i]))
-        coeffs[i] = c
-        t -= c * b.matrix[:, i]
-    return b.matrix @ coeffs, coeffs
+    points, coeffs = nearest_plane(b, target[None], lambda i, c: np.rint(c))
+    return points[0], coeffs[0]
 
 
-def _check_dim(b: LatticeBasis, override: bool):
-    if b.rank > ENUM_DIM_LIMIT and not override:
+def _check_dim(b: LatticeBasis):
+    if b.rank > ENUM_DIM_LIMIT:
         raise DimensionGuardError(
-            f"exact enumeration limited to n <= {ENUM_DIM_LIMIT} "
-            f"(got {b.rank}); pass override=True to force"
-        )
+            f"exact enumeration limited to n <= {ENUM_DIM_LIMIT} (got {b.rank})")
 
 
 def _zigzag(c: float, lo, hi):
@@ -197,8 +200,7 @@ def _search(b: LatticeBasis, target: np.ndarray, radius2: float, visit,
     visit(z, d2) is called at each leaf, z a tuple, and returns the squared
     radius for the rest of the search.
     """
-    bstar, mu = b.gso
-    norms2 = np.sum(bstar**2, axis=0)
+    bstar, mu, norms2 = b.gso
     tcoord = (np.asarray(target, dtype=float) @ bstar / norms2).tolist()
     norms2, mu = norms2.tolist(), mu.tolist()
     n = len(norms2)
@@ -242,10 +244,10 @@ def closest_point(b: LatticeBasis, target: np.ndarray, box=None) -> tuple:
     return best[1]
 
 
-def enumerate_cvp(b: LatticeBasis, target: np.ndarray, override: bool = False):
+def enumerate_cvp(b: LatticeBasis, target: np.ndarray):
     """Exact closest lattice point; ties broken by lexicographically
     smallest coefficient vector of the LLL-reduced basis."""
-    _check_dim(b, override)
+    _check_dim(b)
     red = lll_reduce(b)
     coeffs_red = np.array(closest_point(red.reduced, target), dtype=object)
     # Map back through the unimodular transform to original-basis coefficients.
@@ -253,9 +255,9 @@ def enumerate_cvp(b: LatticeBasis, target: np.ndarray, override: bool = False):
     return b.matrix @ coeffs, coeffs
 
 
-def enumerate_svp(b: LatticeBasis, override: bool = False):
+def enumerate_svp(b: LatticeBasis):
     """Exact shortest nonzero vector and lambda_1."""
-    _check_dim(b, override)
+    _check_dim(b)
     red = lll_reduce(b).reduced
     # Start just above the shortest reduced column (relative slack).
     best = (float(np.min(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9), ())
@@ -271,11 +273,11 @@ def enumerate_svp(b: LatticeBasis, override: bool = False):
     return v, float(np.linalg.norm(v))
 
 
-def successive_minima(b: LatticeBasis, override: bool = False) -> MinimaEstimate:
+def successive_minima(b: LatticeBasis) -> MinimaEstimate:
     """lambda_1..lambda_n, exact by enumeration for n <= 8."""
     n = b.rank
     red = lll_reduce(b).reduced
-    if n > ENUM_DIM_LIMIT and not override:
+    if n > ENUM_DIM_LIMIT:
         # Upper bounds from an LLL-reduced basis; not exact.
         norms = np.sort(np.linalg.norm(red.matrix, axis=0))
         return MinimaEstimate(norms, red.matrix, exact=False)

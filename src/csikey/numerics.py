@@ -71,11 +71,10 @@ def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pseudo_inverse(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of a full-column-rank matrix."""
-    a = np.asarray(a, dtype=float)
-    s = np.linalg.svd(a, compute_uv=False)
+    """Moore-Penrose inverse of a full-column-rank matrix, from one thin SVD."""
+    u, s, v = svd(a)
     if s[-1] == 0 or s[0] / s[-1] > COND_LIMIT:
         raise IllConditionedError(
             f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {COND_LIMIT:.0e}"
         )
-    return np.linalg.pinv(a)
+    return v @ ((1 / s)[:, None] * u.T)

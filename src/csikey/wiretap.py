@@ -43,8 +43,8 @@ class SystemParams:
         if self.M < 2:
             raise ParameterError(f"M must be >= 2, got {self.M}")
         for name in ("alpha", "k", "m_slack"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be positive and finite")
         if self.m_rx < 1 or self.m_rx > self.n**3:
             raise ParameterError(f"m_rx must lie in [1, n^3], got {self.m_rx}")
         if self.m_rx > 16 * self.n:

@@ -1,12 +1,16 @@
 """Slow reference implementations that the optimized lattice code is
 tested against: classical Gram-Schmidt, an LLL that recomputes it after
-every swap, Babai nearest-plane on top of them, and exact ML decoding by a
-search of the whole M^n grid.
+every swap, Babai nearest-plane on top of them, Klein's sampler as a loop
+of its own, and exact ML decoding by a search of the whole M^n grid.
 """
+
+import math
 
 import numpy as np
 
+from csikey.distributions import sample_discrete_gaussian_int
 from csikey.errors import DegenerateBasisError
+from csikey.numerics import gram_schmidt
 
 
 def classical_gram_schmidt(b):
@@ -76,6 +80,24 @@ def babai_reference(reduced, u, y, M):
         t -= c * reduced[:, i]
     est = np.array([int(c) for c in u @ coeffs.astype(object)], dtype=np.int64)
     return np.clip(est, 0, M - 1)
+
+
+def klein_reference(basis, r, rng, size):
+    """Klein's sampler centred at 0, with its own Gram-Schmidt data and
+    its own randomized nearest-plane loop.  Returns (points, coeffs)."""
+    b = np.asarray(basis, dtype=float)
+    bstar, _ = gram_schmidt(b)
+    m, n = b.shape
+    norms2 = np.sum(bstar**2, axis=0)
+    t = np.zeros((size, m))
+    coeffs = np.zeros((size, n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        ci = t @ bstar[:, i] / norms2[i]
+        wi = r / math.sqrt(norms2[i])
+        zi = sample_discrete_gaussian_int(np.full(size, wi), ci, rng)
+        coeffs[:, i] = zi
+        t -= np.outer(zi, b[:, i])
+    return coeffs @ b.T, coeffs
 
 
 def grid_ml(g, y, M):

@@ -115,6 +115,13 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["ber", "--n", "8", "--m-rx", "4", "--trials", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+    # Non-finite floats, and a negative noise scale, are rejected up front.
+    for flag, value in [("--noise-scale", "inf"), ("--noise-scale", "nan"),
+                        ("--noise-scale", "-1"), ("--alpha", "nan"),
+                        ("--alpha", "inf"), ("--k", "inf"),
+                        ("--m-slack", "nan")]:
+        assert main(["ber", "--n", "4", "--trials", "2", flag, value]) == 1
+        assert "error:" in capsys.readouterr().err
     assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2
 
 

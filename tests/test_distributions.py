@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from csikey.attacks import toy_bdd_setup
 from csikey.distributions import (DiscreteGaussianSpec, discrete_gaussian_sample,
                                   psi_sample, psi_std,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
-from csikey.errors import WidthTooSmallError
+from csikey.lattice import dual_basis
 from csikey.numerics import make_rng
+from lattice_reference import klein_reference
 
 
 def test_psi_std_convention():
@@ -85,15 +87,6 @@ def test_discrete_gaussian_z1_support_and_pmf():
     assert np.allclose(pts[:, 0], 2.0 * coeffs[:, 0])
 
 
-def test_discrete_gaussian_center():
-    rng = make_rng(6)
-    spec = DiscreteGaussianSpec(np.eye(2), 5.0, center=np.array([0.5, 0.0]))
-    pts, _ = discrete_gaussian_sample(spec, rng, size=20000)
-    se = psi_std(5.0) / math.sqrt(pts.shape[0])
-    assert abs(np.mean(pts[:, 0]) - 0.5) < 3 * se
-    assert abs(np.mean(pts[:, 1]) - 0.0) < 3 * se
-
-
 def test_discrete_gaussian_exact_lattice_points():
     rng = make_rng(7)
     basis = np.array([[2.0, 1.0], [0.0, 3.0]])
@@ -102,10 +95,25 @@ def test_discrete_gaussian_exact_lattice_points():
     assert np.max(np.abs(pts - coeffs @ basis.T)) <= 1e-9
 
 
-def test_discrete_gaussian_width_guard():
-    with pytest.raises(WidthTooSmallError):
-        DiscreteGaussianSpec(np.eye(2), 0.01)
-    DiscreteGaussianSpec(np.eye(2), 0.01, allow_narrow=True)
+def _klein_cases():
+    yield np.array([[2.0]]), 3.0
+    yield np.eye(2), 5.0
+    yield np.eye(2), 1.0  # at the old width guard, which is gone
+    yield np.array([[2.0, 1.0], [0.0, 3.0]]), 20.0
+    rng = make_rng(8)
+    for n in (1, 2, 3, 4, 4):
+        _, inst, _, r = toy_bdd_setup(n, rng)
+        yield dual_basis(inst.basis).matrix, r
+
+
+def test_klein_sampler_matches_reference_loop():
+    # Same seed, same draws in the same order: identical points and coeffs.
+    for seed, (basis, r) in enumerate(_klein_cases()):
+        pts, coeffs = discrete_gaussian_sample(
+            DiscreteGaussianSpec(basis, r), make_rng(seed), size=2000)
+        ref_pts, ref_coeffs = klein_reference(basis, r, make_rng(seed), 2000)
+        assert np.array_equal(coeffs, ref_coeffs)
+        assert np.array_equal(pts, ref_pts)
 
 
 def test_smoothing_upper_bound_z1():

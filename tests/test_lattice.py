@@ -8,7 +8,7 @@ from csikey.errors import DimensionGuardError
 from csikey.lattice import (LatticeBasis, babai_nearest_plane, dual_basis,
                             enumerate_cvp, enumerate_svp,
                             int_det, is_lll_reduced, lll_reduce,
-                            successive_minima)
+                            nearest_plane, successive_minima)
 from csikey.numerics import make_rng
 from csikey.wiretap import (SystemParams, eve_receive, make_instance,
                             random_message, transmit_to_bob)
@@ -47,11 +47,15 @@ def test_lll_unimodular_and_conditions():
         assert is_lll_reduced(red.reduced)
 
 
+def _attack_params():
+    k = 0.002
+    return SystemParams(n=16, m_rx=16, M=256,
+                        alpha=1.05 * math.sqrt(16) * k**2, k=k)
+
+
 def _attack_channels(count):
     """Eve's (G, y, M) in the first `count` trials of acceptance 13."""
-    k = 0.002
-    p = SystemParams(n=16, m_rx=16, M=256, alpha=1.05 * math.sqrt(16) * k**2,
-                     k=k)
+    p = _attack_params()
     rng = make_rng(1300)
     for _ in range(count):
         inst = make_instance(p, rng)
@@ -77,6 +81,28 @@ def test_lll_matches_reference_on_attack_channels():
         reduced, u = _assert_matches_reference(g)
         assert np.array_equal(babai_attack(g, y, M).estimate,
                               babai_reference(reduced, u, y, M))
+
+
+def test_nearest_plane_rounding_matches_babai_reference():
+    # 5 reduced acceptance-13 channels, 40 of Eve's observations each: the
+    # batched rounding walk gives the scalar reference's estimate and the
+    # single-target decoder's coefficients, row by row.
+    p = _attack_params()
+    rng = make_rng(1301)
+    for _ in range(5):
+        inst = make_instance(p, rng)
+        obs = [eve_receive(inst, random_message(p, rng), p, rng)
+               for _ in range(40)]
+        targets = np.array([y for _, y in obs])
+        red = lll_reduce(LatticeBasis(obs[0][0]))
+        _, coeffs = nearest_plane(red.reduced, targets,
+                                  lambda i, c: np.rint(c))
+        for row, y in zip(coeffs, targets):
+            assert np.array_equal(row, babai_nearest_plane(red.reduced, y)[1])
+            est = np.clip([int(c) for c in red.transform @ row.astype(object)],
+                          0, p.M - 1)
+            assert np.array_equal(est, babai_reference(
+                red.reduced.matrix, red.transform, y, p.M))
 
 
 def test_lll_matches_reference_on_integer_bases():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from csikey.errors import DegenerateBasisError, IllConditionedError
+from csikey.errors import (DegenerateBasisError, IllConditionedError,
+                           NumericalError)
 from csikey.numerics import gram_schmidt, make_rng, pseudo_inverse, svd
 from lattice_reference import classical_gram_schmidt
 
@@ -83,8 +84,17 @@ def test_pseudo_inverse():
     assert np.allclose(pseudo_inverse(np.eye(3)), np.eye(3))
     assert np.allclose(pseudo_inverse(np.diag([2.0, 4.0])),
                        np.diag([0.5, 0.25]))
-    a = make_rng(2).normal(size=(12, 8))
+    rng = make_rng(2)
+    a = rng.normal(size=(12, 8))
     assert np.max(np.abs(pseudo_inverse(a) @ a - np.eye(8))) <= 1e-8
+    # One thin SVD gives numpy's pinv bit for bit.
+    for shape in [(1, 1), (5, 3), (4, 6), (8, 8), (12, 8), (128, 64)]:
+        for scale in (1e-3, 1.0, 1e5):
+            a = scale * rng.normal(size=shape)
+            assert np.array_equal(pseudo_inverse(a), np.linalg.pinv(a))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError):
+            pseudo_inverse(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_pseudo_inverse_ill_conditioned():
