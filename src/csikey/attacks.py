@@ -9,7 +9,7 @@ padded width), not the channel's M*alpha; pass noise_width accordingly.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,9 +17,9 @@ from .distributions import (DiscreteGaussianSpec, discrete_gaussian_sample,
                             psi_sample, psi_std, smoothing_upper_bound)
 from .errors import (ConfigurationError, DimensionGuardError, ParameterError,
                      ReductionFailureError, SearchFailureError)
-from .lattice import (LatticeBasis, babai_nearest_plane, closest_point,
-                      dual_basis, lll_reduce)
-from .numerics import pseudo_inverse
+from .lattice import (LatticeBasis, ReductionResult, babai_nearest_plane,
+                      closest_point, dual_basis, lattice_bases, lll_reduce)
+from .numerics import SvdTriple, pseudo_inverse, svd
 from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
     transmit_to_bob, bob_decode, eve_receive
 
@@ -28,6 +28,7 @@ ML_SPACE_GUARD = 10**7
 METHOD_ZF = "ZF"
 METHOD_BABAI = "BabaiLLL"
 METHOD_ML = "ExactML"
+BER_CHUNK = 64  # ber trials per stacked factoring; bounds the memory held at once
 
 
 @dataclass
@@ -48,16 +49,15 @@ class BddInstance:
             raise ParameterError("bound_d must be positive")
 
 
-def zf_decode(g: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
-    """Zero-forcing: pseudo-inverse then per-symbol rounding and clamping."""
-    est = np.rint(pseudo_inverse(g) @ np.asarray(y, dtype=float)).astype(np.int64)
+def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
+    """Zero-forcing: per-symbol rounding and clamping of g_pinv y."""
+    est = np.rint(g_pinv @ np.asarray(y, dtype=float)).astype(np.int64)
     return DecoderOutcome(np.clip(est, 0, M - 1), METHOD_ZF)
 
 
-def babai_attack(g: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
-    """LLL-reduce the lattice of channel columns, Babai-decode, map the
-    coefficients back through the recorded unimodular transform."""
-    red = lll_reduce(LatticeBasis(g))
+def babai_attack(red: ReductionResult, y: np.ndarray, M: int) -> DecoderOutcome:
+    """Babai-decode y in red, the LLL-reduced lattice of the channel
+    columns, and map the coefficients back through its unimodular transform."""
     _, coeffs = babai_nearest_plane(red.reduced, np.asarray(y, dtype=float))
     orig = red.transform @ coeffs.astype(object)
     est = np.array([int(c) for c in orig], dtype=np.int64)
@@ -119,7 +119,7 @@ def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
         for _ in range(max(1, n)):
             if gamma > 0:
                 pad = psi_sample(math.sqrt(gamma), rng, size=len(batch))
-                padded = SampleBatch(a=batch.a, y=batch.y + pad, label=batch.label)
+                padded = SampleBatch(a=batch.a, y=batch.y + pad)
             else:
                 padded = batch
             cand = oracle(padded)
@@ -307,27 +307,40 @@ def _binom_ci(errors: int, total: int):
 def ber_experiment(p: SystemParams, trials: int, methods, rng,
                    seed: int = 0, noise_scale: float = 1.0) -> list[BerResult]:
     """Monte Carlo symbol-error-rate comparison.  Bob's SVD decoder is
-    always measured alongside the requested eavesdropper methods."""
+    always measured alongside the requested eavesdropper methods.  Each chunk
+    of trials first draws and factors its channels in stacked calls."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     methods = set(methods)
     counts = {"bob": 0}
     for m in methods:
         counts[m] = 0
-    total = 0
-    for _ in range(trials):
-        inst = make_instance(p, rng)
-        x = random_message(p, rng)
-        y_b = transmit_to_bob(inst, x, p, rng, noise_scale=noise_scale)
-        counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
-        g, y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
+    for start in range(0, trials, BER_CHUNK):
+        insts = [make_instance(p, rng)
+                 for _ in range(min(BER_CHUNK, trials - start))]
+        for inst, *key in zip(insts, *svd(np.stack([i.A for i in insts]))):
+            inst.svdA = SvdTriple(*key)
+        g = np.stack([inst.G for inst in insts])
         if "zf" in methods:
-            counts["zf"] += int(np.sum(zf_decode(g, y_e, p.M).estimate != x))
+            g_pinv = pseudo_inverse(g)
         if "babai" in methods:
-            counts["babai"] += int(np.sum(babai_attack(g, y_e, p.M).estimate != x))
-        if "ml" in methods:
-            counts["ml"] += int(np.sum(exact_ml_decode(g, y_e, p.M).estimate != x))
-        total += p.n
+            reds = [lll_reduce(b) for b in lattice_bases(g)]
+            reduced = lattice_bases(np.stack([r.reduced.matrix for r in reds]))
+            reds = [replace(r, reduced=b) for r, b in zip(reds, reduced)]
+        for t, inst in enumerate(insts):
+            x = random_message(p, rng)
+            y_b = transmit_to_bob(inst, x, p, rng, noise_scale=noise_scale)
+            counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
+            _, y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
+            if "zf" in methods:
+                counts["zf"] += int(np.sum(zf_decode(g_pinv[t], y_e, p.M).estimate != x))
+            if "babai" in methods:
+                est = babai_attack(reds[t], y_e, p.M).estimate
+                counts["babai"] += int(np.sum(est != x))
+            if "ml" in methods:
+                est = exact_ml_decode(inst.G, y_e, p.M).estimate
+                counts["ml"] += int(np.sum(est != x))
+    total = trials * p.n
     results = []
     for method, errs in sorted(counts.items()):
         lo, hi = _binom_ci(errs, total)

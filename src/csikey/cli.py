@@ -234,7 +234,7 @@ def render(record: ExperimentRecord, fmt: str) -> str:
     if fmt == "csv":
         header = f"# config: {json.dumps(record.config, sort_keys=True)}\n"
         return header + rows_to_csv(record.results)
-    return json.dumps(asdict(record), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(record), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

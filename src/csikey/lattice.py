@@ -45,9 +45,18 @@ class LatticeBasis:
     def gso(self):
         """(bstar, mu, norms2) with norms2[i] = ||b*_i||^2, computed once."""
         if self._gso is None:
-            bstar, mu = gram_schmidt(self.matrix)
-            self._gso = (bstar, mu, np.sum(bstar**2, axis=0))
+            self._gso = _gso_record(self.matrix)
         return self._gso
+
+
+def _gso_record(b):
+    bstar, mu = gram_schmidt(b)
+    return bstar, mu, np.sum(bstar**2, axis=-2)
+
+
+def lattice_bases(mats: np.ndarray) -> list[LatticeBasis]:
+    """A LatticeBasis per matrix of a stack, records from one gram_schmidt call."""
+    return [LatticeBasis(m, _gso=rec) for m, rec in zip(mats, zip(*_gso_record(mats)))]
 
 
 @dataclass
@@ -61,7 +70,6 @@ class ReductionResult:
 @dataclass
 class MinimaEstimate:
     values: np.ndarray  # lambda_1 .. lambda_j
-    vectors: np.ndarray  # columns, linearly independent realizers (if exact)
     exact: bool
 
 
@@ -280,7 +288,7 @@ def successive_minima(b: LatticeBasis) -> MinimaEstimate:
     if n > ENUM_DIM_LIMIT:
         # Upper bounds from an LLL-reduced basis; not exact.
         norms = np.sort(np.linalg.norm(red.matrix, axis=0))
-        return MinimaEstimate(norms, red.matrix, exact=False)
+        return MinimaEstimate(norms, exact=False)
     # The minima are at most the longest reduced column (slack as in SVP).
     radius2 = float(np.max(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9)
     cands = []
@@ -298,8 +306,7 @@ def successive_minima(b: LatticeBasis) -> MinimaEstimate:
             values.append(math.sqrt(d2))
             if len(chosen) == n:
                 break
-    vecs = red.matrix @ np.array(chosen).T
-    return MinimaEstimate(np.array(values), vecs, exact=True)
+    return MinimaEstimate(np.array(values), exact=True)
 
 
 def _int_rank(rows) -> int:

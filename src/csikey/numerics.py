@@ -1,7 +1,10 @@
 """Dense real linear algebra and seeded randomness used everywhere else.
 
 Matrices are plain float64 numpy arrays.  Basis vectors are stored as
-matrix *columns* throughout the package.
+matrix *columns* throughout the package.  svd, gram_schmidt and
+pseudo_inverse also take a stack (..., m, n), slice by slice bit-equal to
+per-matrix calls; each check runs over the whole stack in turn, and the
+first matrix failing it raises the per-matrix error.
 """
 
 from typing import NamedTuple
@@ -43,8 +46,8 @@ def svd(a: np.ndarray) -> SvdTriple:
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"svd failed to converge on {a.shape} matrix") from exc
-    return SvdTriple(U=u, sigma=s, V=vh.T)
+        raise NumericalError(f"svd failed to converge on {a.shape[-2:]} matrix") from exc
+    return SvdTriple(U=u, sigma=s, V=np.swapaxes(vh, -1, -2))
 
 
 def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,25 +59,24 @@ def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below 1e-13 of its own norm, so the test does not depend on the scale.
     """
     b = np.asarray(b, dtype=float)
-    m, n = b.shape
+    m, n = b.shape[-2:]
     if not np.all(np.isfinite(b)):
         raise NumericalError("gram_schmidt input contains non-finite entries")
     if m < n:
         raise DegenerateBasisError(f"{n} columns in dimension {m} are dependent")
     q, r = np.linalg.qr(b)
-    d = np.diag(r)
-    dependent = np.flatnonzero(np.abs(d) <= 1e-13 * np.linalg.norm(b, axis=0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    dependent = np.argwhere(np.abs(d) <= 1e-13 * np.linalg.norm(b, axis=-2))
     if dependent.size:
-        raise DegenerateBasisError(
-            f"column {dependent[0]} is linearly dependent")
-    return q * d, (r / d[:, None]).T
+        raise DegenerateBasisError(f"column {dependent[0][-1]} is linearly dependent")
+    return q * d[..., None, :], np.swapaxes(r / d[..., :, None], -1, -2)
 
 
 def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a full-column-rank matrix, from one thin SVD."""
     u, s, v = svd(a)
-    if s[-1] == 0 or s[0] / s[-1] > COND_LIMIT:
-        raise IllConditionedError(
-            f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    return v @ ((1 / s)[:, None] * u.T)
+    for top, low in s.reshape(-1, s.shape[-1])[:, [0, -1]]:
+        if low == 0 or top / low > COND_LIMIT:
+            raise IllConditionedError(
+                f"condition number {top / max(low, 1e-300):.3e} exceeds {COND_LIMIT:.0e}")
+    return v @ ((1 / s)[..., :, None] * np.swapaxes(u, -1, -2))

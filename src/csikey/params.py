@@ -75,6 +75,8 @@ def check_secrecy_constraints(p: SystemParams) -> ConstraintReport:
 
 def design_table(ns, m_slack: float = 1.0):
     """Rows (n, log2M, snr_db, capacity) at the minimum constellation size."""
+    if not 0 < m_slack < math.inf:
+        raise ParameterError("m_slack must be positive and finite")
     rows = []
     for n in ns:
         log2m = required_log2M(n, m_slack)

@@ -11,6 +11,7 @@ SNR); pass noise_width explicitly where that matters.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,10 +20,6 @@ from .errors import DegenerateBasisError, ParameterError
 from .numerics import SvdTriple, svd
 
 SIGMA_FLOOR = 1e-12
-
-A_DIST = "A-dist"
-R_DIST = "R-dist"
-UNKNOWN_DIST = "unknown"
 
 
 @dataclass
@@ -70,17 +67,28 @@ class SystemParams:
 @dataclass
 class WiretapInstance:
     """Channel matrices for the legitimate link (A) and eavesdropper (B),
-    plus the SVD of A, which acts as the CSI-key."""
+    plus the SVD of A, which acts as the CSI-key.  B, the SVD and Eve's
+    channel G = B V are computed on first read unless assigned first."""
 
     A: np.ndarray
-    B: np.ndarray
-    svdA: SvdTriple = field(default=None)
+    k: float
+    rng_b: np.random.Generator = field(repr=False)
 
     def __post_init__(self):
         if self.A.shape[0] < self.A.shape[1]:
             raise DegenerateBasisError("fewer receive antennas than streams")
-        if self.svdA is None:
-            self.svdA = svd(self.A)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return psi_sample(self.k, self.rng_b, size=self.A.shape)
+
+    @cached_property
+    def svdA(self) -> SvdTriple:
+        return svd(self.A)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self.B @ self.svdA.V
 
 
 @dataclass
@@ -89,7 +97,6 @@ class SampleBatch:
 
     a: np.ndarray  # (count, n)
     y: np.ndarray  # (count,)
-    label: str = UNKNOWN_DIST
 
     def __post_init__(self):
         self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -108,11 +115,10 @@ def random_message(p: SystemParams, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_instance(p: SystemParams, rng: np.random.Generator) -> WiretapInstance:
-    """Draw A and B with i.i.d. width-k entries from separate substreams."""
+    """Draw A with i.i.d. width-k entries; B is drawn from its own substream
+    on first read."""
     rng_a, rng_b = rng.spawn(2)
-    a = psi_sample(p.k, rng_a, size=(p.m_rx, p.n))
-    b = psi_sample(p.k, rng_b, size=(p.m_rx, p.n))
-    return WiretapInstance(A=a, B=b)
+    return WiretapInstance(psi_sample(p.k, rng_a, size=(p.m_rx, p.n)), p.k, rng_b)
 
 
 def precode(inst: WiretapInstance, x: np.ndarray) -> np.ndarray:
@@ -145,11 +151,10 @@ def bob_decode(inst: WiretapInstance, y: np.ndarray, p: SystemParams) -> np.ndar
 def eve_receive(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
                 rng: np.random.Generator, noise_scale: float = 1.0):
     """Eve's effective channel G = B V and observation y = G x + e."""
-    g = inst.B @ inst.svdA.V
-    y = g @ np.asarray(x, dtype=float)
+    y = inst.G @ np.asarray(x, dtype=float)
     if noise_scale > 0:
         y = y + psi_sample(p.noise_width * noise_scale, rng, size=y.shape)
-    return g, y
+    return inst.G, y
 
 
 def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,
@@ -166,7 +171,7 @@ def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,
     x = np.asarray(x, dtype=float)
     a = psi_sample(p.k, rng, size=(count, p.n))
     e = psi_sample(noise_width, rng, size=count) if noise_width > 0 else 0.0
-    return SampleBatch(a=a, y=a @ x + e, label=A_DIST)
+    return SampleBatch(a=a, y=a @ x + e)
 
 
 def r_dist_width(p: SystemParams) -> float:
@@ -181,5 +186,5 @@ def sample_R_dist(p: SystemParams, rng: np.random.Generator,
         raise ParameterError("count must be >= 1")
     a = psi_sample(p.k, rng, size=(count, p.n))
     y = psi_sample(r_dist_width(p), rng, size=count)
-    return SampleBatch(a=a, y=y, label=R_DIST)
+    return SampleBatch(a=a, y=y)
 

@@ -1,0 +1,39 @@
+"""Trial-by-trial reference for attacks.ber_experiment: every trial
+factors its own channels with per-matrix calls (SVD, pseudo-inverse,
+Gram-Schmidt) and draws from rng in the same order.
+"""
+
+import numpy as np
+
+from csikey.attacks import BerResult, _binom_ci, exact_ml_decode
+from csikey.lattice import LatticeBasis, babai_nearest_plane, lll_reduce
+from csikey.numerics import pseudo_inverse
+from csikey.wiretap import (bob_decode, eve_receive, make_instance,
+                            random_message, transmit_to_bob)
+
+
+def reference_ber_experiment(p, trials, methods, rng, seed=0,
+                             noise_scale=1.0):
+    methods = set(methods)
+    counts = dict.fromkeys(["bob", *methods], 0)
+    for _ in range(trials):
+        inst = make_instance(p, rng)
+        x = random_message(p, rng)
+        y_b = transmit_to_bob(inst, x, p, rng, noise_scale=noise_scale)
+        counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
+        g, y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
+        if "zf" in methods:
+            est = np.rint(pseudo_inverse(g) @ y_e).astype(np.int64)
+            counts["zf"] += int(np.sum(np.clip(est, 0, p.M - 1) != x))
+        if "babai" in methods:
+            red = lll_reduce(LatticeBasis(g))
+            _, coeffs = babai_nearest_plane(red.reduced, y_e)
+            est = [int(c) for c in red.transform @ coeffs.astype(object)]
+            counts["babai"] += int(np.sum(np.clip(est, 0, p.M - 1) != x))
+        if "ml" in methods:
+            est = exact_ml_decode(g, y_e, p.M).estimate
+            counts["ml"] += int(np.sum(est != x))
+    total = trials * p.n
+    return [BerResult(m, p.n, p.M, p.alpha, p.k, trials, errs / total,
+                      *_binom_ci(errs, total), seed)
+            for m, errs in sorted(counts.items())]

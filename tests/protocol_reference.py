@@ -10,8 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from csikey.numerics import SvdTriple
 from csikey.params import check_secrecy_constraints
 from csikey.protocols import ToeplitzSeed, bits_to_hex, encode_symbols
-from csikey.wiretap import (WiretapInstance, make_instance, random_message,
-                            transmit_to_bob)
+from csikey.wiretap import make_instance, random_message, transmit_to_bob
 
 
 def toeplitz_matrix(seed):
@@ -57,8 +56,8 @@ def reference_key_agreement(cfg, rng):
     alice_bits, bob_bits, messages = [], [], []
     errors = 0
     for _ in range(cfg.c):
-        drawn = make_instance(p, rng)
-        inst = WiretapInstance(drawn.A, drawn.B, svdA=full_svd(drawn.A))
+        inst = make_instance(p, rng)
+        inst.svdA = full_svd(inst.A)
         x = random_message(p, rng)
         votes = np.stack([
             _full_bob_decode(inst, transmit_to_bob(inst, x, p, rng), p)

@@ -12,9 +12,10 @@ from csikey.attacks import (BddInstance, BerResult, bdd_sample_count,
                             verify_solution, zf_decode)
 from csikey.errors import (ConfigurationError, DegenerateBasisError,
                            DimensionGuardError, ReductionFailureError)
-from csikey.lattice import LatticeBasis, enumerate_cvp
-from csikey.numerics import make_rng
+from csikey.lattice import LatticeBasis, enumerate_cvp, lll_reduce
+from csikey.numerics import make_rng, pseudo_inverse
 from csikey.wiretap import SystemParams, sample_A_dist, sample_R_dist
+from ber_reference import reference_ber_experiment
 from lattice_reference import grid_ml
 
 
@@ -36,7 +37,7 @@ def test_zf_recovers_at_high_snr():
     rng = make_rng(0)
     for _ in range(20):
         x, g, y = _clean_channel(p, rng)
-        assert np.array_equal(zf_decode(g, y, p.M).estimate, x)
+        assert np.array_equal(zf_decode(pseudo_inverse(g), y, p.M).estimate, x)
 
 
 def test_babai_recovers_at_high_snr():
@@ -44,7 +45,8 @@ def test_babai_recovers_at_high_snr():
     rng = make_rng(1)
     for _ in range(20):
         x, g, y = _clean_channel(p, rng, count=4)
-        assert np.array_equal(babai_attack(g, y, p.M).estimate, x)
+        red = lll_reduce(LatticeBasis(g))
+        assert np.array_equal(babai_attack(red, y, p.M).estimate, x)
 
 
 def test_exact_ml_matches_brute_force():
@@ -208,3 +210,40 @@ def test_ber_experiment_noiseless_all_exact():
     p = _params(n=4, m_rx=8)
     res = ber_experiment(p, 20, ["zf", "babai"], make_rng(10), noise_scale=0.0)
     assert all(r.ser == 0.0 for r in res)
+
+
+def _attack_point(n, log2m):
+    k = 0.002
+    return SystemParams(n=n, m_rx=n, M=2**log2m,
+                        alpha=1.05 * math.sqrt(n) * k**2, k=k)
+
+
+def _assert_matches_reference(p, trials, methods, seed, noise_scale=1.0):
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    got = ber_experiment(p, trials, methods, rng, seed=seed,
+                         noise_scale=noise_scale)
+    want = reference_ber_experiment(p, trials, methods, ref_rng, seed=seed,
+                                    noise_scale=noise_scale)
+    assert got == want
+    # Both took the same draws and spawned the same streams from rng.
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
+    assert rng.spawn(1)[0].integers(2**62) == ref_rng.spawn(1)[0].integers(2**62)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ber_experiment_matches_reference_at_benchmark_points(seed):
+    # The attack-n16 and attack-n4-ml workloads: the channels factored in
+    # stacked calls give the trial-by-trial counts exactly.
+    _assert_matches_reference(_attack_point(16, 8), 2, ["zf", "babai"], seed)
+    _assert_matches_reference(_attack_point(4, 4), 40, ["zf", "babai", "ml"],
+                              seed)
+
+
+@pytest.mark.parametrize("methods", [["zf"], ["babai"], ["ml"],
+                                     ["zf", "babai", "ml"]])
+def test_ber_experiment_matches_reference_across_chunks(methods):
+    # One trial past a chunk, with and without noise.
+    p = _params(n=4, m_rx=6, M=4, alpha=0.5)
+    for noise_scale in (1.0, 0.0):
+        _assert_matches_reference(p, attacks.BER_CHUNK + 1, methods, 11,
+                                  noise_scale)

@@ -122,6 +122,11 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
                         ("--m-slack", "nan")]:
         assert main(["ber", "--n", "4", "--trials", "2", flag, value]) == 1
         assert "error:" in capsys.readouterr().err
+    # params-table reads m_slack without building SystemParams.
+    for value in ("-1", "nan"):
+        assert main(["params-table", "--m-slack", value, "--format",
+                     "json"]) == 1
+        assert "error:" in capsys.readouterr().err
     assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2
 
 

@@ -101,3 +101,68 @@ def test_pseudo_inverse_ill_conditioned():
     a = np.diag([1.0, 1e-15])
     with pytest.raises(IllConditionedError):
         pseudo_inverse(a)
+
+
+def _parts(result):
+    return tuple(result) if isinstance(result, tuple) else (result,)
+
+
+def _per_matrix(fn, stack):
+    """The parts of fn's result on each matrix of stack alone, restacked."""
+    lead = stack.shape[:-2]
+    results = [_parts(fn(a)) for a in stack.reshape(-1, *stack.shape[-2:])]
+    return [np.stack(p).reshape(*lead, *p[0].shape) for p in zip(*results)]
+
+
+@pytest.mark.parametrize("shape", [(40, 4, 4), (2, 16, 16), (65, 8, 4),
+                                   (2, 3, 5, 5), (3, 4, 6)])
+def test_stacked_calls_match_per_matrix_calls(shape):
+    stack = 0.002 * make_rng(5).normal(size=shape)
+    tall = shape[-2] >= shape[-1]
+    for fn in [svd, pseudo_inverse] + [gram_schmidt] * tall:
+        for got, want in zip(_parts(fn(stack)), _per_matrix(fn, stack),
+                             strict=True):
+            assert np.array_equal(got, want), fn.__name__
+
+
+def _raises_like_first_bad_slice(fn, stack, bad, exc):
+    """fn on the stack raises what fn on its first bad matrix raises."""
+    with pytest.raises(exc) as alone:
+        fn(stack[bad])
+    with pytest.raises(exc) as stacked:
+        fn(stack)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_stack_with_one_bad_matrix_raises_its_error():
+    rng = make_rng(6)
+    stack = rng.normal(size=(5, 4, 4))
+    nonfinite = stack.copy()
+    nonfinite[3, 1, 2] = np.nan
+    for fn in (svd, gram_schmidt, pseudo_inverse):
+        _raises_like_first_bad_slice(fn, nonfinite, 3, NumericalError)
+    dependent = stack.copy()
+    dependent[2, :, 3] = dependent[2, :, 0] + dependent[2, :, 1]
+    dependent[4, :, 1] = dependent[4, :, 0]
+    _raises_like_first_bad_slice(gram_schmidt, dependent, 2,
+                                 DegenerateBasisError)
+    ill = stack.copy()
+    ill[1] = np.diag([1.0, 1.0, 1.0, 1e-15])
+    ill[3] = np.diag([1.0, 1.0, 1.0, 0.0])
+    _raises_like_first_bad_slice(pseudo_inverse, ill, 1, IllConditionedError)
+
+
+def test_stack_checks_run_in_turn():
+    # Each check covers the whole stack before the next one runs: a
+    # non-finite slice raises before an earlier dependent or ill-conditioned
+    # one, and the earlier of two slices failing the same check raises.
+    stack = make_rng(7).normal(size=(4, 4, 4))
+    stack[0, :, 1] = stack[0, :, 0]
+    stack[1] = np.diag([1.0, 1.0, 1.0, 0.0])
+    stack[3, 2, 2] = np.inf
+    for fn in (gram_schmidt, pseudo_inverse):
+        with pytest.raises(NumericalError):
+            fn(stack)
+    stack[3, 2, 2] = 0.0
+    _raises_like_first_bad_slice(gram_schmidt, stack, 0, DegenerateBasisError)
+    _raises_like_first_bad_slice(pseudo_inverse, stack, 0, IllConditionedError)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from csikey.distributions import psi_sample
 from csikey.errors import DegenerateBasisError, ParameterError
 from csikey.numerics import make_rng
 from csikey.wiretap import (SampleBatch, SystemParams, bob_decode,
@@ -48,6 +49,16 @@ def test_instance_determinism_and_independence():
     b = make_instance(p, make_rng(42))
     assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
     assert not np.array_equal(a.A, a.B)
+
+
+def test_eve_channel_drawn_on_first_read():
+    # make_instance keeps B's stream and draws nothing from it up front.
+    p = _params()
+    inst = make_instance(p, make_rng(11))
+    assert "B" not in vars(inst)
+    _, rng_b = make_rng(11).spawn(2)
+    assert np.array_equal(inst.B, psi_sample(p.k, rng_b, size=(p.m_rx, p.n)))
+    assert np.array_equal(inst.G, inst.B @ inst.svdA.V)
 
 
 def test_instance_entry_variance():
@@ -120,7 +131,6 @@ def test_sample_A_dist():
     rng = make_rng(7)
     x = np.array([1, 3, 0, 2])
     batch = sample_A_dist(x, p, rng, count=20000)
-    assert batch.label == "A-dist"
     # regression recovers x
     est, *_ = np.linalg.lstsq(batch.a, batch.y, rcond=None)
     assert np.max(np.abs(est - x)) < 0.5
@@ -142,7 +152,6 @@ def test_sample_R_dist_moments_and_independence():
     p = _params(n=4, m_rx=4)
     rng = make_rng(9)
     batch = sample_R_dist(p, rng, count=10**5)
-    assert batch.label == "R-dist"
     assert np.var(batch.y) == pytest.approx(
         r_dist_width(p)**2 / (2 * math.pi), rel=0.03)
     for j in range(4):
