@@ -24,17 +24,12 @@ from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
     transmit_to_bob, bob_decode, eve_receive
 
 ML_SPACE_GUARD = 10**7
-
-METHOD_ZF = "ZF"
-METHOD_BABAI = "BabaiLLL"
-METHOD_ML = "ExactML"
 BER_CHUNK = 64  # ber trials per stacked factoring; bounds the memory held at once
 
 
 @dataclass
 class DecoderOutcome:
     estimate: np.ndarray
-    method: str
 
 
 @dataclass
@@ -51,8 +46,8 @@ class BddInstance:
 
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     """Zero-forcing: per-symbol rounding and clamping of g_pinv y."""
-    est = np.rint(g_pinv @ np.asarray(y, dtype=float)).astype(np.int64)
-    return DecoderOutcome(np.clip(est, 0, M - 1), METHOD_ZF)
+    est = np.rint(g_pinv @ np.asarray(y, dtype=float))
+    return DecoderOutcome(np.clip(est, 0, M - 1).astype(np.int64))
 
 
 def babai_attack(red: ReductionResult, y: np.ndarray, M: int) -> DecoderOutcome:
@@ -61,7 +56,7 @@ def babai_attack(red: ReductionResult, y: np.ndarray, M: int) -> DecoderOutcome:
     _, coeffs = babai_nearest_plane(red.reduced, np.asarray(y, dtype=float))
     orig = red.transform @ coeffs.astype(object)
     est = np.array([int(c) for c in orig], dtype=np.int64)
-    return DecoderOutcome(np.clip(est, 0, M - 1), METHOD_BABAI)
+    return DecoderOutcome(np.clip(est, 0, M - 1))
 
 
 def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
@@ -77,7 +72,7 @@ def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     if M**n > ML_SPACE_GUARD:
         raise DimensionGuardError(f"M^n = {M**n} exceeds guard {ML_SPACE_GUARD}")
     x = closest_point(LatticeBasis(g), y, (0, M - 1))
-    return DecoderOutcome(np.array(x, dtype=np.int64), METHOD_ML)
+    return DecoderOutcome(np.array(x, dtype=np.int64))
 
 
 def make_exact_ml_oracle(p: SystemParams):

@@ -30,9 +30,6 @@ from .protocols import (CipherContext, KeyAgreementConfig, decrypt, encrypt,
                         min_message_count, run_key_agreement)
 from .wiretap import SystemParams, make_instance, sample_A_dist
 
-SUBCOMMANDS = ("params-table", "ber", "key-agreement", "cipher",
-               "reduction-demo", "decision-to-search")
-
 # One typed definition per option, for the flags and the --config keys:
 # name -> (type, default, choices).  params-table takes n as a comma list.
 OPTIONS = {
@@ -55,7 +52,7 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in _RUNNERS:
             raise ConfigurationError(f"unknown subcommand {self.subcommand!r}")
         _check_options(self.options, self.subcommand)
         merged = dict(DEFAULTS)
@@ -238,17 +235,16 @@ def render(record: ExperimentRecord, fmt: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand; --n stays a string (main types it)."""
     parser = argparse.ArgumentParser(
         prog="csikey",
         description="Seeded experiment harness for the massive-MIMO "
                     "physical-layer cryptosystem.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        for opt, (typ, _, choices) in OPTIONS.items():
-            sp.add_argument("--" + opt.replace("_", "-"), choices=choices,
-                            type=str if (opt, name) == N_LIST else typ)
-        sp.add_argument("--config", help="JSON file with option defaults")
+    parser.add_argument("subcommand", choices=_RUNNERS)
+    for opt, (typ, _, choices) in OPTIONS.items():
+        parser.add_argument("--" + opt.replace("_", "-"), choices=choices,
+                            type=str if opt == N_LIST[0] else typ)
+    parser.add_argument("--config", help="JSON file with option defaults")
     return parser
 
 
@@ -269,8 +265,14 @@ def _check_options(options: dict, subcommand: str):
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
     subcommand = args.pop("subcommand")
+    if args["n"] is not None and subcommand != N_LIST[1]:
+        try:
+            args["n"] = int(args["n"])
+        except ValueError:
+            parser.error(f"argument --n: invalid int value: {args['n']!r}")
     config_path = args.pop("config", None)
     options = {}
     if config_path:

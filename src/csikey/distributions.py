@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import (LatticeBasis, lll_reduce, nearest_plane,
-                      successive_minima)
+from .lattice import LatticeBasis, nearest_plane, successive_minima
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -116,22 +115,11 @@ def discrete_gaussian_sample(spec: DiscreteGaussianSpec, rng: np.random.Generato
 def smoothing_upper_bound(basis: np.ndarray, epsilon: float) -> float:
     """Upper bound sqrt(ln(2n(1+1/eps))/pi) * lambda_n on the smoothing width.
 
-    lambda_n is exact (enumeration) for n <= 6, otherwise bounded by the
-    largest Gram-Schmidt norm of an LLL-reduced basis.
+    lambda_n comes from successive_minima: exact (enumeration) for n <= 8,
+    otherwise bounded by the longest column of an LLL-reduced basis.
     """
     if not 0 < epsilon:
         raise ParameterError("epsilon must be positive")
-    basis = np.asarray(basis, dtype=float)
-    n = basis.shape[1]
-    lam_n = _lambda_n_estimate(basis)
-    return math.sqrt(math.log(2 * n * (1 + 1 / epsilon)) / math.pi) * lam_n
-
-
-def _lambda_n_estimate(basis: np.ndarray) -> float:
-    n = basis.shape[1]
-    lb = LatticeBasis(basis)
-    if n <= 6:
-        est = successive_minima(lb)
-        return float(est.values[-1])
-    reduced = lll_reduce(lb).reduced
-    return float(np.max(np.linalg.norm(reduced.matrix, axis=0)))
+    basis = LatticeBasis(basis)
+    lam_n = float(successive_minima(basis).values[-1])
+    return math.sqrt(math.log(2 * basis.rank * (1 + 1 / epsilon)) / math.pi) * lam_n

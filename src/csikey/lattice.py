@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DimensionGuardError
+from .errors import DegenerateBasisError, DimensionGuardError, NumericalError
 from .numerics import gram_schmidt, pseudo_inverse
 
 ENUM_DIM_LIMIT = 8
@@ -51,7 +51,10 @@ class LatticeBasis:
 
 def _gso_record(b):
     bstar, mu = gram_schmidt(b)
-    return bstar, mu, np.sum(bstar**2, axis=-2)
+    norms2 = np.sum(bstar**2, axis=-2)  # at most ||b_i||^2, so finite
+    if np.any(norms2 < np.finfo(float).tiny):
+        raise NumericalError("a squared Gram-Schmidt norm is below the normal floats")
+    return bstar, mu, norms2
 
 
 def lattice_bases(mats: np.ndarray) -> list[LatticeBasis]:
@@ -98,15 +101,17 @@ def int_det(m) -> int:
 def lll_reduce(b: LatticeBasis) -> ReductionResult:
     """LLL reduction of the basis columns with Lovasz parameter DEFAULT_DELTA.
 
-    Starts from copies of b's Gram-Schmidt record and updates them at each
-    swap.  The unimodular transform is tracked in exact integer arithmetic,
-    so reduced = b.matrix @ transform holds exactly for integer inputs.
+    Starts from copies of b's Gram-Schmidt record, the norms scaled by a
+    power of two (exactly) so that no swap under- or overflows at any scale
+    of b, and updates them at each swap.  The unimodular transform is tracked
+    in exact integer arithmetic, so reduced = b.matrix @ transform holds
+    exactly for integer inputs.
     """
     basis = b.matrix.astype(float)
     n = basis.shape[1]
     u = np.eye(n, dtype=object)
     _, mu, norms2 = b.gso
-    mu, norms2 = mu.copy(), norms2.copy()
+    mu, norms2 = mu.copy(), np.ldexp(norms2, -np.frexp(norms2.max())[1])
     swaps = 0
     k = 1
     while k < n:

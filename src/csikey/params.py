@@ -43,8 +43,10 @@ def min_alpha(n: int, k: float = 1.0, m_slack: float = 1.0) -> float:
 
 def max_snr_db(n: int, m_slack: float = 1.0) -> float:
     """Maximum eavesdropper SNR 10*log10(M_min / (3 * alpha_min)) at k = 1."""
-    _require_n(n)
-    m_min = 2 ** required_log2M(n, m_slack)
+    log2m = required_log2M(n, m_slack)
+    if log2m >= 1024:
+        raise ParameterError(f"minimum M = 2^{log2m:.6g} overflows a float")
+    m_min = 2 ** log2m
     a_min = min_alpha(n, k=1.0, m_slack=m_slack)
     return 10.0 * math.log10(m_min / (3.0 * a_min))
 

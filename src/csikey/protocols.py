@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateBasisError, ParameterError
+from .errors import ConfigurationError, ParameterError
 from .params import check_secrecy_constraints
-from .wiretap import (SIGMA_FLOOR, SystemParams, WiretapInstance, bob_decode,
-                      make_instance, precode, random_message, transmit_to_bob)
+from .wiretap import (SystemParams, WiretapInstance, bob_decode, make_instance,
+                      precode, random_message, transmit_to_bob)
 
 CAPACITY_BASE = 1.01
 VALID_CODERS = ("none", "repetition-3")
@@ -204,9 +204,5 @@ def decrypt(ctx: CipherContext, y: np.ndarray, inst: WiretapInstance) -> np.ndar
     """Invert the channel with the CSI-key, strip s modulo M, round each
     entry of (2/M)*((Sigma^-1 U^T y - s) mod M) to a bit (2 wraps to 0)."""
     p = ctx.p
-    tri = inst.svdA
-    if tri.sigma_min < SIGMA_FLOOR:
-        raise DegenerateBasisError("channel matrix is effectively rank deficient")
-    shaped = (tri.U.T @ np.asarray(y, dtype=float)) / tri.sigma
-    scaled = 2.0 / p.M * np.mod(shaped - ctx.s, p.M)
+    scaled = 2.0 / p.M * np.mod(inst.invert(y) - ctx.s, p.M)
     return (np.rint(scaled).astype(np.int64) % 2).astype(np.int64)

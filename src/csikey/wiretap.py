@@ -19,7 +19,7 @@ from .distributions import psi_sample
 from .errors import DegenerateBasisError, ParameterError
 from .numerics import SvdTriple, svd
 
-SIGMA_FLOOR = 1e-12
+SIGMA_FLOOR = 1e-12  # relative to the largest singular value
 
 
 @dataclass
@@ -37,11 +37,13 @@ class SystemParams:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
-        if self.M < 2:
-            raise ParameterError(f"M must be >= 2, got {self.M}")
+        if not 2 <= self.M <= 2**53:  # symbols stay exact float64 integers
+            raise ParameterError(f"M must lie in [2, 2^53], got {self.M}")
         for name in ("alpha", "k", "m_slack"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be positive and finite")
+        if not np.finfo(float).tiny <= self.k * self.k < math.inf:
+            raise ParameterError(f"k^2 must be a positive normal float, k = {self.k}")
         if self.m_rx < 1 or self.m_rx > self.n**3:
             raise ParameterError(f"m_rx must lie in [1, n^3], got {self.m_rx}")
         if self.m_rx > 16 * self.n:
@@ -89,6 +91,13 @@ class WiretapInstance:
     @cached_property
     def G(self) -> np.ndarray:
         return self.B @ self.svdA.V
+
+    def invert(self, y: np.ndarray) -> np.ndarray:
+        """Sigma^-1 U^T y, the CSI-key inversion; the rank test is relative."""
+        tri = self.svdA
+        if not tri.sigma_min > SIGMA_FLOOR * tri.sigma[0]:
+            raise DegenerateBasisError("channel matrix numerically rank deficient")
+        return (tri.U.T @ np.asarray(y, dtype=float)) / tri.sigma
 
 
 @dataclass
@@ -140,12 +149,7 @@ def transmit_to_bob(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
 
 def bob_decode(inst: WiretapInstance, y: np.ndarray, p: SystemParams) -> np.ndarray:
     """Receiver shaping U^T y then per-stream rounding by 1/sigma_i."""
-    tri = inst.svdA
-    if tri.sigma_min < SIGMA_FLOOR:
-        raise DegenerateBasisError("channel matrix numerically rank deficient")
-    shaped = tri.U.T @ np.asarray(y, dtype=float)
-    est = np.rint(shaped / tri.sigma).astype(np.int64)
-    return np.clip(est, 0, p.M - 1)
+    return np.clip(np.rint(inst.invert(y)), 0, p.M - 1).astype(np.int64)
 
 
 def eve_receive(inst: WiretapInstance, x: np.ndarray, p: SystemParams,

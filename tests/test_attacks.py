@@ -40,6 +40,11 @@ def test_zf_recovers_at_high_snr():
         assert np.array_equal(zf_decode(pseudo_inverse(g), y, p.M).estimate, x)
 
 
+def test_zf_clamps_far_out_of_range_estimates():
+    y = np.array([1e30, -1e30, 2.0, 1e300])
+    assert zf_decode(np.eye(4), y, 4).estimate.tolist() == [3, 0, 2, 3]
+
+
 def test_babai_recovers_at_high_snr():
     p = _params()
     rng = make_rng(1)

@@ -12,6 +12,8 @@ from csikey.cli import (DEFAULTS, ExperimentConfig, build_parser, main,
                         render, rows_to_csv, run)
 from csikey.errors import ConfigurationError
 
+import cli_reference
+
 
 def test_unknown_subcommand_rejected():
     with pytest.raises(ConfigurationError):
@@ -127,7 +129,25 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
         assert main(["params-table", "--m-slack", value, "--format",
                      "json"]) == 1
         assert "error:" in capsys.readouterr().err
+    # Values at the edges of float64: k^2 outside the normal floats, M above
+    # 2^53 (symbols stop being exact floats), a minimum M that overflows.
+    for argv in (["ber", "--k", "1e-300"], ["ber", "--k", "1e300"],
+                 ["ber", "--n", "4", "--log2m", "54"],
+                 ["ber", "--n", "4", "--log2m", "63"],
+                 ["ber", "--n", "4", "--log2m", "64"],
+                 ["ber", "--n", "4", "--log2m", "1100"],
+                 ["key-agreement", "--n", "4", "--log2m", "64"],
+                 ["cipher", "--n", "4", "--log2m", "64"],
+                 ["params-table", "--n", "10000"]):
+        assert main(argv) == 1, argv
+        assert "error:" in capsys.readouterr().err
     assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("subcommand", ["ber", "key-agreement", "cipher"])
+def test_tiny_well_conditioned_channel_runs(subcommand):
+    # Channel gains of width 1e-14: the CSI-key's rank test is relative.
+    assert main([subcommand, "--n", "4", "--k", "1e-14", "--trials", "2"]) == 0
 
 
 @pytest.mark.parametrize("doc", [{"trials": "ten"}, {"trails": 3},
@@ -202,3 +222,65 @@ def test_run_returns_record():
     assert rec.version
     assert len(rec.results) == 4
     assert DEFAULTS["format"] == "csv"
+
+
+# A valid command-line value for every option of the table.
+VALID_FLAGS = {"--n": "4", "--m-rx": "8", "--log2m": "3", "--alpha": "0.5",
+               "--k": "2", "--m-slack": "1.5", "--trials": "3", "--seed": "7",
+               "--out": "o.csv", "--format": "json", "--eta": "32",
+               "--coder": "none", "--noise-scale": "0.5"}
+
+
+class _Reached(Exception):
+    """Raised in place of building the ExperimentConfig."""
+
+
+def _outcome(parse, argv):
+    """("config", subcommand, options) reaching ExperimentConfig, or
+    ("exit", code) when the command line is rejected."""
+    try:
+        return ("config", *parse(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code)
+
+
+def _cli_parse(monkeypatch):
+    def parse(argv):
+        seen = []
+
+        def capture(subcommand, options):
+            seen.append((subcommand, dict(options)))
+            raise _Reached
+
+        monkeypatch.setattr(cli, "ExperimentConfig", capture)
+        with pytest.raises(_Reached):
+            main(argv)
+        return seen[0]
+    return parse
+
+
+def test_valid_flags_cover_every_option():
+    assert set(VALID_FLAGS) == {"--" + o.replace("_", "-") for o in cli.OPTIONS}
+
+
+@pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
+def test_parser_matches_six_subparser_reference(subcommand, tmp_path,
+                                                monkeypatch):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 3, "n": 4}))
+    argvs = [[subcommand], [subcommand, "--config", str(cfg_file)]]
+    argvs += [[subcommand, flag, value] for flag, value in VALID_FLAGS.items()]
+    argvs += [[subcommand, "--n", "128,256"], [subcommand, "--n", "x"],
+              [subcommand, "--format", "xml"], [subcommand, "--bogus", "1"]]
+    new = _cli_parse(monkeypatch)
+    for argv in argvs:
+        got = _outcome(new, argv)
+        assert got == _outcome(cli_reference.parse, argv), argv
+        assert got[0] == "config" or got == ("exit", 2), argv
+
+
+def test_flags_may_precede_the_subcommand(monkeypatch):
+    parse = _cli_parse(monkeypatch)
+    assert (parse(["--n", "4", "--seed", "2", "ber"])
+            == parse(["ber", "--n", "4", "--seed", "2"])
+            == ("ber", {"n": 4, "seed": 2}))

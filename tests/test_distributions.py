@@ -8,7 +8,7 @@ from csikey.distributions import (DiscreteGaussianSpec, discrete_gaussian_sample
                                   psi_sample, psi_std,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
-from csikey.lattice import dual_basis
+from csikey.lattice import LatticeBasis, dual_basis, lll_reduce, successive_minima
 from csikey.numerics import make_rng
 from lattice_reference import klein_reference
 
@@ -127,6 +127,17 @@ def test_smoothing_upper_bound_scaling():
     base = smoothing_upper_bound(b, 0.1)
     assert smoothing_upper_bound(2.5 * b, 0.1) == pytest.approx(
         2.5 * base, rel=1e-12)
+
+
+def test_smoothing_upper_bound_takes_exact_lambda_n_at_n7():
+    # The longest LLL-reduced column (2.95) exceeds lambda_7 (2.58) here; the
+    # bound is the exact one.
+    b = np.random.default_rng(6).normal(size=(7, 7))
+    lam7 = successive_minima(LatticeBasis(b)).values[-1]
+    reduced = lll_reduce(LatticeBasis(b)).reduced.matrix
+    assert np.max(np.linalg.norm(reduced, axis=0)) > 1.1 * lam7
+    factor = math.sqrt(math.log(2 * 7 * (1 + 1 / 0.1)) / math.pi)
+    assert smoothing_upper_bound(b, 0.1) == pytest.approx(factor * lam7, rel=1e-12)
 
 
 def test_smoothing_upper_bound_monotone_in_eps():

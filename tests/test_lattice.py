@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csikey.attacks import babai_attack, exact_ml_decode
-from csikey.errors import DimensionGuardError
+from csikey.errors import DimensionGuardError, NumericalError
 from csikey.lattice import (LatticeBasis, babai_nearest_plane, dual_basis,
                             enumerate_cvp, enumerate_svp, int_det,
                             is_lll_reduced, lattice_bases, lll_reduce,
@@ -126,7 +126,7 @@ def test_lll_matches_reference_on_integer_bases():
                 _random_int_basis(rng, n, lo=-999, hi=999).matrix)
 
 
-@pytest.mark.parametrize("scale", [1e-14, 1e8])
+@pytest.mark.parametrize("scale", [1e-100, 1e-14, 1e8, 1e80])
 def test_lll_does_not_depend_on_scale(scale):
     rng = make_rng(12)
     for _ in range(5):
@@ -135,6 +135,12 @@ def test_lll_does_not_depend_on_scale(scale):
         red = lll_reduce(LatticeBasis(scale * b))
         assert base.swaps > 0 and red.swaps == base.swaps
         assert np.array_equal(red.transform, base.transform)
+
+
+def test_gso_rejects_subnormal_squared_norms():
+    # At 1e-170 each ||b*_i||^2 is about 1e-340, below the normal floats.
+    with pytest.raises(NumericalError):
+        LatticeBasis(1e-170 * make_rng(12).normal(size=(4, 4))).gso
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-14])

@@ -7,10 +7,10 @@ from scipy import stats
 from csikey.distributions import psi_sample
 from csikey.errors import DegenerateBasisError, ParameterError
 from csikey.numerics import make_rng
-from csikey.wiretap import (SampleBatch, SystemParams, bob_decode,
-                            eve_receive, make_instance, precode, r_dist_width,
-                            random_message, sample_A_dist, sample_R_dist,
-                            transmit_to_bob)
+from csikey.wiretap import (SampleBatch, SystemParams, WiretapInstance,
+                            bob_decode, eve_receive, make_instance, precode,
+                            r_dist_width, random_message, sample_A_dist,
+                            sample_R_dist, transmit_to_bob)
 
 
 def _params(**kw):
@@ -86,6 +86,29 @@ def test_noiseless_end_to_end():
         y = transmit_to_bob(inst, x, p, rng, noise_scale=0.0)
         assert np.allclose(y, inst.A @ precode(inst, x))
         assert np.array_equal(bob_decode(inst, y, p), x)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
+def test_noiseless_decoding_does_not_depend_on_channel_scale(scale):
+    p = _params(k=scale)
+    rng = make_rng(3)
+    for _ in range(20):
+        inst = make_instance(p, rng)
+        x = random_message(p, rng)
+        y = transmit_to_bob(inst, x, p, rng, noise_scale=0.0)
+        assert np.array_equal(bob_decode(inst, y, p), x)
+
+
+def test_bob_decode_clamps_far_out_of_range_estimates():
+    inst = WiretapInstance(np.eye(8), 1.0, make_rng(0))
+    y = np.array([1e30, -1e30, 2.0, 1e300, -1e300, 0.0, 3.0, 9.0])
+    assert bob_decode(inst, y, _params()).tolist() == [3, 0, 2, 3, 0, 0, 3, 3]
+
+
+def test_all_zero_channel_rejected():
+    inst = WiretapInstance(np.zeros((8, 8)), 1.0, make_rng(0))
+    with pytest.raises(DegenerateBasisError):
+        bob_decode(inst, np.zeros(8), _params())
 
 
 def test_channel_noise_variance():
