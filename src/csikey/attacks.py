@@ -54,9 +54,7 @@ def babai_attack(red: ReductionResult, y: np.ndarray, M: int) -> DecoderOutcome:
     """Babai-decode y in red, the LLL-reduced lattice of the channel
     columns, and map the coefficients back through its unimodular transform."""
     _, coeffs = babai_nearest_plane(red.reduced, np.asarray(y, dtype=float))
-    orig = red.transform @ coeffs.astype(object)
-    est = np.array([int(c) for c in orig], dtype=np.int64)
-    return DecoderOutcome(np.clip(est, 0, M - 1))
+    return DecoderOutcome(np.clip(red.original_coeffs(coeffs), 0, M - 1))
 
 
 def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:

@@ -27,7 +27,7 @@ from .lattice import enumerate_cvp
 from .numerics import make_rng
 from .params import check_secrecy_constraints, design_table
 from .protocols import (CipherContext, KeyAgreementConfig, decrypt, encrypt,
-                        min_message_count, run_key_agreement)
+                        run_key_agreement)
 from .wiretap import SystemParams, make_instance, sample_A_dist
 
 # One typed definition per option, for the flags and the --config keys:
@@ -143,8 +143,7 @@ def _run_key_agreement(cfg: ExperimentConfig) -> list:
     p = cfg.system_params()
     _warn_gate(p)
     eta = int(cfg.options["eta"])
-    ka = KeyAgreementConfig(p, eta, min_message_count(p, eta),
-                            coder=cfg.options["coder"])
+    ka = KeyAgreementConfig(p, eta, coder=cfg.options["coder"])
     transcript = run_key_agreement(ka, make_rng(int(cfg.options["seed"])),
                                    noise_scale=float(cfg.options["noise_scale"]))
     if cfg.options["format"] == "json":

@@ -10,7 +10,6 @@ box-constrained closest points are one Schnorr-Euchner enumeration
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,9 +50,11 @@ class LatticeBasis:
 
 def _gso_record(b):
     bstar, mu = gram_schmidt(b)
-    norms2 = np.sum(bstar**2, axis=-2)  # at most ||b_i||^2, so finite
-    if np.any(norms2 < np.finfo(float).tiny):
-        raise NumericalError("a squared Gram-Schmidt norm is below the normal floats")
+    with np.errstate(over="ignore"):  # an overflow to inf raises below
+        norms2 = np.sum(bstar**2, axis=-2)
+    if not np.all((np.finfo(float).tiny <= norms2) & (norms2 < math.inf)):
+        raise NumericalError("a squared Gram-Schmidt norm overflows or is "
+                             "below the normal floats")
     return bstar, mu, norms2
 
 
@@ -65,9 +66,20 @@ def lattice_bases(mats: np.ndarray) -> list[LatticeBasis]:
 @dataclass
 class ReductionResult:
     reduced: LatticeBasis
-    transform: np.ndarray  # integer unimodular, object dtype (exact)
+    transform: np.ndarray  # integer unimodular, int64, entries below 2^53
     swaps: int
     delta: float
+
+    def original_coeffs(self, coeffs) -> np.ndarray:
+        """transform @ coeffs as int64: coefficients in the original basis,
+        exact, or NumericalError where max|transform| * sum|coeffs|, a
+        bound on every partial sum, could pass 2^62."""
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        bound = np.abs(self.transform).max() * np.abs(coeffs).sum(dtype=float)
+        if not bound < 2.0**62:
+            raise NumericalError("a coefficient in the original basis "
+                                 "overflows int64")
+        return self.transform @ coeffs
 
 
 @dataclass
@@ -76,26 +88,25 @@ class MinimaEstimate:
     exact: bool
 
 
-def int_det(m) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
+def int_rank_det(m) -> tuple[int, int]:
+    """Exact (rank, det) of an integer matrix by one fraction-free (Bareiss)
+    elimination; det is 0 unless the matrix is square of full rank."""
     a = [[int(x) for x in row] for row in np.asarray(m).tolist()]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][col]
+            a[r] = [(x * top[col] - f * y) // prev for x, y in zip(a[r], top)]
+        prev = top[col]
+        rank += 1
+    return rank, sign * prev if rank == len(a) == len(a[0]) else 0
 
 
 def lll_reduce(b: LatticeBasis) -> ReductionResult:
@@ -103,13 +114,14 @@ def lll_reduce(b: LatticeBasis) -> ReductionResult:
 
     Starts from copies of b's Gram-Schmidt record, the norms scaled by a
     power of two (exactly) so that no swap under- or overflows at any scale
-    of b, and updates them at each swap.  The unimodular transform is tracked
-    in exact integer arithmetic, so reduced = b.matrix @ transform holds
-    exactly for integer inputs.
+    of b, and updates them at each swap.  The basis and its unimodular
+    transform are one float working matrix [B; I], so each column operation
+    moves both; the transform is integer and exact while its entries stay
+    below 2^53, which is checked (NumericalError) before it is returned as
+    int64.  Then reduced = b.matrix @ transform holds exactly for integer b.
     """
-    basis = b.matrix.astype(float)
-    n = basis.shape[1]
-    u = np.eye(n, dtype=object)
+    n = b.rank
+    work = np.vstack([b.matrix, np.eye(n)])
     _, mu, norms2 = b.gso
     mu, norms2 = mu.copy(), np.ldexp(norms2, -np.frexp(norms2.max())[1])
     swaps = 0
@@ -120,8 +132,7 @@ def lll_reduce(b: LatticeBasis) -> ReductionResult:
         while big.size:
             j = big[-1]
             q = round(mu[k, j])
-            basis[:, k] -= q * basis[:, j]
-            u[:, k] = u[:, k] - q * u[:, j]
+            work[:, k] -= q * work[:, j]
             mu[k, : j + 1] -= q * mu[j, : j + 1]
             big = (np.abs(mu[k, :j]) > 0.5).nonzero()[0]
         m = mu[k, k - 1]
@@ -130,8 +141,7 @@ def lll_reduce(b: LatticeBasis) -> ReductionResult:
             continue
         # Swap b_{k-1}, b_k; update the GSO in place (Cohen GTM 138 Alg. 2.6.3).
         pair = slice(k - 1, k + 1)
-        basis[:, pair] = basis[:, pair][:, ::-1]
-        u[:, pair] = u[:, pair][:, ::-1]
+        work[:, pair] = work[:, pair][:, ::-1]
         mu[pair, : k - 1] = mu[pair, : k - 1][::-1]
         new = norms2[k] + m**2 * norms2[k - 1]
         mu[k, k - 1] = m * norms2[k - 1] / new
@@ -142,7 +152,11 @@ def lll_reduce(b: LatticeBasis) -> ReductionResult:
         mu[k + 1:, k - 1] = t + mu[k, k - 1] * mu[k + 1:, k]
         swaps += 1
         k = max(k - 1, 1)
-    return ReductionResult(LatticeBasis(basis), u, swaps, DEFAULT_DELTA)
+    if not np.abs(work[-n:]).max() < 2.0**53:
+        raise NumericalError("an LLL transform entry reaches 2^53, beyond "
+                             "exact float64 integers")
+    return ReductionResult(LatticeBasis(work[:-n]), work[-n:].astype(np.int64),
+                           swaps, DEFAULT_DELTA)
 
 
 def is_lll_reduced(b: LatticeBasis, delta: float = DEFAULT_DELTA,
@@ -168,11 +182,15 @@ def nearest_plane(b: LatticeBasis, targets: np.ndarray, pick):
     sampler).  Returns (points, coeffs), one row per target."""
     bstar, _, norms2 = b.gso
     t = np.array(targets, dtype=float)
-    coeffs = np.zeros((t.shape[0], b.rank), dtype=np.int64)
-    for i in range(b.rank - 1, -1, -1):
-        coeffs[:, i] = pick(i, t @ bstar[:, i] / norms2[i])
-        t -= coeffs[:, i, None] * b.matrix[:, i]
-    return coeffs @ b.matrix.T, coeffs
+    coeffs = np.zeros((t.shape[0], b.rank))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan raise below
+        for i in range(b.rank - 1, -1, -1):
+            coeffs[:, i] = pick(i, t @ bstar[:, i] / norms2[i])
+            t -= coeffs[:, i, None] * b.matrix[:, i]
+    if not np.abs(coeffs).max(initial=0.0) < 2.0**53:
+        raise NumericalError("a nearest-plane coefficient reaches 2^53, "
+                             "beyond exact float64 integers")
+    return coeffs @ b.matrix.T, coeffs.astype(np.int64)
 
 
 def babai_nearest_plane(b: LatticeBasis, target: np.ndarray):
@@ -262,9 +280,7 @@ def enumerate_cvp(b: LatticeBasis, target: np.ndarray):
     smallest coefficient vector of the LLL-reduced basis."""
     _check_dim(b)
     red = lll_reduce(b)
-    coeffs_red = np.array(closest_point(red.reduced, target), dtype=object)
-    # Map back through the unimodular transform to original-basis coefficients.
-    coeffs = np.array([int(c) for c in red.transform @ coeffs_red], dtype=np.int64)
+    coeffs = red.original_coeffs(closest_point(red.reduced, target))
     return b.matrix @ coeffs, coeffs
 
 
@@ -306,30 +322,12 @@ def successive_minima(b: LatticeBasis) -> MinimaEstimate:
     _search(red, np.zeros(b.ambient_dim), radius2, visit)
     chosen, values = [], []
     for d2, coeffs in sorted(cands):
-        if _int_rank(chosen + [coeffs]) == len(chosen) + 1:
+        if int_rank_det(chosen + [coeffs])[0] == len(chosen) + 1:
             chosen.append(coeffs)
             values.append(math.sqrt(d2))
             if len(chosen) == n:
                 break
     return MinimaEstimate(np.array(values), exact=True)
-
-
-def _int_rank(rows) -> int:
-    """Exact rank of a small integer matrix via fraction elimination."""
-    a = [[Fraction(int(x)) for x in row] for row in rows]
-    rank = 0
-    ncols = len(a[0])
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pr = a[rank]
-        for r in range(rank + 1, len(a)):
-            f = a[r][col] / pr[col]
-            a[r] = [x - f * y for x, y in zip(a[r], pr)]
-        rank += 1
-    return rank
 
 
 def dual_basis(b: LatticeBasis) -> LatticeBasis:

@@ -66,7 +66,9 @@ def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateBasisError(f"{n} columns in dimension {m} are dependent")
     q, r = np.linalg.qr(b)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    dependent = np.argwhere(np.abs(d) <= 1e-13 * np.linalg.norm(b, axis=-2))
+    # hypot sums the column norms without squaring, so they do not overflow
+    # near the top of the float range (or underflow near the bottom).
+    dependent = np.argwhere(np.abs(d) <= 1e-13 * np.hypot.reduce(b, axis=-2))
     if dependent.size:
         raise DegenerateBasisError(f"column {dependent[0][-1]} is linearly dependent")
     return q * d[..., None, :], np.swapaxes(r / d[..., :, None], -1, -2)

@@ -57,12 +57,12 @@ class ToeplitzSeed:
                                 dtype=np.uint8), input_len, eta)
 
 
-def universal_hash(seed: ToeplitzSeed, bits: np.ndarray, eta: int) -> np.ndarray:
+def universal_hash(seed: ToeplitzSeed, bits: np.ndarray) -> np.ndarray:
     """GF(2) Toeplitz product T @ bits, T[i, j] = seed.bits[input_len-1+i-j],
-    condensing input to eta bits: the valid part of a convolution, mod 2."""
+    condensing input to seed.eta bits: the valid part of a convolution, mod 2."""
     bits = np.asarray(bits, dtype=np.uint8) & 1
-    if eta != seed.eta or bits.shape[0] != seed.input_len:
-        raise ParameterError("seed sized for a different input/output length")
+    if bits.shape[0] != seed.input_len:
+        raise ParameterError("seed sized for a different input length")
     return np.convolve(seed.bits.astype(np.int64), bits.astype(np.int64),
                        "valid") % 2
 
@@ -84,7 +84,6 @@ def min_message_count(p: SystemParams, eta: int) -> int:
 class KeyAgreementConfig:
     p: SystemParams
     eta: int
-    c: int
     coder: str = "repetition-3"
 
     def __post_init__(self):
@@ -92,11 +91,11 @@ class KeyAgreementConfig:
             raise ParameterError("eta must be >= 1")
         if self.coder not in VALID_CODERS:
             raise ConfigurationError(f"unknown coder {self.coder!r}")
-        if not 2 * self.c * secrecy_bits_per_message(self.p) > self.eta:
-            raise ConfigurationError(
-                f"c={self.c} messages carry at most "
-                f"{2 * self.c * secrecy_bits_per_message(self.p):.3f} secret "
-                f"bits, not enough for eta={self.eta}")
+
+    @property
+    def c(self) -> int:
+        """Messages sent: the fewest that carry more than eta secret bits."""
+        return min_message_count(self.p, self.eta)
 
 
 def _majority_vote(votes: np.ndarray) -> np.ndarray:
@@ -142,8 +141,8 @@ def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator,
     alice_bits = np.concatenate(alice_bits)
     bob_bits = np.concatenate(bob_bits)
     seed = ToeplitzSeed.random(alice_bits.shape[0], cfg.eta, rng)
-    alice_key = universal_hash(seed, alice_bits, cfg.eta)
-    bob_key = universal_hash(seed, bob_bits, cfg.eta)
+    alice_key = universal_hash(seed, alice_bits)
+    bob_key = universal_hash(seed, bob_bits)
     return {
         "params": p.to_json(),
         "eta": cfg.eta,

@@ -1,10 +1,12 @@
 """Slow reference implementations that the optimized lattice code is
 tested against: classical Gram-Schmidt, an LLL that recomputes it after
 every swap, Babai nearest-plane on top of them, Klein's sampler as a loop
-of its own, and exact ML decoding by a search of the whole M^n grid.
+of its own, exact ML decoding by a search of the whole M^n grid, and the
+rank of an integer matrix by elimination over the rationals.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,3 +126,21 @@ def grid_ml(g, y, M):
             score += 2.0 * h[i, j] * xi * vals.reshape(shape_j)
     return np.array(np.unravel_index(np.argmin(score), score.shape),
                     dtype=np.int64)
+
+
+def fraction_rank(rows) -> int:
+    """Exact rank of a small integer matrix via fraction elimination."""
+    a = [[Fraction(int(x)) for x in row] for row in rows]
+    rank = 0
+    ncols = len(a[0])
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        pr = a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][col] / pr[col]
+            a[r] = [x - f * y for x, y in zip(a[r], pr)]
+        rank += 1
+    return rank

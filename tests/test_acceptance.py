@@ -19,12 +19,12 @@ from csikey.attacks import (bdd_via_mimo, ber_experiment, decision_to_search,
 from csikey.cli import main
 from csikey.distributions import (DiscreteGaussianSpec,
                                   discrete_gaussian_sample, tvd_gaussians)
-from csikey.lattice import (LatticeBasis, enumerate_cvp, int_det,
+from csikey.lattice import (LatticeBasis, enumerate_cvp, int_rank_det,
                             is_lll_reduced, lll_reduce, successive_minima)
 from csikey.numerics import make_rng
 from csikey.params import design_table
 from csikey.protocols import (CipherContext, KeyAgreementConfig, decrypt,
-                              encrypt, min_message_count, run_key_agreement)
+                              encrypt, run_key_agreement)
 from csikey.wiretap import (SystemParams, bob_decode, make_instance,
                             random_message, sample_A_dist, transmit_to_bob)
 
@@ -128,11 +128,11 @@ def test_acceptance_06_lll_validity():
         n = int(rng.integers(4, 9))
         while True:
             m = rng.integers(-5, 6, size=(n, n))
-            if abs(int_det(m.astype(object))) >= 1:
+            if abs(int_rank_det(m)[1]) >= 1:
                 break
         b = LatticeBasis(m.astype(float))
         red = lll_reduce(b)
-        if int_det(red.transform) not in (1, -1) or not np.array_equal(
+        if int_rank_det(red.transform)[1] not in (1, -1) or not np.array_equal(
                 b.matrix @ red.transform.astype(float), red.reduced.matrix):
             transform_fail += 1
         if not is_lll_reduced(red.reduced):
@@ -280,7 +280,7 @@ def test_acceptance_13_attack_separation():
 def test_acceptance_14_protocol_correctness():
     p = SystemParams(n=16, m_rx=32, M=16, alpha=0.02, k=1.0)
     eta = 32
-    cfg = KeyAgreementConfig(p, eta, min_message_count(p, eta), coder="none")
+    cfg = KeyAgreementConfig(p, eta, coder="none")
     implication_ok = True
     clean_runs = 0
     for seed in range(100):

@@ -194,13 +194,40 @@ def test_git_describe_runs_once_per_process(monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
+    # Nor fractions and decimal: integer coefficients stay in int64 and
+    # integer ranks and determinants use fraction-free elimination.
     src = str(Path(csikey.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, csikey.cli; print(sorted(m for m "
-         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "in sys.modules if m.split('.')[0].lstrip('_') in "
+         "('scipy', 'fractions', 'decimal', 'pydecimal')))"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--alpha", "1e200"], "2^53"), (["--k", "1e-100"], "2^53"),
+    (["--k", "1e-150"], "2^53"), (["--k", "1e154"], "overflows")],
+    ids=["alpha-1e200", "k-1e-100", "k-1e-150", "k-1e154"])
+def test_extreme_channel_scales_exit_1(argv, reason):
+    # Babai's coefficients pass 2^53 when the noise dwarfs the channel, and
+    # at k = 1e154 the squared Gram-Schmidt norms overflow: each ends in one
+    # error line, with no traceback, no numpy warning and no hang.
+    src = str(Path(csikey.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "csikey.cli", "ber", "--n", "4", "--trials", "2",
+         *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    errors = [ln for ln in proc.stderr.splitlines() if "rror" in ln]
+    assert len(errors) == 1 and errors[0].startswith("error:")
+    assert reason in errors[0] and "Warning" not in proc.stderr
+
+
+def test_large_channel_scale_runs():
+    # Just below the overflow: squared norms near 1e305 stay finite.
+    assert main(["ber", "--n", "4", "--k", "1e152", "--trials", "2"]) == 0
 
 
 def test_rows_to_csv_17_digits():

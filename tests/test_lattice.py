@@ -5,20 +5,21 @@ import pytest
 
 from csikey.attacks import babai_attack, exact_ml_decode
 from csikey.errors import DimensionGuardError, NumericalError
-from csikey.lattice import (LatticeBasis, babai_nearest_plane, dual_basis,
-                            enumerate_cvp, enumerate_svp, int_det,
-                            is_lll_reduced, lattice_bases, lll_reduce,
-                            nearest_plane, successive_minima)
-from csikey.numerics import make_rng
+from csikey.lattice import (LatticeBasis, ReductionResult,
+                            babai_nearest_plane, dual_basis, enumerate_cvp,
+                            enumerate_svp, int_rank_det, is_lll_reduced,
+                            lattice_bases, lll_reduce, nearest_plane,
+                            successive_minima)
+from csikey.numerics import gram_schmidt, make_rng
 from csikey.wiretap import (SystemParams, eve_receive, make_instance,
                             random_message, transmit_to_bob)
-from lattice_reference import babai_reference, lll_recompute
+from lattice_reference import babai_reference, fraction_rank, lll_recompute
 
 
 def _random_int_basis(rng, n, lo=-9, hi=9):
     while True:
         m = rng.integers(lo, hi + 1, size=(n, n))
-        if abs(int_det(m.astype(object))) >= 1:
+        if abs(int_rank_det(m)[1]) >= 1:
             return LatticeBasis(m.astype(float))
 
 
@@ -26,7 +27,25 @@ def test_int_det_matches_numpy():
     rng = make_rng(0)
     for _ in range(20):
         m = rng.integers(-9, 10, size=(5, 5))
-        assert int_det(m.astype(object)) == round(float(np.linalg.det(m)))
+        assert int_rank_det(m)[1] == round(float(np.linalg.det(m)))
+
+
+def test_int_rank_det_matches_fractions_and_numpy():
+    # Rectangular integer matrices, some rows planted as integer
+    # combinations of others: the rank of elimination over the rationals,
+    # and numpy's determinant for the square ones.
+    rng = make_rng(5)
+    for _ in range(300):
+        rows, cols = (int(v) for v in rng.integers(1, 7, size=2))
+        m = rng.integers(-9, 10, size=(rows, cols))
+        for r in rng.choice(rows, size=int(rng.integers(0, rows)), replace=False):
+            m[r] = rng.integers(-3, 4, size=rows) @ m
+        rank, det = int_rank_det(m)
+        assert rank == fraction_rank(m.tolist())
+        if rows == cols:
+            assert det == round(float(np.linalg.det(m)))
+        else:
+            assert det == 0
 
 
 def test_lll_identity_fixed_point():
@@ -41,7 +60,7 @@ def test_lll_unimodular_and_conditions():
         n = int(rng.integers(2, 7))
         b = _random_int_basis(rng, n)
         red = lll_reduce(b)
-        assert int_det(red.transform) in (1, -1)
+        assert int_rank_det(red.transform)[1] in (1, -1)
         assert np.allclose(b.matrix @ red.transform.astype(float),
                            red.reduced.matrix)
         assert is_lll_reduced(red.reduced)
@@ -82,6 +101,31 @@ def test_lll_matches_reference_on_attack_channels():
         assert np.array_equal(babai_attack(red, y, M).estimate,
                               babai_reference(red.reduced.matrix,
                                               red.transform, y, M))
+
+
+def test_lll_transform_is_int64():
+    for g, _, _ in _attack_channels(3):
+        assert lll_reduce(LatticeBasis(g)).transform.dtype == np.int64
+
+
+def test_lll_transform_beyond_2_53_raises():
+    # Size reduction takes 1e17 copies of b_1: beyond exact float integers.
+    # (With 1 for 1e5, Gram-Schmidt calls b_2 dependent: 1e-17 < 1e-13.)
+    with pytest.raises(NumericalError):
+        lll_reduce(LatticeBasis(np.array([[1.0, 1e17], [0.0, 1e5]])))
+
+
+def test_original_coeffs_exact_or_raise():
+    red = ReductionResult(LatticeBasis(np.eye(2)),
+                          np.array([[2**52, 1], [0, 1]]), 0, 0.99)
+    assert red.original_coeffs([2**8, 3]).tolist() == [2**60 + 3, 3]
+    with pytest.raises(NumericalError):
+        red.original_coeffs([2**12, 0])
+
+
+def test_nearest_plane_coefficient_beyond_2_53_raises():
+    with pytest.raises(NumericalError):
+        babai_nearest_plane(LatticeBasis(np.eye(2)), np.array([1e17, 0.0]))
 
 
 def test_lattice_bases_match_per_matrix_records():
@@ -141,6 +185,16 @@ def test_gso_rejects_subnormal_squared_norms():
     # At 1e-170 each ||b*_i||^2 is about 1e-340, below the normal floats.
     with pytest.raises(NumericalError):
         LatticeBasis(1e-170 * make_rng(12).normal(size=(4, 4))).gso
+
+
+def test_gso_rejects_overflowing_squared_norms():
+    # At 1e170 Gram-Schmidt itself succeeds (its dependence test takes the
+    # column norms by hypot), but each ||b*_i||^2, about 1e340, overflows.
+    b = make_rng(12).normal(size=(4, 4))
+    assert np.allclose(gram_schmidt(2.0**560 * b)[0],
+                       2.0**560 * gram_schmidt(b)[0], rtol=1e-12, atol=0)
+    with pytest.raises(NumericalError):
+        LatticeBasis(1e170 * b).gso
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-14])

@@ -29,10 +29,10 @@ def test_hash_linearity_and_zero():
     rng = make_rng(0)
     seed = ToeplitzSeed.random(80, 24, rng)
     zero = np.zeros(80, dtype=np.uint8)
-    assert not np.any(universal_hash(seed, zero, 24))
+    assert not np.any(universal_hash(seed, zero))
     x = rng.integers(0, 2, 80, dtype=np.uint8)
     y = rng.integers(0, 2, 80, dtype=np.uint8)
-    hx, hy, hxy = (universal_hash(seed, v, 24) for v in (x, y, x ^ y))
+    hx, hy, hxy = (universal_hash(seed, v) for v in (x, y, x ^ y))
     assert np.array_equal((hx + hy) % 2, hxy)
 
 
@@ -52,7 +52,7 @@ def test_hash_matches_dense_toeplitz(length, eta):
     for bits in (np.zeros(length, dtype=np.uint8),
                  np.ones(length, dtype=np.uint8),
                  rng.integers(0, 2, length, dtype=np.uint8)):
-        h = universal_hash(seed, bits, eta)
+        h = universal_hash(seed, bits)
         assert h.dtype == np.int64
         assert np.array_equal(h, dense_hash(seed, bits))
 
@@ -60,7 +60,7 @@ def test_hash_matches_dense_toeplitz(length, eta):
 def test_hash_length_mismatch():
     seed = ToeplitzSeed.random(10, 4, make_rng(1))
     with pytest.raises(ParameterError):
-        universal_hash(seed, np.zeros(11, dtype=np.uint8), 4)
+        universal_hash(seed, np.zeros(11, dtype=np.uint8))
 
 
 def test_hash_collision_rate():
@@ -79,20 +79,18 @@ def test_hash_collision_rate():
 
 def test_key_agreement_config_capacity_gate():
     p = _params()
-    per = 2.0 * secrecy_bits_per_message(p)
     eta = 64
     c = min_message_count(p, eta)
     assert 2 * c * secrecy_bits_per_message(p) > eta
     assert 2 * (c - 1) * secrecy_bits_per_message(p) <= eta or c == 1
+    assert KeyAgreementConfig(p, eta).c == c
     with pytest.raises(ConfigurationError):
-        KeyAgreementConfig(p, eta=int(per * 2) + 8, c=1)
-    with pytest.raises(ConfigurationError):
-        KeyAgreementConfig(p, eta=8, c=min_message_count(p, 8), coder="bogus")
+        KeyAgreementConfig(p, eta=8, coder="bogus")
 
 
 def test_key_agreement_noiseless_success():
     p = _params()
-    cfg = KeyAgreementConfig(p, 32, min_message_count(p, 32), coder="none")
+    cfg = KeyAgreementConfig(p, 32, coder="none")
     tr = run_key_agreement(cfg, make_rng(3), noise_scale=0.0)
     assert tr["success"]
     assert tr["alice_key"] == tr["bob_key"]
@@ -104,7 +102,7 @@ def test_key_agreement_noiseless_success():
 
 def test_key_agreement_success_iff_all_messages_decode():
     p = _params(alpha=0.5)  # noisy enough for occasional symbol errors
-    cfg = KeyAgreementConfig(p, 16, min_message_count(p, 16), coder="none")
+    cfg = KeyAgreementConfig(p, 16, coder="none")
     saw_failure = False
     for seed in range(30):
         tr = run_key_agreement(cfg, make_rng(seed, stream=7))
@@ -129,7 +127,7 @@ def test_majority_vote_all_patterns():
 @pytest.mark.parametrize("seed", range(5))
 def test_key_agreement_matches_reference(seed, alpha):
     p = SystemParams(n=64, m_rx=128, M=16, alpha=alpha)
-    cfg = KeyAgreementConfig(p, 256, min_message_count(p, 256))
+    cfg = KeyAgreementConfig(p, 256)
     assert (run_key_agreement(cfg, make_rng(seed))
             == reference_key_agreement(cfg, make_rng(seed)))
 
@@ -139,10 +137,8 @@ def test_repetition_coding_reduces_errors():
     eta = 16
     uncoded = coded = 0
     for seed in range(40):
-        cfg_u = KeyAgreementConfig(p, eta, min_message_count(p, eta),
-                                   coder="none")
-        cfg_c = KeyAgreementConfig(p, eta, min_message_count(p, eta),
-                                   coder="repetition-3")
+        cfg_u = KeyAgreementConfig(p, eta, coder="none")
+        cfg_c = KeyAgreementConfig(p, eta, coder="repetition-3")
         uncoded += run_key_agreement(cfg_u, make_rng(seed, 1))["message_errors"]
         coded += run_key_agreement(cfg_c, make_rng(seed, 2))["message_errors"]
     assert coded < uncoded
