@@ -9,16 +9,16 @@ padded width), not the channel's M*alpha; pass noise_width accordingly.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (DiscreteGaussianSpec, discrete_gaussian_sample,
                             psi_sample, psi_std, smoothing_upper_bound)
-from .errors import (ConfigurationError, DimensionGuardError, ParameterError,
-                     ReductionFailureError, SearchFailureError)
-from .lattice import (LatticeBasis, ReductionResult, babai_nearest_plane,
-                      closest_point, dual_basis, lattice_bases, lll_reduce)
+from .errors import (ConfigurationError, DimensionGuardError, NumericalError,
+                     ParameterError, ReductionFailureError, SearchFailureError)
+from .lattice import (LatticeBasis, ReductionResult, closest_point, dual_basis,
+                      lattice_bases, lll_reduce, nearest_plane)
 from .numerics import SvdTriple, pseudo_inverse, svd
 from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
     transmit_to_bob, bob_decode, eve_receive
@@ -46,30 +46,41 @@ class BddInstance:
 
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     """Zero-forcing: per-symbol rounding and clamping of g_pinv y."""
-    est = np.rint(g_pinv @ np.asarray(y, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
+        est = np.rint(g_pinv @ np.asarray(y, dtype=float))
+    if not np.all(np.isfinite(est)):
+        raise NumericalError("a zero-forcing estimate is not finite")
     return DecoderOutcome(np.clip(est, 0, M - 1).astype(np.int64))
 
 
-def babai_attack(red: ReductionResult, y: np.ndarray, M: int) -> DecoderOutcome:
-    """Babai-decode y in red, the LLL-reduced lattice of the channel
-    columns, and map the coefficients back through its unimodular transform."""
-    _, coeffs = babai_nearest_plane(red.reduced, np.asarray(y, dtype=float))
-    return DecoderOutcome(np.clip(red.original_coeffs(coeffs), 0, M - 1))
+def babai_attack(reds: list[ReductionResult], y: np.ndarray,
+                 M: int) -> DecoderOutcome:
+    """Babai-decode each y[t] in reds[t].reduced, the LLL-reduced lattice of
+    a channel's columns, in one nearest-plane walk over the stacked bases,
+    and map each trial's coefficients back through its unimodular transform.
+    The estimate has one row per trial."""
+    stack = LatticeBasis(np.stack([r.reduced.matrix for r in reds]))
+    _, coeffs = nearest_plane(stack, np.asarray(y, dtype=float)[:, None],
+                              lambda i, c: np.rint(c))
+    est = [r.original_coeffs(z) for r, z in zip(reds, coeffs[:, 0])]
+    return DecoderOutcome(np.clip(est, 0, M - 1))
 
 
-def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
+def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int,
+                    basis: LatticeBasis | None = None) -> DecoderOutcome:
     """Exact ML over [0, M)^n: argmin ||y - g x||, lexicographic ties.
 
     A Schnorr-Euchner sphere search over the columns of g in the box
     [0, M-1]^n, with no reduction step (the box is in g's own coordinates).
-    A rank-deficient g, whose ML decisions all lie in tie sets, raises
-    DegenerateBasisError from gram_schmidt instead of returning the
-    lexicographically first point of the set.
+    basis, if given, is LatticeBasis(g) with its Gram-Schmidt record
+    already computed.  A rank-deficient g, whose ML decisions all lie in
+    tie sets, raises DegenerateBasisError from gram_schmidt instead of
+    returning the lexicographically first point of the set.
     """
     n = np.shape(g)[1]
     if M**n > ML_SPACE_GUARD:
         raise DimensionGuardError(f"M^n = {M**n} exceeds guard {ML_SPACE_GUARD}")
-    x = closest_point(LatticeBasis(g), y, (0, M - 1))
+    x = closest_point(LatticeBasis(g) if basis is None else basis, y, (0, M - 1))
     return DecoderOutcome(np.array(x, dtype=np.int64))
 
 
@@ -316,22 +327,26 @@ def ber_experiment(p: SystemParams, trials: int, methods, rng,
         g = np.stack([inst.G for inst in insts])
         if "zf" in methods:
             g_pinv = pseudo_inverse(g)
+        if methods & {"babai", "ml"}:
+            bases = lattice_bases(g)
         if "babai" in methods:
-            reds = [lll_reduce(b) for b in lattice_bases(g)]
-            reduced = lattice_bases(np.stack([r.reduced.matrix for r in reds]))
-            reds = [replace(r, reduced=b) for r, b in zip(reds, reduced)]
+            reds = [lll_reduce(b) for b in bases]
+        xs, ys = [], []
         for t, inst in enumerate(insts):
             x = random_message(p, rng)
             y_b = transmit_to_bob(inst, x, p, rng, noise_scale=noise_scale)
             counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
             _, y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
+            xs.append(x)
+            ys.append(y_e)
             if "zf" in methods:
                 counts["zf"] += int(np.sum(zf_decode(g_pinv[t], y_e, p.M).estimate != x))
-            if "babai" in methods:
-                est = babai_attack(reds[t], y_e, p.M).estimate
-                counts["babai"] += int(np.sum(est != x))
-            if "ml" in methods:
-                est = exact_ml_decode(inst.G, y_e, p.M).estimate
+        if "babai" in methods:
+            est = babai_attack(reds, np.stack(ys), p.M).estimate
+            counts["babai"] += int(np.sum(est != np.stack(xs)))
+        if "ml" in methods:
+            for inst, x, y_e, basis in zip(insts, xs, ys, bases):
+                est = exact_ml_decode(inst.G, y_e, p.M, basis=basis).estimate
                 counts["ml"] += int(np.sum(est != x))
     total = trials * p.n
     results = []

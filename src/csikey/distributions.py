@@ -50,8 +50,11 @@ def tvd_gaussians(w1: float, w2: float) -> float:
 def sample_discrete_gaussian_int(width, center, rng: np.random.Generator):
     """Sample integers from the 1-D discrete Gaussian of the given width.
 
-    width and center may be arrays (one independent draw per entry).  Uses
-    rejection from a two-sided geometric proposal; exact for any width.
+    width and center may be arrays (one independent draw per entry).  From
+    width 1 up, rejection from a two-sided geometric proposal, exact for any
+    width.  Below it, where that proposal accepts too rarely, inversion over
+    the integers floor(c - 11 sigma) .. ceil(c + 11 sigma), which include
+    floor(c) and ceil(c); the dropped tail weighs below 2^-60.
     """
     shape = np.broadcast_shapes(np.shape(width), np.shape(center))
     width = np.atleast_1d(np.broadcast_to(np.asarray(width, dtype=float),
@@ -61,12 +64,24 @@ def sample_discrete_gaussian_int(width, center, rng: np.random.Generator):
     if np.any(width <= 0):
         raise ParameterError("width must be positive")
     sigma = width / SQRT_2PI
+    out = np.zeros(width.shape, dtype=np.int64)
+    narrow = width < 1
+    if np.any(narrow):
+        # Weights relative to the nearest integer, so none of them underflows
+        # there.  Beyond the support |z - c| >= 1 and > 11 sigma, so each
+        # weight is below exp(-3 (z - c)^2 / (8 sigma^2)) <= exp(-45.3).
+        s, c = sigma[narrow, None], center[narrow, None]
+        lo, hi = np.floor(c - 11 * s), np.ceil(c + 11 * s)
+        z = lo + np.arange(int((hi - lo).max()) + 1)
+        w = np.exp(((np.round(c) - c) ** 2 - (z - c) ** 2) / (2 * s**2))
+        cdf = np.cumsum(np.where(z <= hi, w, 0.0), axis=1)
+        u = (1 - rng.random(cdf.shape[0])) * cdf[:, -1]  # in (0, total]
+        out[narrow] = lo[:, 0] + np.sum(cdf < u[:, None], axis=1)
     c0 = np.round(center)
     t = np.exp(-1.0 / np.maximum(sigma, 1e-12))
     # exp bound on  -(z-c)^2/(2 s^2) + |z-c0|/s  over integers z.
     log_m = 0.5 + 0.5 / sigma
-    out = np.zeros(width.shape, dtype=np.int64)
-    pending = np.ones(width.shape, dtype=bool)
+    pending = ~narrow
     while np.any(pending):
         idx = np.flatnonzero(pending)
         k = idx.size

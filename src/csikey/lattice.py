@@ -22,23 +22,24 @@ DEFAULT_DELTA = 0.99
 
 @dataclass
 class LatticeBasis:
-    """Full-column-rank basis; Gram-Schmidt data computed lazily."""
+    """Full-column-rank basis; Gram-Schmidt data computed lazily.  A stack
+    of bases (..., m, n) is one LatticeBasis for the nearest-plane walk."""
 
     matrix: np.ndarray
     _gso: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[1] < 1:
-            raise DegenerateBasisError("basis must be a 2-D matrix with >= 1 column")
+        if self.matrix.ndim < 2 or self.matrix.shape[-1] < 1:
+            raise DegenerateBasisError("basis must be a matrix with >= 1 column")
 
     @property
     def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
     @property
     def rank(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
     @property
     def gso(self):
@@ -179,18 +180,21 @@ def nearest_plane(b: LatticeBasis, targets: np.ndarray, pick):
     """Nearest-plane walk from b_n down to b_1 for each row of targets; at
     level i, pick(i, centres) turns the real coefficients along b*_i into
     integers (rounding: Babai's decoder; a discrete Gaussian draw: Klein's
-    sampler).  Returns (points, coeffs), one row per target."""
+    sampler).  Returns (points, coeffs), one row per target.  A stack of
+    bases (..., m, n) takes a stack of targets (..., k, m), one matmul per
+    level for the whole stack."""
     bstar, _, norms2 = b.gso
     t = np.array(targets, dtype=float)
-    coeffs = np.zeros((t.shape[0], b.rank))
+    coeffs = np.zeros(t.shape[:-1] + (b.rank,))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan raise below
         for i in range(b.rank - 1, -1, -1):
-            coeffs[:, i] = pick(i, t @ bstar[:, i] / norms2[i])
-            t -= coeffs[:, i, None] * b.matrix[:, i]
+            centres = (t @ bstar[..., :, i, None])[..., 0] / norms2[..., i, None]
+            coeffs[..., i] = pick(i, centres)
+            t -= coeffs[..., i, None] * b.matrix[..., None, :, i]
     if not np.abs(coeffs).max(initial=0.0) < 2.0**53:
         raise NumericalError("a nearest-plane coefficient reaches 2^53, "
                              "beyond exact float64 integers")
-    return coeffs @ b.matrix.T, coeffs.astype(np.int64)
+    return coeffs @ np.swapaxes(b.matrix, -1, -2), coeffs.astype(np.int64)
 
 
 def babai_nearest_plane(b: LatticeBasis, target: np.ndarray):

@@ -121,7 +121,9 @@ def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator,
                       noise_scale: float = 1.0) -> dict:
     """Algorithm: exchange c random vectors, hash both views to eta bits.
 
-    Failures are recorded in the transcript, never raised.
+    Decode failures are recorded in the transcript, never raised; a
+    numerical error (a CSI-key inversion that overflows) raises
+    NumericalError.
     """
     p = cfg.p
     gate = check_secrecy_constraints(p)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import psi_sample
-from .errors import DegenerateBasisError, ParameterError
+from .errors import DegenerateBasisError, NumericalError, ParameterError
 from .numerics import SvdTriple, svd
 
 SIGMA_FLOOR = 1e-12  # relative to the largest singular value
@@ -93,11 +93,17 @@ class WiretapInstance:
         return self.B @ self.svdA.V
 
     def invert(self, y: np.ndarray) -> np.ndarray:
-        """Sigma^-1 U^T y, the CSI-key inversion; the rank test is relative."""
+        """Sigma^-1 U^T y, the CSI-key inversion; the rank test is relative.
+        An estimate that overflows (noise that dwarfs the channel) raises
+        NumericalError."""
         tri = self.svdA
         if not tri.sigma_min > SIGMA_FLOOR * tri.sigma[0]:
             raise DegenerateBasisError("channel matrix numerically rank deficient")
-        return (tri.U.T @ np.asarray(y, dtype=float)) / tri.sigma
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
+            est = (tri.U.T @ np.asarray(y, dtype=float)) / tri.sigma
+        if not np.all(np.isfinite(est)):
+            raise NumericalError("the CSI-key inversion is not finite")
+        return est
 
 
 @dataclass

@@ -11,8 +11,10 @@ from csikey.attacks import (BddInstance, BerResult, bdd_sample_count,
                             make_exact_ml_oracle, toy_bdd_setup,
                             verify_solution, zf_decode)
 from csikey.errors import (ConfigurationError, DegenerateBasisError,
-                           DimensionGuardError, ReductionFailureError)
-from csikey.lattice import LatticeBasis, enumerate_cvp, lll_reduce
+                           DimensionGuardError, NumericalError,
+                           ReductionFailureError)
+from csikey.lattice import (LatticeBasis, enumerate_cvp, lattice_bases,
+                            lll_reduce)
 from csikey.numerics import make_rng, pseudo_inverse
 from csikey.wiretap import SystemParams, sample_A_dist, sample_R_dist
 from ber_reference import reference_ber_experiment
@@ -45,13 +47,23 @@ def test_zf_clamps_far_out_of_range_estimates():
     assert zf_decode(np.eye(4), y, 4).estimate.tolist() == [3, 0, 2, 3]
 
 
+def test_zf_estimate_that_overflows_raises():
+    with pytest.raises(NumericalError):
+        zf_decode(np.eye(2) * 1e300, np.array([1e300, 0.0]), 4)
+
+
 def test_babai_recovers_at_high_snr():
+    # 20 channels decoded in one call, one estimate row per channel.
     p = _params()
     rng = make_rng(1)
+    xs, reds, ys = [], [], []
     for _ in range(20):
         x, g, y = _clean_channel(p, rng, count=4)
-        red = lll_reduce(LatticeBasis(g))
-        assert np.array_equal(babai_attack(red, y, p.M).estimate, x)
+        xs.append(x)
+        reds.append(lll_reduce(LatticeBasis(g)))
+        ys.append(y)
+    assert np.array_equal(babai_attack(reds, np.array(ys), p.M).estimate,
+                          np.array(xs))
 
 
 def test_exact_ml_matches_brute_force():
@@ -73,10 +85,12 @@ def test_exact_ml_matches_brute_force():
 def test_exact_ml_matches_grid_on_ber_channels(monkeypatch):
     # Every ML call of the first 10 `ber` seeds at n=4, M=16 and the
     # minimum-noise point (40 trials each) agrees with the M^n grid.
+    # Each call gets the chunk's Gram-Schmidt record of its own g.
     calls = []
 
-    def checked(g, y, M):
-        out = exact_ml_decode(g, y, M)
+    def checked(g, y, M, basis=None):
+        assert basis is not None and np.array_equal(basis.matrix, g)
+        out = exact_ml_decode(g, y, M, basis=basis)
         assert np.array_equal(out.estimate, grid_ml(g, y, M))
         calls.append(M)
         return out
@@ -103,6 +117,15 @@ def test_exact_ml_matches_grid_at_any_noise(noise):
             y = g @ x + 0.1 * noise * rng.normal(size=2 * n)
             assert np.array_equal(exact_ml_decode(g, y, M).estimate,
                                   grid_ml(g, y, M))
+
+
+def test_exact_ml_with_the_chunk_record_matches_without():
+    rng = make_rng(21)
+    g = rng.normal(size=(30, 6, 4))
+    y = g @ rng.integers(0, 8, size=(30, 4, 1)) + rng.normal(size=(30, 6, 1))
+    for gt, yt, basis in zip(g, y[..., 0], lattice_bases(g), strict=True):
+        assert np.array_equal(exact_ml_decode(gt, yt, 8, basis=basis).estimate,
+                              exact_ml_decode(gt, yt, 8).estimate)
 
 
 def test_exact_ml_tie_lexicographic():

@@ -225,6 +225,17 @@ def test_extreme_channel_scales_exit_1(argv, reason):
     assert reason in errors[0] and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["ber", "--trials", "2"], ["key-agreement", "--eta", "8"],
+    ["cipher", "--trials", "2"]], ids=["ber", "key-agreement", "cipher"])
+def test_non_finite_decoder_estimates_exit_1(argv, capsys):
+    # Bob's CSI-key inversion overflows; the error comes before any int64
+    # cast, and a numpy warning would fail the test (pytest's filter).
+    assert main([*argv, "--n", "4", "--alpha", "1e250", "--k", "1e-100"]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "rror" in ln]
+    assert errors == ["error: the CSI-key inversion is not finite"]
+
+
 def test_large_channel_scale_runs():
     # Just below the overflow: squared norms near 1e305 stay finite.
     assert main(["ber", "--n", "4", "--k", "1e152", "--trials", "2"]) == 0

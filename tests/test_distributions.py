@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,46 @@ def test_integer_sampler_pmf():
     pmf /= pmf.sum()
     p0_hat = np.mean(s == 0)
     assert p0_hat == pytest.approx(pmf[50], rel=0.01)
+
+
+def test_integer_sampler_narrow_width_returns():
+    # Rejection from the geometric proposal never returned at width 0.01.
+    start = time.perf_counter()
+    s = sample_discrete_gaussian_int(0.01, np.full(2000, 0.3), make_rng(6))
+    assert time.perf_counter() - start < 1.0
+    assert np.all(s == 0)
+
+
+@pytest.mark.parametrize("width,center", [
+    (0.05, 3.499), (0.05, -2.5004), (0.3, 0.45), (0.3, -7.61),
+    (0.9, 0.2), (0.9, -1.3)])
+def test_integer_sampler_narrow_width_pmf(width, center):
+    from scipy import stats
+    draws = 20000
+    s = sample_discrete_gaussian_int(width, np.full(draws, center),
+                                     make_rng(int(1000 * width)))
+    support = np.arange(math.floor(center) - 10, math.ceil(center) + 11)
+    pmf = np.exp(-math.pi * (support - center) ** 2 / width**2)
+    pmf /= pmf.sum()
+    assert np.all((s >= support[0]) & (s <= support[-1]))
+    counts = np.bincount(s - support[0], minlength=support.size)
+    # Cells expecting fewer than 5 draws are pooled into one.
+    small = pmf * draws < 5
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(pmf[~small], pmf[small].sum()) * draws
+    keep = expected > 0
+    assert stats.chisquare(observed[keep], expected[keep]).pvalue > 1e-3
+
+
+def test_integer_sampler_keeps_draws_from_width_1():
+    # The geometric-rejection path and its draws, at the CLI's width 2.5.
+    rng = make_rng(40)
+    s = sample_discrete_gaussian_int(2.5, np.linspace(-3.3, 4.7, 24), rng)
+    assert s.tolist() == [-4, -6, -3, -2, -4, -2, -2, -1, -1, 1, 1, -1, 1, 1,
+                          0, 2, 1, 2, 3, 3, 4, 3, 3, 4]
+    s = sample_discrete_gaussian_int(np.array([1.0, 2.5, 7.0]),
+                                     np.array([0.5, -0.25, 10.1]), rng)
+    assert s.tolist() == [0, 0, 13]
 
 
 def test_discrete_gaussian_z1_support_and_pmf():

@@ -96,11 +96,14 @@ def _assert_matches_reference(g):
 def test_lll_matches_reference_on_attack_channels():
     # The incremental LLL takes every decision the recompute-per-swap LLL
     # takes, so the outputs and Eve's Babai estimates are identical.
+    reds, ys = [], []
     for g, y, M in _attack_channels(50):
-        red = _assert_matches_reference(g)
-        assert np.array_equal(babai_attack(red, y, M).estimate,
-                              babai_reference(red.reduced.matrix,
-                                              red.transform, y, M))
+        reds.append(_assert_matches_reference(g))
+        ys.append(y)
+    est = babai_attack(reds, np.array(ys), M).estimate
+    for row, red, y in zip(est, reds, ys, strict=True):
+        assert np.array_equal(row, babai_reference(red.reduced.matrix,
+                                                   red.transform, y, M))
 
 
 def test_lll_transform_is_int64():
@@ -126,6 +129,32 @@ def test_original_coeffs_exact_or_raise():
 def test_nearest_plane_coefficient_beyond_2_53_raises():
     with pytest.raises(NumericalError):
         babai_nearest_plane(LatticeBasis(np.eye(2)), np.array([1e17, 0.0]))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("trials", [1, 2, 64])
+def test_stacked_nearest_plane_matches_babai_per_basis(trials, n):
+    # Entries in [-999, 999] (see test_lll_matches_reference_on_integer_bases);
+    # each slice's walk gives the single-basis decoder's point and coefficients.
+    rng = make_rng(100 * n + trials)
+    stack = np.array([_random_int_basis(rng, n, lo=-999, hi=999).matrix
+                      for _ in range(trials)])
+    coeffs = rng.integers(-50, 51, size=(trials, n, 1)).astype(float)
+    targets = (stack @ coeffs)[..., 0] + 300 * rng.normal(size=(trials, n))
+    points, got = nearest_plane(LatticeBasis(stack), targets[:, None],
+                                lambda i, c: np.rint(c))
+    assert points.shape == (trials, 1, n) and got.shape == (trials, 1, n)
+    for b, t, p, z in zip(stack, targets, points[:, 0], got[:, 0], strict=True):
+        want_p, want_z = babai_nearest_plane(LatticeBasis(b), t)
+        assert np.array_equal(z, want_z) and np.array_equal(p, want_p)
+
+
+def test_stacked_nearest_plane_raises_if_one_slice_reaches_2_53():
+    targets = np.zeros((3, 1, 2))
+    targets[1, 0, 0] = 1e17
+    with pytest.raises(NumericalError):
+        nearest_plane(LatticeBasis(np.stack([np.eye(2)] * 3)), targets,
+                      lambda i, c: np.rint(c))
 
 
 def test_lattice_bases_match_per_matrix_records():
