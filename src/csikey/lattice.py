@@ -2,10 +2,11 @@
 exact enumeration oracles at small dimension, and dual bases.
 
 Basis vectors are matrix columns; every routine reads one Gram-Schmidt
-record per basis (LatticeBasis.gso).  Babai's decoder and Klein's sampler
-are one nearest-plane walk.  Exact CVP, SVP, successive minima and
-box-constrained closest points are one Schnorr-Euchner enumeration
-(Schnorr-Euchner 1994; Agrell-Eriksson-Vardy-Zeger 2002), guarded to n <= 8.
+record per basis (LatticeBasis.gso); LLL reduces stacks in lockstep.
+Babai's decoder and Klein's sampler are one nearest-plane walk.  Exact CVP,
+successive minima and box-constrained closest points are one Schnorr-Euchner
+enumeration (Schnorr-Euchner 1994; Agrell-Eriksson-Vardy-Zeger 2002),
+guarded to n <= 8.
 """
 
 import math
@@ -18,6 +19,7 @@ from .numerics import gram_schmidt, pseudo_inverse
 
 ENUM_DIM_LIMIT = 8
 DEFAULT_DELTA = 0.99
+LOCKSTEP_MIN = 16  # an LLL stack runs in lockstep while this many bases have work
 
 
 @dataclass
@@ -27,6 +29,7 @@ class LatticeBasis:
 
     matrix: np.ndarray
     _gso: tuple = field(default=None, repr=False, compare=False)
+    _stack: tuple = field(default=None, repr=False, compare=False)  # see lattice_bases
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -60,8 +63,12 @@ def _gso_record(b):
 
 
 def lattice_bases(mats: np.ndarray) -> list[LatticeBasis]:
-    """A LatticeBasis per matrix of a stack, records from one gram_schmidt call."""
-    return [LatticeBasis(m, _gso=rec) for m, rec in zip(mats, zip(*_gso_record(mats)))]
+    """A LatticeBasis per matrix of a stack, records from one gram_schmidt
+    call; each holds (shared, index), so lll_reduce reduces them together."""
+    bstar, mu, norms2 = _gso_record(mats)
+    shared = {"stack": (mats, mu, norms2)}
+    return [LatticeBasis(m, _gso=r, _stack=(shared, i))
+            for i, (m, r) in enumerate(zip(mats, zip(bstar, mu, norms2)))]
 
 
 @dataclass
@@ -111,23 +118,65 @@ def int_rank_det(m) -> tuple[int, int]:
 
 
 def lll_reduce(b: LatticeBasis) -> ReductionResult:
-    """LLL reduction of the basis columns with Lovasz parameter DEFAULT_DELTA.
+    """LLL reduction with Lovasz parameter DEFAULT_DELTA.  A lattice_bases
+    stack is reduced whole on the first call for any of its bases, and later
+    calls return the stored result; a lone basis is a stack of one."""
+    shared, i = b._stack or ({"stack": [x[None] for x in (b.matrix, *b.gso[1:])]}, 0)
+    if "reds" not in shared:
+        shared["reds"] = _lll_stack(*shared["stack"])
+    return shared["reds"][i]
 
-    Starts from copies of b's Gram-Schmidt record, the norms scaled by a
-    power of two (exactly) so that no swap under- or overflows at any scale
-    of b, and updates them at each swap.  The basis and its unimodular
-    transform are one float working matrix [B; I], so each column operation
-    moves both; the transform is integer and exact while its entries stay
-    below 2^53, which is checked (NumericalError) before it is returned as
-    int64.  Then reduced = b.matrix @ transform holds exactly for integer b.
-    """
-    n = b.rank
-    work = np.vstack([b.matrix, np.eye(n)])
-    _, mu, norms2 = b.gso
-    mu, norms2 = mu.copy(), np.ldexp(norms2, -np.frexp(norms2.max())[1])
+
+def _lll_stack(mats, mu, norms2) -> list[ReductionResult]:
+    """LLL of each basis of a stack (T, m, n) from copies of its Gram-Schmidt
+    record, the norms scaled by a power of two (exact; no swap under- or
+    overflows at any scale).  Each basis keeps its own k; while LOCKSTEP_MIN
+    have work, one step serves them all (a size reduction at the largest
+    j < k with |mu[k, j]| > 1/2, else the Lovasz test), and the rest finish
+    in _lll_loop from their k.  Basis and transform are one float matrix
+    [B; I]; the transform is checked below 2^53 (exact) before its int64 cast."""
+    t, _, n = mats.shape
+    work = np.concatenate([mats, np.broadcast_to(np.eye(n), (t, n, n))], axis=1)
+    mu, norms2 = mu.copy(), np.ldexp(norms2, -np.frexp(norms2.max(1, keepdims=True))[1])
+    k, swaps, cols = np.ones(t, int), np.zeros(t, int), np.arange(n)
+    live = np.flatnonzero(k < n)
+    while live.size >= LOCKSTEP_MIN:
+        kl = k[live]
+        big = (np.abs(mu[live, kl]) > 0.5) & (cols < kl[:, None])
+        has = big.any(axis=1)
+        a, ka, ja = live[has], kl[has], n - 1 - np.argmax(big[has, ::-1], axis=1)
+        q = np.rint(mu[a, ka, ja])[:, None]
+        work[a, :, ka] -= q * work[a, :, ja]
+        mu[a, ka] -= q * mu[a, ja]  # mu[j, j + 1:] is 0
+        a, ka = live[~has], kl[~has]
+        m = mu[a, ka, ka - 1]
+        keep = norms2[a, ka] >= (DEFAULT_DELTA - m * m) * norms2[a, ka - 1]
+        s, ks, m = a[~keep], ka[~keep], m[~keep]  # swap b_{k-1}, b_k as _lll_loop
+        work[s, :, ks - 1], work[s, :, ks] = work[s, :, ks], work[s, :, ks - 1]
+        low, r1, r2 = cols < ks[:, None] - 1, mu[s, ks - 1], mu[s, ks]
+        mu[s, ks - 1], mu[s, ks] = np.where(low, r2, r1), np.where(low, r1, r2)
+        n1, n2 = norms2[s, ks - 1], norms2[s, ks]
+        new = n2 + m * m * n1
+        mu[s, ks, ks - 1] = mk = m * n1 / new
+        norms2[s, ks], norms2[s, ks - 1] = n1 * n2 / new, new
+        below, c1, c2 = cols > ks[:, None], mu[s, :, ks - 1], mu[s, :, ks]
+        mu[s, :, ks] = c2new = np.where(below, c1 - m[:, None] * c2, c2)
+        mu[s, :, ks - 1] = np.where(below, c2 + mk[:, None] * c2new, c1)
+        swaps[s] += 1
+        k[a] = np.where(keep, ka + 1, np.maximum(ka - 1, 1))
+        live = live[k[live] < n]
+    for i in live:
+        swaps[i] += _lll_loop(work[i], mu[i], norms2[i], int(k[i]))
+    if not np.abs(work[:, -n:]).max() < 2.0**53:
+        raise NumericalError("an LLL transform entry reaches 2^53, beyond exact floats")
+    return [ReductionResult(LatticeBasis(w[:-n]), w[-n:].astype(np.int64),
+                            int(s), DEFAULT_DELTA) for w, s in zip(work, swaps)]
+
+
+def _lll_loop(work, mu, norms2, k: int) -> int:
+    """LLL of one basis in place from position k; returns the swap count."""
     swaps = 0
-    k = 1
-    while k < n:
+    while k < len(norms2):
         # Size-reduce only where |mu| > 1/2: the entries that round to non-zero.
         big = (np.abs(mu[k, :k]) > 0.5).nonzero()[0]
         while big.size:
@@ -137,43 +186,22 @@ def lll_reduce(b: LatticeBasis) -> ReductionResult:
             mu[k, : j + 1] -= q * mu[j, : j + 1]
             big = (np.abs(mu[k, :j]) > 0.5).nonzero()[0]
         m = mu[k, k - 1]
-        if norms2[k] >= (DEFAULT_DELTA - m**2) * norms2[k - 1]:
+        if norms2[k] >= (DEFAULT_DELTA - m * m) * norms2[k - 1]:
             k += 1
             continue
         # Swap b_{k-1}, b_k; update the GSO in place (Cohen GTM 138 Alg. 2.6.3).
         pair = slice(k - 1, k + 1)
         work[:, pair] = work[:, pair][:, ::-1]
         mu[pair, : k - 1] = mu[pair, : k - 1][::-1]
-        new = norms2[k] + m**2 * norms2[k - 1]
+        new = norms2[k] + m * m * norms2[k - 1]
         mu[k, k - 1] = m * norms2[k - 1] / new
-        norms2[k] = norms2[k - 1] * norms2[k] / new
-        norms2[k - 1] = new
+        norms2[k], norms2[k - 1] = norms2[k - 1] * norms2[k] / new, new
         t = mu[k + 1:, k].copy()
         mu[k + 1:, k] = mu[k + 1:, k - 1] - m * t
         mu[k + 1:, k - 1] = t + mu[k, k - 1] * mu[k + 1:, k]
         swaps += 1
         k = max(k - 1, 1)
-    if not np.abs(work[-n:]).max() < 2.0**53:
-        raise NumericalError("an LLL transform entry reaches 2^53, beyond "
-                             "exact float64 integers")
-    return ReductionResult(LatticeBasis(work[:-n]), work[-n:].astype(np.int64),
-                           swaps, DEFAULT_DELTA)
-
-
-def is_lll_reduced(b: LatticeBasis, delta: float = DEFAULT_DELTA,
-                   tol: float = 1e-9) -> bool:
-    """Post-hoc check of size reduction and the Lovasz condition, both
-    relative (tol scales |mu| and ||b*_{k-1}||^2), so free of the scale."""
-    _, mu, norms2 = b.gso
-    n = b.rank
-    for i in range(n):
-        for j in range(i):
-            if abs(mu[i, j]) > 0.5 + tol:
-                return False
-    for k in range(1, n):
-        if norms2[k] < (delta - mu[k, k - 1] ** 2 - tol) * norms2[k - 1]:
-            return False
-    return True
+    return swaps
 
 
 def nearest_plane(b: LatticeBasis, targets: np.ndarray, pick):
@@ -197,21 +225,6 @@ def nearest_plane(b: LatticeBasis, targets: np.ndarray, pick):
     return coeffs @ np.swapaxes(b.matrix, -1, -2), coeffs.astype(np.int64)
 
 
-def babai_nearest_plane(b: LatticeBasis, target: np.ndarray):
-    """Babai's nearest-plane decoder.  Returns (lattice point, coefficients)."""
-    target = np.asarray(target, dtype=float)
-    if target.shape[0] != b.ambient_dim:
-        raise ValueError("target dimension does not match the basis")
-    points, coeffs = nearest_plane(b, target[None], lambda i, c: np.rint(c))
-    return points[0], coeffs[0]
-
-
-def _check_dim(b: LatticeBasis):
-    if b.rank > ENUM_DIM_LIMIT:
-        raise DimensionGuardError(
-            f"exact enumeration limited to n <= {ENUM_DIM_LIMIT} (got {b.rank})")
-
-
 def _zigzag(c: float, lo, hi):
     """The integers of [lo, hi] in order of distance from c."""
     up = min(max(round(c), lo), hi)
@@ -233,10 +246,11 @@ def _search(b: LatticeBasis, target: np.ndarray, radius2: float, visit,
     centre first, so the first leaf is the Babai point (clamped into the
     box) and a level ends at its first coefficient beyond the radius.
     visit(z, d2) is called at each leaf, z a tuple, and returns the squared
-    radius for the rest of the search.
-    """
+    radius for the rest of the search.  A centre or distance that is not
+    finite raises NumericalError."""
     bstar, mu, norms2 = b.gso
-    tcoord = (np.asarray(target, dtype=float) @ bstar / norms2).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
+        tcoord = (np.asarray(target, dtype=float) @ bstar / norms2).tolist()
     norms2, mu = norms2.tolist(), mu.tolist()
     n = len(norms2)
     lo, hi = box if box is not None else (-math.inf, math.inf)
@@ -245,6 +259,8 @@ def _search(b: LatticeBasis, target: np.ndarray, radius2: float, visit,
 
     def enter(i):
         center[i] = tcoord[i] - sum(z[k] * mu[k][i] for k in range(i + 1, n))
+        if not math.isfinite(center[i]):
+            raise NumericalError("an enumeration centre is not finite")
         levels[i] = _zigzag(center[i], lo, hi)
 
     i = n - 1
@@ -252,7 +268,10 @@ def _search(b: LatticeBasis, target: np.ndarray, radius2: float, visit,
     while i < n:
         zi = next(levels[i], None)
         if zi is not None:
-            d2 = above[i + 1] + (zi - center[i]) ** 2 * norms2[i]
+            dz = abs(zi - center[i])  # dz ** 2 raises OverflowError from 2^512
+            d2 = above[i + 1] + dz**2 * norms2[i] if dz < 2.0**512 else math.inf
+            if not d2 < math.inf:
+                raise NumericalError("an enumeration distance is not finite")
         if zi is None or d2 > radius2:
             i += 1
         elif i:
@@ -282,28 +301,11 @@ def closest_point(b: LatticeBasis, target: np.ndarray, box=None) -> tuple:
 def enumerate_cvp(b: LatticeBasis, target: np.ndarray):
     """Exact closest lattice point; ties broken by lexicographically
     smallest coefficient vector of the LLL-reduced basis."""
-    _check_dim(b)
+    if b.rank > ENUM_DIM_LIMIT:
+        raise DimensionGuardError(f"exact CVP limited to n <= {ENUM_DIM_LIMIT}")
     red = lll_reduce(b)
     coeffs = red.original_coeffs(closest_point(red.reduced, target))
     return b.matrix @ coeffs, coeffs
-
-
-def enumerate_svp(b: LatticeBasis):
-    """Exact shortest nonzero vector and lambda_1."""
-    _check_dim(b)
-    red = lll_reduce(b).reduced
-    # Start just above the shortest reduced column (relative slack).
-    best = (float(np.min(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9), ())
-
-    def visit(z, d2):
-        nonlocal best
-        if any(z):
-            best = min(best, (d2, z))
-        return best[0]
-
-    _search(red, np.zeros(b.ambient_dim), best[0], visit)
-    v = red.matrix @ np.array(best[1])
-    return v, float(np.linalg.norm(v))
 
 
 def successive_minima(b: LatticeBasis) -> MinimaEstimate:
@@ -314,7 +316,7 @@ def successive_minima(b: LatticeBasis) -> MinimaEstimate:
         # Upper bounds from an LLL-reduced basis; not exact.
         norms = np.sort(np.linalg.norm(red.matrix, axis=0))
         return MinimaEstimate(norms, exact=False)
-    # The minima are at most the longest reduced column (slack as in SVP).
+    # The minima are at most the longest reduced column (a relative slack).
     radius2 = float(np.max(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9)
     cands = []
 

@@ -44,11 +44,13 @@ def min_alpha(n: int, k: float = 1.0, m_slack: float = 1.0) -> float:
 def max_snr_db(n: int, m_slack: float = 1.0) -> float:
     """Maximum eavesdropper SNR 10*log10(M_min / (3 * alpha_min)) at k = 1."""
     log2m = required_log2M(n, m_slack)
-    if log2m >= 1024:
-        raise ParameterError(f"minimum M = 2^{log2m:.6g} overflows a float")
-    m_min = 2 ** log2m
+    m_min = 2.0**log2m if log2m < 1024 else math.inf
     a_min = min_alpha(n, k=1.0, m_slack=m_slack)
-    return 10.0 * math.log10(m_min / (3.0 * a_min))
+    ratio = m_min / (3.0 * a_min)
+    if not all(2.0**-1022 <= v < math.inf for v in (m_min, a_min, ratio)):
+        raise ParameterError(f"minimum M = 2^{log2m:.6g}, minimum alpha or their ratio "
+                             f"is not a normal float (n = {n}, m_slack = {m_slack:g})")
+    return 10.0 * math.log10(ratio)
 
 
 def secrecy_capacity(n: int, log2M: float) -> float:

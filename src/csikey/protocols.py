@@ -8,7 +8,7 @@ one message per coherence interval (fresh instance each time).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator,
     alice_key = universal_hash(seed, alice_bits)
     bob_key = universal_hash(seed, bob_bits)
     return {
-        "params": p.to_json(),
+        "params": asdict(p),
         "eta": cfg.eta,
         "c": cfg.c,
         "coder": cfg.coder,

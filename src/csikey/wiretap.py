@@ -59,12 +59,6 @@ class SystemParams:
         """Channel noise width M * alpha (unscaled inner-product form)."""
         return self.M * self.alpha
 
-    def to_json(self):
-        return {
-            "n": self.n, "m_rx": self.m_rx, "M": self.M, "alpha": self.alpha,
-            "k": self.k, "m_slack": self.m_slack, "P": self.P,
-        }
-
 
 @dataclass
 class WiretapInstance:

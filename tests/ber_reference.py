@@ -1,15 +1,16 @@
 """Trial-by-trial reference for attacks.ber_experiment: every trial
 factors its own channels with per-matrix calls (SVD, pseudo-inverse,
-Gram-Schmidt) and draws from rng in the same order.
+Gram-Schmidt, the per-basis LLL) and draws from rng in the same order.
 """
 
 import numpy as np
 
 from csikey.attacks import BerResult, _binom_ci, exact_ml_decode
-from csikey.lattice import LatticeBasis, babai_nearest_plane, lll_reduce
+from csikey.lattice import LatticeBasis
 from csikey.numerics import pseudo_inverse
 from csikey.wiretap import (bob_decode, eve_receive, make_instance,
                             random_message, transmit_to_bob)
+from lattice_reference import babai_nearest_plane, lll_per_basis
 
 
 def reference_ber_experiment(p, trials, methods, rng, seed=0,
@@ -26,7 +27,7 @@ def reference_ber_experiment(p, trials, methods, rng, seed=0,
             est = np.rint(pseudo_inverse(g) @ y_e).astype(np.int64)
             counts["zf"] += int(np.sum(np.clip(est, 0, p.M - 1) != x))
         if "babai" in methods:
-            red = lll_reduce(LatticeBasis(g))
+            red = lll_per_basis(LatticeBasis(g))
             _, coeffs = babai_nearest_plane(red.reduced, y_e)
             est = [int(c) for c in red.transform @ coeffs.astype(object)]
             counts["babai"] += int(np.sum(np.clip(est, 0, p.M - 1) != x))

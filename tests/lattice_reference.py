@@ -1,8 +1,10 @@
 """Slow reference implementations that the optimized lattice code is
 tested against: classical Gram-Schmidt, an LLL that recomputes it after
-every swap, Babai nearest-plane on top of them, Klein's sampler as a loop
-of its own, exact ML decoding by a search of the whole M^n grid, and the
-rank of an integer matrix by elimination over the rationals.
+every swap, the incremental LLL one basis at a time, Babai nearest-plane on
+top of them, Klein's sampler as a loop of its own, exact ML decoding by a
+search of the whole M^n grid, and the rank of an integer matrix by
+elimination over the rationals; and the test-only checks built on the
+library: the LLL conditions, Babai's decoder for one target, and SVP.
 """
 
 import math
@@ -11,7 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 from csikey.distributions import sample_discrete_gaussian_int
-from csikey.errors import DegenerateBasisError
+from csikey.errors import (DegenerateBasisError, DimensionGuardError,
+                           NumericalError)
+from csikey.lattice import (DEFAULT_DELTA, ENUM_DIM_LIMIT, LatticeBasis,
+                            ReductionResult, _search, lll_reduce,
+                            nearest_plane)
 from csikey.numerics import gram_schmidt
 
 
@@ -144,3 +150,88 @@ def fraction_rank(rows) -> int:
             a[r] = [x - f * y for x, y in zip(a[r], pr)]
         rank += 1
     return rank
+
+
+def lll_per_basis(b: LatticeBasis) -> ReductionResult:
+    """The incremental LLL on one basis, as lattice.lll_reduce ran before
+    it reduced stacks in lockstep: a float working matrix [B; I], the
+    Gram-Schmidt record updated in place at each swap (Cohen GTM 138
+    Alg. 2.6.3), the norms scaled by a power of two."""
+    n = b.rank
+    work = np.vstack([b.matrix, np.eye(n)])
+    _, mu, norms2 = b.gso
+    mu, norms2 = mu.copy(), np.ldexp(norms2, -np.frexp(norms2.max())[1])
+    swaps = 0
+    k = 1
+    while k < n:
+        big = (np.abs(mu[k, :k]) > 0.5).nonzero()[0]
+        while big.size:
+            j = big[-1]
+            q = round(mu[k, j])
+            work[:, k] -= q * work[:, j]
+            mu[k, : j + 1] -= q * mu[j, : j + 1]
+            big = (np.abs(mu[k, :j]) > 0.5).nonzero()[0]
+        m = mu[k, k - 1]
+        if norms2[k] >= (DEFAULT_DELTA - m**2) * norms2[k - 1]:
+            k += 1
+            continue
+        pair = slice(k - 1, k + 1)
+        work[:, pair] = work[:, pair][:, ::-1]
+        mu[pair, : k - 1] = mu[pair, : k - 1][::-1]
+        new = norms2[k] + m**2 * norms2[k - 1]
+        mu[k, k - 1] = m * norms2[k - 1] / new
+        norms2[k] = norms2[k - 1] * norms2[k] / new
+        norms2[k - 1] = new
+        t = mu[k + 1:, k].copy()
+        mu[k + 1:, k] = mu[k + 1:, k - 1] - m * t
+        mu[k + 1:, k - 1] = t + mu[k, k - 1] * mu[k + 1:, k]
+        swaps += 1
+        k = max(k - 1, 1)
+    if not np.abs(work[-n:]).max() < 2.0**53:
+        raise NumericalError("an LLL transform entry reaches 2^53")
+    return ReductionResult(LatticeBasis(work[:-n]), work[-n:].astype(np.int64),
+                           swaps, DEFAULT_DELTA)
+
+
+def is_lll_reduced(b: LatticeBasis, delta: float = DEFAULT_DELTA,
+                   tol: float = 1e-9) -> bool:
+    """Post-hoc check of size reduction and the Lovasz condition, both
+    relative (tol scales |mu| and ||b*_{k-1}||^2), so free of the scale."""
+    _, mu, norms2 = b.gso
+    n = b.rank
+    for i in range(n):
+        for j in range(i):
+            if abs(mu[i, j]) > 0.5 + tol:
+                return False
+    for k in range(1, n):
+        if norms2[k] < (delta - mu[k, k - 1] ** 2 - tol) * norms2[k - 1]:
+            return False
+    return True
+
+
+def babai_nearest_plane(b: LatticeBasis, target: np.ndarray):
+    """Babai's nearest-plane decoder.  Returns (lattice point, coefficients)."""
+    target = np.asarray(target, dtype=float)
+    if target.shape[0] != b.ambient_dim:
+        raise ValueError("target dimension does not match the basis")
+    points, coeffs = nearest_plane(b, target[None], lambda i, c: np.rint(c))
+    return points[0], coeffs[0]
+
+
+def enumerate_svp(b: LatticeBasis):
+    """Exact shortest nonzero vector and lambda_1."""
+    if b.rank > ENUM_DIM_LIMIT:
+        raise DimensionGuardError(f"exact SVP limited to n <= {ENUM_DIM_LIMIT}")
+    red = lll_reduce(b).reduced
+    # Start just above the shortest reduced column (relative slack).
+    best = (float(np.min(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9), ())
+
+    def visit(z, d2):
+        nonlocal best
+        if any(z):
+            best = min(best, (d2, z))
+        return best[0]
+
+    _search(red, np.zeros(b.ambient_dim), best[0], visit)
+    v = red.matrix @ np.array(best[1])
+    return v, float(np.linalg.norm(v))

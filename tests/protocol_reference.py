@@ -4,6 +4,8 @@ per-symbol np.unique majority vote, and a key agreement that decodes with a
 full-matrices SVD of each channel.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -74,7 +76,7 @@ def reference_key_agreement(cfg, rng):
     alice_key = dense_hash(seed, alice_bits)
     bob_key = dense_hash(seed, bob_bits)
     return {
-        "params": p.to_json(),
+        "params": asdict(p),
         "eta": cfg.eta,
         "c": cfg.c,
         "coder": cfg.coder,

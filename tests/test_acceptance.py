@@ -20,13 +20,14 @@ from csikey.cli import main
 from csikey.distributions import (DiscreteGaussianSpec,
                                   discrete_gaussian_sample, tvd_gaussians)
 from csikey.lattice import (LatticeBasis, enumerate_cvp, int_rank_det,
-                            is_lll_reduced, lll_reduce, successive_minima)
+                            lll_reduce, successive_minima)
 from csikey.numerics import make_rng
 from csikey.params import design_table
 from csikey.protocols import (CipherContext, KeyAgreementConfig, decrypt,
                               encrypt, run_key_agreement)
 from csikey.wiretap import (SystemParams, bob_decode, make_instance,
                             random_message, sample_A_dist, transmit_to_bob)
+from lattice_reference import is_lll_reduced
 
 TABLE_LOG2M = [33.7, 51.3, 75.4, 96.0]
 TABLE_SNR = [87.1, 139.2, 210.7, 272.2]

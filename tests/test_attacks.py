@@ -139,6 +139,17 @@ def test_exact_ml_rank_deficient_channel_raises():
         exact_ml_decode(np.ones((4, 2)), np.ones(4), 4)
 
 
+def test_exact_ml_non_finite_centre_or_distance_raises():
+    # Noise that dwarfs the channel: the box clamps the search far from a
+    # centre near 1e200, whose squared distance overflows; at 1e300 the
+    # centre itself does.  Both raise, with no numpy warning.
+    with pytest.raises(NumericalError, match="distance"):
+        ber_experiment(SystemParams(n=4, m_rx=8, M=16, alpha=1e200), 2,
+                       ["ml"], make_rng(0))
+    with pytest.raises(NumericalError, match="centre"):
+        exact_ml_decode(np.eye(2) * 1e-10, np.array([1e300, 0.0]), 4)
+
+
 def test_exact_ml_space_guard():
     with pytest.raises(DimensionGuardError):
         exact_ml_decode(np.ones((2, 10)), np.ones(2), 8)
@@ -265,6 +276,28 @@ def test_ber_experiment_matches_reference_at_benchmark_points(seed):
     _assert_matches_reference(_attack_point(16, 8), 2, ["zf", "babai"], seed)
     _assert_matches_reference(_attack_point(4, 4), 40, ["zf", "babai", "ml"],
                               seed)
+
+
+def test_ber_experiment_lll_calls_keep_the_per_basis_contract(monkeypatch):
+    # A 40-trial chunk is reduced in one lockstep stack, and each of its 40
+    # lll_reduce calls still returns that basis's own result.
+    results = []
+
+    def recording(basis):
+        res = lll_reduce(basis)
+        assert lll_reduce(basis) is res
+        results.append((basis.matrix, res))
+        return res
+
+    monkeypatch.setattr(attacks, "lll_reduce", recording)
+    ber_experiment(_attack_point(4, 4), 40, ["babai"], make_rng(12))
+    assert len(results) == 40
+    for g, res in results:
+        assert res.transform.dtype == np.int64 and res.transform.shape == (4, 4)
+        assert type(res.swaps) is int
+        # This basis's own result: reduced = b @ transform, up to rounding.
+        assert np.allclose(g @ res.transform, res.reduced.matrix, rtol=0,
+                           atol=1e-9 * np.abs(g).max())
 
 
 @pytest.mark.parametrize("methods", [["zf"], ["babai"], ["ml"],

@@ -138,7 +138,14 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
                  ["ber", "--n", "4", "--log2m", "1100"],
                  ["key-agreement", "--n", "4", "--log2m", "64"],
                  ["cipher", "--n", "4", "--log2m", "64"],
-                 ["params-table", "--n", "10000"]):
+                 ["params-table", "--n", "10000"],
+                 # A minimum M, alpha or SNR ratio outside the normal floats.
+                 ["ber", "--m-slack", "1e-300"],
+                 ["cipher", "--m-slack", "1e-300"],
+                 ["key-agreement", "--m-slack", "1e-300"],
+                 ["params-table", "--m-slack", "1e-300"],
+                 ["params-table", "--n", "4", "--m-slack", "1e-170"],
+                 ["params-table", "--n", "4", "--m-slack", "1e300"]):
         assert main(argv) == 1, argv
         assert "error:" in capsys.readouterr().err
     assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2

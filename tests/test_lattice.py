@@ -5,15 +5,16 @@ import pytest
 
 from csikey.attacks import babai_attack, exact_ml_decode
 from csikey.errors import DimensionGuardError, NumericalError
-from csikey.lattice import (LatticeBasis, ReductionResult,
-                            babai_nearest_plane, dual_basis, enumerate_cvp,
-                            enumerate_svp, int_rank_det, is_lll_reduced,
+from csikey.lattice import (LOCKSTEP_MIN, LatticeBasis, ReductionResult,
+                            dual_basis, enumerate_cvp, int_rank_det,
                             lattice_bases, lll_reduce, nearest_plane,
                             successive_minima)
 from csikey.numerics import gram_schmidt, make_rng
 from csikey.wiretap import (SystemParams, eve_receive, make_instance,
                             random_message, transmit_to_bob)
-from lattice_reference import babai_reference, fraction_rank, lll_recompute
+from lattice_reference import (babai_nearest_plane, babai_reference,
+                               enumerate_svp, fraction_rank, is_lll_reduced,
+                               lll_per_basis, lll_recompute)
 
 
 def _random_int_basis(rng, n, lo=-9, hi=9):
@@ -66,10 +67,10 @@ def test_lll_unimodular_and_conditions():
         assert is_lll_reduced(red.reduced)
 
 
-def _attack_params():
+def _attack_params(n=16):
     k = 0.002
-    return SystemParams(n=16, m_rx=16, M=256,
-                        alpha=1.05 * math.sqrt(16) * k**2, k=k)
+    return SystemParams(n=n, m_rx=n, M=256,
+                        alpha=1.05 * math.sqrt(n) * k**2, k=k)
 
 
 def _attack_channels(count):
@@ -104,6 +105,45 @@ def test_lll_matches_reference_on_attack_channels():
     for row, red, y in zip(est, reds, ys, strict=True):
         assert np.array_equal(row, babai_reference(red.reduced.matrix,
                                                    red.transform, y, M))
+
+
+def _assert_stack_matches_per_basis_lll(stack):
+    # Every basis of the stack, reduced with the rest, gets the reduced
+    # basis, transform and swap count that the per-basis LLL gives it alone.
+    for basis, g in zip(lattice_bases(stack), stack, strict=True):
+        got, want = lll_reduce(basis), lll_per_basis(LatticeBasis(g))
+        assert got.swaps == want.swaps
+        assert np.array_equal(got.transform, want.transform)
+        assert np.array_equal(got.reduced.matrix, want.reduced.matrix)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("trials", [1, 2, LOCKSTEP_MIN - 1, LOCKSTEP_MIN,
+                                    LOCKSTEP_MIN + 1, 40, 64])
+def test_stacked_lll_matches_per_basis_lll(trials, n):
+    # Below LOCKSTEP_MIN the stack goes straight to the per-basis loop; from
+    # it on, the stack starts in lockstep and its stragglers finish there.
+    p = _attack_params(n)
+    rng = make_rng(1000 * n + trials)
+    _assert_stack_matches_per_basis_lll(
+        np.stack([make_instance(p, rng).G for _ in range(trials)]))
+
+
+def test_stacked_lll_matches_per_basis_lll_across_scales():
+    # Each basis of one lockstep stack keeps its own power-of-two scaling.
+    rng = make_rng(14)
+    scales = 10.0 ** np.linspace(-100, 150, 2 * LOCKSTEP_MIN + 1)
+    _assert_stack_matches_per_basis_lll(
+        scales[:, None, None] * rng.normal(size=(scales.size, 6, 6)))
+
+
+@pytest.mark.parametrize("trials", [2, LOCKSTEP_MIN + 1])
+def test_stacked_lll_transform_beyond_2_53_raises(trials):
+    # One basis of the stack takes 1e17 copies of b_1 (see below).
+    stack = np.stack([np.array([[1.0, 0.3], [0.0, 1.0]])] * trials)
+    stack[-1] = [[1.0, 1e17], [0.0, 1e5]]
+    with pytest.raises(NumericalError):
+        lll_reduce(lattice_bases(stack)[0])
 
 
 def test_lll_transform_is_int64():
