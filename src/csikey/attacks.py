@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (DiscreteGaussianSpec, discrete_gaussian_sample,
-                            psi_sample, psi_std, smoothing_upper_bound)
+from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
+                            smoothing_upper_bound)
 from .errors import (ConfigurationError, DimensionGuardError, NumericalError,
                      ParameterError, ReductionFailureError, SearchFailureError)
 from .lattice import (LatticeBasis, ReductionResult, closest_point, dual_basis,
@@ -133,8 +133,7 @@ def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
 
 
 def decision_to_search(batch: SampleBatch, decision_oracle, p: SystemParams,
-                       rng: np.random.Generator,
-                       noise_width: float | None = None) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Recover x coordinate by coordinate from a decision oracle.
 
     For each coordinate, re-randomize that channel column and shift y by
@@ -162,17 +161,17 @@ def decision_to_search(batch: SampleBatch, decision_oracle, p: SystemParams,
         if accepted is None:
             raise ReductionFailureError(f"no guess accepted for coordinate {j}")
         x[j] = accepted
-    if not verify_solution(batch, x, p, noise_width=noise_width):
+    if not verify_solution(batch, x, p):
         raise ReductionFailureError("recovered vector failed verification")
     return x
 
 
-def make_decision_oracle(p: SystemParams, noise_width: float | None = None):
+def make_decision_oracle(p: SystemParams):
     """Test-grade decision oracle: YES iff exact ML finds a verified solution."""
 
     def oracle(batch: SampleBatch) -> bool:
         cand = exact_ml_decode(batch.a, batch.y, p.M).estimate
-        return verify_solution(batch, cand, p, noise_width=noise_width)
+        return verify_solution(batch, cand, p)
 
     return oracle
 
@@ -244,7 +243,6 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     ambiguous = np.flatnonzero(np.abs(frac) > 0.5 - amb_margin)[:6]
     offset = np.full(n, p.M // 2, dtype=np.int64)
 
-    dg = DiscreteGaussianSpec(dual, r)
     for _ in range(3):
         for mask in range(2 ** len(ambiguous)):
             t0 = base.copy()
@@ -253,7 +251,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
                     t0[j] += math.copysign(1.0, frac[j])
             t0 = t0.astype(np.int64)
             coord = binv @ (y - bmat @ (p.M * t0).astype(float)) + offset
-            v, _ = discrete_gaussian_sample(dg, rng, size=samples)
+            v, _ = discrete_gaussian_sample(dual, r, rng, size=samples)
             a = p.k * v / r
             e = psi_sample(p.alpha / math.sqrt(2), rng, size=samples)
             y_samp = p.k * (v @ coord) / (r * p.M) + p.k * e / r
@@ -267,15 +265,15 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
         "oracle answers never landed within the bounding distance")
 
 
-def toy_bdd_setup(n: int, rng: np.random.Generator, M: int = 12,
-                  alpha: float = 3.0, k: float = 2.5, r: float = 2.5):
+def toy_bdd_setup(n: int, rng: np.random.Generator):
     """Rotated-Z^n toy family for exercising bdd_via_mimo end to end.
 
     All singular values equal 1, so the smoothing, distance-cap, progress and
-    statistical-hiding preconditions reduce to scalar inequalities that the
-    defaults satisfy for n <= 4.  Returns (params, instance, planted closest
-    point, width r).
+    statistical-hiding preconditions reduce to scalar inequalities that
+    M = 12, alpha = 3, k = r = 2.5 satisfy for n <= 4.  Returns (params,
+    instance, planted closest point, width r).
     """
+    M, alpha, k, r = 12, 3.0, 2.5, 2.5
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     basis = LatticeBasis(q)
     coeffs = rng.integers(-3 * M, 3 * M + 1, size=n)
@@ -336,7 +334,7 @@ def ber_experiment(p: SystemParams, trials: int, methods, rng,
             x = random_message(p, rng)
             y_b = transmit_to_bob(inst, x, p, rng, noise_scale=noise_scale)
             counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
-            _, y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
+            y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
             xs.append(x)
             ys.append(y_e)
             if "zf" in methods:

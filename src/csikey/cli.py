@@ -26,8 +26,8 @@ from .errors import ConfigurationError, CsikeyError, OptionError
 from .lattice import enumerate_cvp
 from .numerics import make_rng
 from .params import check_secrecy_constraints, design_table
-from .protocols import (CipherContext, KeyAgreementConfig, decrypt, encrypt,
-                        run_key_agreement)
+from .protocols import (VALID_CODERS, CipherContext, KeyAgreementConfig,
+                        decrypt, encrypt, run_key_agreement)
 from .wiretap import SystemParams, make_instance, sample_A_dist
 
 # One typed definition per option, for the flags and the --config keys:
@@ -39,7 +39,7 @@ OPTIONS = {
     "trials": (int, 100, None), "seed": (int, 0, None),
     "out": (str, None, None), "format": (str, "csv", ("csv", "json")),
     "eta": (int, 64, None),
-    "coder": (str, "repetition-3", ("none", "repetition-3")),
+    "coder": (str, "repetition-3", VALID_CODERS),
     "noise_scale": (float, 1.0, None),
 }
 DEFAULTS = {name: default for name, (_, default, _) in OPTIONS.items()}
@@ -61,14 +61,21 @@ class ExperimentConfig:
             merged["n"] = "80,128,196,256"  # the paper's dimensions
         if merged["trials"] < 1:
             raise ConfigurationError("trials must be >= 1")
+        if merged["seed"] < 0:
+            raise ConfigurationError("seed must be >= 0")
         if not 0 <= merged["noise_scale"] < math.inf:
             raise ConfigurationError("noise_scale must be finite and >= 0")
+        for name in (o for o, (typ, _, _) in OPTIONS.items() if typ is float):
+            if not abs(merged[name]) <= sys.float_info.max:  # no inf, nan, 10**400
+                raise ConfigurationError(f"{name} must be a finite float")
         self.options = merged
 
     def system_params(self) -> SystemParams:
         o = self.options
         n = int(o["n"])
         m_rx = int(o["m_rx"]) if o["m_rx"] is not None else 2 * n
+        if not 1 <= o["log2m"] <= 53:  # before 2 ** log2m, which can exhaust memory
+            raise ConfigurationError(f"log2m must lie in [1, 53], got {o['log2m']}")
         return SystemParams(n=n, m_rx=m_rx, M=2 ** int(o["log2m"]),
                             alpha=float(o["alpha"]), k=float(o["k"]),
                             m_slack=float(o["m_slack"]))
@@ -175,8 +182,8 @@ def _run_cipher(cfg: ExperimentConfig) -> list:
 
 def _run_reduction_demo(cfg: ExperimentConfig) -> list:
     n = int(cfg.options["n"])
-    if n > 4:
-        raise ConfigurationError("reduction-demo supports n <= 4")
+    if not 1 <= n <= 4:
+        raise ConfigurationError("reduction-demo supports 1 <= n <= 4")
     rng = make_rng(int(cfg.options["seed"]))
     rows = []
     for trial in range(int(cfg.options["trials"])):
@@ -199,8 +206,7 @@ def _run_decision_to_search(cfg: ExperimentConfig) -> list:
     for trial in range(int(cfg.options["trials"])):
         x = rng.integers(0, p.M, size=p.n)
         batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=p.alpha)
-        oracle = make_decision_oracle(p, noise_width=p.alpha)
-        rec = decision_to_search(batch, oracle, p, rng, noise_width=p.alpha)
+        rec = decision_to_search(batch, make_decision_oracle(p), p, rng)
         rows.append({"trial": trial, "recovered": bool(np.array_equal(rec, x))})
     return rows
 

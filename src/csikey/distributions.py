@@ -6,7 +6,6 @@ so its density is proportional to exp(-pi * x**2 / w**2).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,29 +99,16 @@ def sample_discrete_gaussian_int(width, center, rng: np.random.Generator):
     return out
 
 
-@dataclass
-class DiscreteGaussianSpec:
-    """D_{L,r} over the lattice spanned by the basis columns, centred at 0."""
-
-    basis: LatticeBasis
-    r: float
-
-    def __post_init__(self):
-        if not isinstance(self.basis, LatticeBasis):
-            self.basis = LatticeBasis(self.basis)
-        if self.r <= 0:
-            raise ParameterError("width r must be positive")
-
-
-def discrete_gaussian_sample(spec: DiscreteGaussianSpec, rng: np.random.Generator,
+def discrete_gaussian_sample(b: LatticeBasis, r: float, rng: np.random.Generator,
                              size: int = 1):
-    """Randomized nearest-plane (Klein) sampler over the supplied basis.
+    """Klein's randomized nearest-plane sampler of D_{L(b),r}, centred at 0.
 
     Returns (points, coeffs): points has shape (size, m), coeffs (size, n)
-    with points = coeffs @ basis.T exactly.
+    with points = coeffs @ b.T exactly.
     """
-    b = spec.basis
-    widths = spec.r / np.sqrt(b.gso[2])
+    if r <= 0:
+        raise ParameterError("width r must be positive")
+    widths = r / np.sqrt(b.gso[2])
     return nearest_plane(b, np.zeros((size, b.ambient_dim)), lambda i, c:
                          sample_discrete_gaussian_int(widths[i], c, rng))
 
@@ -136,5 +122,5 @@ def smoothing_upper_bound(basis: np.ndarray, epsilon: float) -> float:
     if not 0 < epsilon:
         raise ParameterError("epsilon must be positive")
     basis = LatticeBasis(basis)
-    lam_n = float(successive_minima(basis).values[-1])
+    lam_n = float(successive_minima(basis)[-1])
     return math.sqrt(math.log(2 * basis.rank * (1 + 1 / epsilon)) / math.pi) * lam_n

@@ -90,12 +90,6 @@ class ReductionResult:
         return self.transform @ coeffs
 
 
-@dataclass
-class MinimaEstimate:
-    values: np.ndarray  # lambda_1 .. lambda_j
-    exact: bool
-
-
 def int_rank_det(m) -> tuple[int, int]:
     """Exact (rank, det) of an integer matrix by one fraction-free (Bareiss)
     elimination; det is 0 unless the matrix is square of full rank."""
@@ -308,14 +302,13 @@ def enumerate_cvp(b: LatticeBasis, target: np.ndarray):
     return b.matrix @ coeffs, coeffs
 
 
-def successive_minima(b: LatticeBasis) -> MinimaEstimate:
+def successive_minima(b: LatticeBasis) -> np.ndarray:
     """lambda_1..lambda_n, exact by enumeration for n <= 8."""
     n = b.rank
     red = lll_reduce(b).reduced
     if n > ENUM_DIM_LIMIT:
         # Upper bounds from an LLL-reduced basis; not exact.
-        norms = np.sort(np.linalg.norm(red.matrix, axis=0))
-        return MinimaEstimate(norms, exact=False)
+        return np.sort(np.linalg.norm(red.matrix, axis=0))
     # The minima are at most the longest reduced column (a relative slack).
     radius2 = float(np.max(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9)
     cands = []
@@ -333,7 +326,7 @@ def successive_minima(b: LatticeBasis) -> MinimaEstimate:
             values.append(math.sqrt(d2))
             if len(chosen) == n:
                 break
-    return MinimaEstimate(np.array(values), exact=True)
+    return np.array(values)
 
 
 def dual_basis(b: LatticeBasis) -> LatticeBasis:

@@ -23,10 +23,6 @@ class SvdTriple(NamedTuple):
     sigma: np.ndarray
     V: np.ndarray
 
-    @property
-    def sigma_min(self) -> float:
-        return float(self.sigma[-1])
-
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Reproducible generator: identical (seed, stream) gives identical draws.

@@ -17,22 +17,16 @@ class ConstraintReport:
     noise_margin: float
     constellation_ok: bool
     log2M_required: float
-    log2M_actual: float
     snr_db: float
-    capacity_bits: float
 
 
-def _require_n(n: int):
+def required_log2M(n: int, m_slack: float = 1.0) -> float:
+    """Minimum log2 M: log2(m) + n * log2(log2 n) / log2(n)."""
     if n < 4:
         raise ParameterError(
             f"constellation constraint undefined for n < 4 (got {n}): "
             "log2 log2 n is non-positive"
         )
-
-
-def required_log2M(n: int, m_slack: float = 1.0) -> float:
-    """Minimum log2 M: log2(m) + n * log2(log2 n) / log2(n)."""
-    _require_n(n)
     return math.log2(m_slack) + n * math.log2(math.log2(n)) / math.log2(n)
 
 
@@ -62,18 +56,14 @@ def secrecy_capacity(n: int, log2M: float) -> float:
 
 def check_secrecy_constraints(p: SystemParams) -> ConstraintReport:
     """Evaluate the minimum-noise and constellation-size constraints."""
-    _require_n(p.n)
-    noise_margin = p.m_slack * p.alpha / p.k**2 - math.sqrt(p.n)
     log2m_req = required_log2M(p.n, p.m_slack)
-    log2m_act = math.log2(p.M)
+    noise_margin = p.m_slack * p.alpha / p.k**2 - math.sqrt(p.n)
     return ConstraintReport(
         noise_ok=noise_margin > 0,
         noise_margin=noise_margin,
-        constellation_ok=log2m_act > log2m_req,
+        constellation_ok=math.log2(p.M) > log2m_req,
         log2M_required=log2m_req,
-        log2M_actual=log2m_act,
         snr_db=max_snr_db(p.n, p.m_slack),
-        capacity_bits=secrecy_capacity(p.n, log2m_act),
     )
 
 

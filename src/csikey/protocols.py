@@ -13,21 +13,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .params import check_secrecy_constraints
+from .params import check_secrecy_constraints, secrecy_capacity
 from .wiretap import (SystemParams, WiretapInstance, bob_decode, make_instance,
-                      precode, random_message, transmit_to_bob)
+                      random_message, transmit_to_bob)
 
-CAPACITY_BASE = 1.01
 VALID_CODERS = ("none", "repetition-3")
-
-
-def symbol_bits(M: int) -> int:
-    return max(1, int(math.ceil(math.log2(M))))
 
 
 def encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
     """Canonical bit encoding: per symbol, ceil(log2 M) bits, little-endian."""
-    b = symbol_bits(M)
+    b = math.ceil(math.log2(M))  # M >= 2, so at least one bit
     x = np.asarray(x, dtype=np.int64)
     bits = (x[:, None] >> np.arange(b)) & 1
     return bits.reshape(-1).astype(np.uint8)
@@ -67,15 +62,11 @@ def universal_hash(seed: ToeplitzSeed, bits: np.ndarray) -> np.ndarray:
                        "valid") % 2
 
 
-def secrecy_bits_per_message(p: SystemParams) -> float:
-    return math.sqrt(p.n * math.log2(p.M) * math.log2(CAPACITY_BASE))
-
-
 def min_message_count(p: SystemParams, eta: int) -> int:
-    """Smallest c with 2c * sqrt(n log2M log2 1.01) strictly above eta."""
-    per = 2.0 * secrecy_bits_per_message(p)
+    """Smallest c with c times the secrecy capacity strictly above eta."""
+    per = secrecy_capacity(p.n, math.log2(p.M))
     c = max(1, int(math.ceil(eta / per)))
-    while 2 * c * secrecy_bits_per_message(p) <= eta:
+    while c * per <= eta:
         c += 1
     return c
 
@@ -183,7 +174,6 @@ class CipherContext:
 @dataclass
 class EncryptionResult:
     symbols: np.ndarray      # (s + (M/2) m) mod M, in [0, M)
-    precoded: np.ndarray     # V @ symbols
     channel_output: np.ndarray
 
 
@@ -198,7 +188,7 @@ def encrypt(ctx: CipherContext, m: np.ndarray, inst: WiretapInstance,
         raise ParameterError("message must be a length-n bit vector")
     symbols = (ctx.s + (p.M // 2) * m) % p.M
     y = transmit_to_bob(inst, symbols, p, rng, noise_scale=noise_scale)
-    return EncryptionResult(symbols, precode(inst, symbols), y)
+    return EncryptionResult(symbols, y)
 
 
 def decrypt(ctx: CipherContext, y: np.ndarray, inst: WiretapInstance) -> np.ndarray:

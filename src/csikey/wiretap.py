@@ -32,7 +32,7 @@ class SystemParams:
     alpha: float
     k: float = 1.0
     m_slack: float = 1.0
-    P: float | None = None
+    P: float = field(init=False)  # expected norm of a uniform [0, M)^n vector
 
     def __post_init__(self):
         if self.n < 1:
@@ -48,11 +48,7 @@ class SystemParams:
             raise ParameterError(f"m_rx must lie in [1, n^3], got {self.m_rx}")
         if self.m_rx > 16 * self.n:
             warnings.warn(f"m_rx={self.m_rx} above 16*n={16 * self.n}", stacklevel=2)
-        if self.P is None:
-            # Expected norm of a uniform [0, M)^n symbol vector.
-            self.P = math.sqrt(self.n * (self.M - 1) * (2 * self.M - 1) / 6.0)
-        if self.P <= 0:
-            raise ParameterError("P must be positive")
+        self.P = math.sqrt(self.n * (self.M - 1) * (2 * self.M - 1) / 6.0)
 
     @property
     def noise_width(self) -> float:
@@ -91,7 +87,7 @@ class WiretapInstance:
         An estimate that overflows (noise that dwarfs the channel) raises
         NumericalError."""
         tri = self.svdA
-        if not tri.sigma_min > SIGMA_FLOOR * tri.sigma[0]:
+        if not tri.sigma[-1] > SIGMA_FLOOR * tri.sigma[0]:
             raise DegenerateBasisError("channel matrix numerically rank deficient")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
             est = (tri.U.T @ np.asarray(y, dtype=float)) / tri.sigma
@@ -154,11 +150,11 @@ def bob_decode(inst: WiretapInstance, y: np.ndarray, p: SystemParams) -> np.ndar
 
 def eve_receive(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
                 rng: np.random.Generator, noise_scale: float = 1.0):
-    """Eve's effective channel G = B V and observation y = G x + e."""
+    """Eve's observation y = G x + e through her effective channel G = B V."""
     y = inst.G @ np.asarray(x, dtype=float)
     if noise_scale > 0:
         y = y + psi_sample(p.noise_width * noise_scale, rng, size=y.shape)
-    return inst.G, y
+    return y
 
 
 def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,

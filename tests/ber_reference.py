@@ -22,7 +22,8 @@ def reference_ber_experiment(p, trials, methods, rng, seed=0,
         x = random_message(p, rng)
         y_b = transmit_to_bob(inst, x, p, rng, noise_scale=noise_scale)
         counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
-        g, y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
+        g = inst.G
+        y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
         if "zf" in methods:
             est = np.rint(pseudo_inverse(g) @ y_e).astype(np.int64)
             counts["zf"] += int(np.sum(np.clip(est, 0, p.M - 1) != x))

@@ -184,21 +184,21 @@ def test_error_handling_search_with_unknown_beta():
 def test_decision_to_search_recovers():
     p = _params()
     rng = make_rng(5)
-    oracle = make_decision_oracle(p, noise_width=p.alpha)
+    oracle = make_decision_oracle(p)
     for _ in range(20):
         x = rng.integers(0, p.M, size=p.n)
         batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=p.alpha)
         assert np.array_equal(
-            decision_to_search(batch, oracle, p, rng, noise_width=p.alpha), x)
+            decision_to_search(batch, oracle, p, rng), x)
 
 
 def test_decision_to_search_rejects_structure_free():
     p = _params()
     rng = make_rng(6)
-    oracle = make_decision_oracle(p, noise_width=p.alpha)
+    oracle = make_decision_oracle(p)
     batch = sample_R_dist(p, rng, count=64 * p.n)
     with pytest.raises(ReductionFailureError):
-        decision_to_search(batch, oracle, p, rng, noise_width=p.alpha)
+        decision_to_search(batch, oracle, p, rng)
 
 
 def test_bdd_precondition_errors():

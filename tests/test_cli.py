@@ -145,10 +145,26 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
                  ["key-agreement", "--m-slack", "1e-300"],
                  ["params-table", "--m-slack", "1e-300"],
                  ["params-table", "--n", "4", "--m-slack", "1e-170"],
-                 ["params-table", "--n", "4", "--m-slack", "1e300"]):
+                 ["params-table", "--n", "4", "--m-slack", "1e300"],
+                 # An n list that is not all integers, or above a demo's range.
+                 ["params-table", "--n", "8,x"],
+                 ["reduction-demo", "--n", "5"],
+                 ["decision-to-search", "--n", "5"],
+                 # Found by the sweep in test_cli_sweep.py: a negative seed or
+                 # n, a log2m whose 2^log2m has more than 4300 digits, and an
+                 # unused float that JSON cannot hold.
+                 ["ber", "--seed", "-1"], ["reduction-demo", "--n", "-1"],
+                 ["ber", "--log2m", "20000"],
+                 ["params-table", "--alpha", "inf", "--format", "json"]):
         assert main(argv) == 1, argv
         assert "error:" in capsys.readouterr().err
+    # A config integer beyond the float range, for a float option.
+    (tmp_path / "big.json").write_text('{"alpha": 1%s}' % ("0" * 400))
+    assert main(["ber", "--n", "4", "--config", str(tmp_path / "big.json")]) == 1
+    assert "error: alpha must be a finite float" in capsys.readouterr().err
     assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2
+    assert main(["params-table", "--out", str(tmp_path / "no" / "out.csv")]) == 2
+    assert "error: cannot write output" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["ber", "key-agreement", "cipher"])

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from csikey.attacks import toy_bdd_setup
-from csikey.distributions import (DiscreteGaussianSpec, discrete_gaussian_sample,
-                                  psi_sample, psi_std,
+from csikey.distributions import (discrete_gaussian_sample, psi_sample, psi_std,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
 from csikey.lattice import LatticeBasis, dual_basis, lll_reduce, successive_minima
@@ -122,8 +121,8 @@ def test_integer_sampler_keeps_draws_from_width_1():
 
 def test_discrete_gaussian_z1_support_and_pmf():
     rng = make_rng(5)
-    spec = DiscreteGaussianSpec(np.array([[2.0]]), 3.0)
-    pts, coeffs = discrete_gaussian_sample(spec, rng, size=20000)
+    pts, coeffs = discrete_gaussian_sample(LatticeBasis(np.array([[2.0]])), 3.0,
+                                           rng, size=20000)
     assert np.all(pts % 2 == 0)
     assert np.allclose(pts[:, 0], 2.0 * coeffs[:, 0])
 
@@ -131,8 +130,8 @@ def test_discrete_gaussian_z1_support_and_pmf():
 def test_discrete_gaussian_exact_lattice_points():
     rng = make_rng(7)
     basis = np.array([[2.0, 1.0], [0.0, 3.0]])
-    spec = DiscreteGaussianSpec(basis, 20.0)
-    pts, coeffs = discrete_gaussian_sample(spec, rng, size=1000)
+    pts, coeffs = discrete_gaussian_sample(LatticeBasis(basis), 20.0, rng,
+                                           size=1000)
     assert np.max(np.abs(pts - coeffs @ basis.T)) <= 1e-9
 
 
@@ -151,7 +150,7 @@ def test_klein_sampler_matches_reference_loop():
     # Same seed, same draws in the same order: identical points and coeffs.
     for seed, (basis, r) in enumerate(_klein_cases()):
         pts, coeffs = discrete_gaussian_sample(
-            DiscreteGaussianSpec(basis, r), make_rng(seed), size=2000)
+            LatticeBasis(basis), r, make_rng(seed), size=2000)
         ref_pts, ref_coeffs = klein_reference(basis, r, make_rng(seed), 2000)
         assert np.array_equal(coeffs, ref_coeffs)
         assert np.array_equal(pts, ref_pts)
@@ -174,7 +173,7 @@ def test_smoothing_upper_bound_takes_exact_lambda_n_at_n7():
     # The longest LLL-reduced column (2.95) exceeds lambda_7 (2.58) here; the
     # bound is the exact one.
     b = np.random.default_rng(6).normal(size=(7, 7))
-    lam7 = successive_minima(LatticeBasis(b)).values[-1]
+    lam7 = successive_minima(LatticeBasis(b))[-1]
     reduced = lll_reduce(LatticeBasis(b)).reduced.matrix
     assert np.max(np.linalg.norm(reduced, axis=0)) > 1.1 * lam7
     factor = math.sqrt(math.log(2 * 7 * (1 + 1 / 0.1)) / math.pi)

@@ -1,0 +1,89 @@
+"""Every library input check raises its typed error on the input it guards."""
+
+import numpy as np
+import pytest
+
+from csikey.attacks import (BddInstance, ber_experiment, decision_to_search,
+                            make_decision_oracle, verify_solution)
+from csikey.distributions import (discrete_gaussian_sample, psi_sample,
+                                  sample_discrete_gaussian_int,
+                                  smoothing_upper_bound, tvd_gaussians)
+from csikey.errors import (DegenerateBasisError, DimensionGuardError,
+                           ParameterError)
+from csikey.lattice import LatticeBasis, enumerate_cvp
+from csikey.numerics import gram_schmidt, make_rng
+from csikey.params import secrecy_capacity
+from csikey.protocols import (CipherContext, KeyAgreementConfig, ToeplitzSeed,
+                              encrypt)
+from csikey.wiretap import (SampleBatch, SystemParams, make_instance, precode,
+                            sample_A_dist, sample_R_dist)
+
+P = SystemParams(n=4, m_rx=8, M=4, alpha=1.0)
+RNG = make_rng(0)
+EMPTY = SampleBatch(a=np.zeros((0, 4)), y=np.zeros(0))
+
+CHECKS = {  # name: (error, message pattern, call)
+    # attacks
+    "bdd-bound-zero": (ParameterError, "bound_d must be positive", lambda:
+        BddInstance(LatticeBasis(np.eye(2)), np.zeros(2), 0.0)),
+    "verify-empty-batch": (ParameterError, "empty batch", lambda:
+        verify_solution(EMPTY, np.zeros(4), P)),
+    "decision-M-above-16": (DimensionGuardError, "M <= 16", lambda:
+        decision_to_search(EMPTY, make_decision_oracle(P),
+                           SystemParams(n=4, m_rx=8, M=32, alpha=1.0), RNG)),
+    "ber-zero-trials": (ParameterError, "trials must be >= 1", lambda:
+        ber_experiment(P, 0, ["zf"], RNG)),
+    # distributions
+    "psi-width-zero": (ParameterError, "width must be positive", lambda:
+        psi_sample(0.0, RNG)),
+    "tvd-width-negative": (ParameterError, "widths must be positive", lambda:
+        tvd_gaussians(1.0, -1.0)),
+    "dgauss-int-width-zero": (ParameterError, "width must be positive", lambda:
+        sample_discrete_gaussian_int(0.0, 0.0, RNG)),
+    "klein-r-zero": (ParameterError, "width r must be positive", lambda:
+        discrete_gaussian_sample(LatticeBasis(np.eye(2)), 0.0, RNG)),
+    "smoothing-epsilon-zero": (ParameterError, "epsilon must be positive",
+                               lambda: smoothing_upper_bound(np.eye(2), 0.0)),
+    # lattice
+    "basis-vector": (DegenerateBasisError, ">= 1 column", lambda:
+        LatticeBasis(np.ones(3))),
+    "basis-no-columns": (DegenerateBasisError, ">= 1 column", lambda:
+        LatticeBasis(np.zeros((3, 0)))),
+    "cvp-rank-9": (DimensionGuardError, "exact CVP limited", lambda:
+        enumerate_cvp(LatticeBasis(np.eye(9)), np.zeros(9))),
+    # numerics
+    "gso-wide-matrix": (DegenerateBasisError, "3 columns in dimension 2",
+                        lambda: gram_schmidt(np.ones((2, 3)))),
+    # params
+    "capacity-n-zero": (ParameterError, "need n >= 1", lambda:
+        secrecy_capacity(0, 4.0)),
+    "capacity-log2M-zero": (ParameterError, "log2M > 0", lambda:
+        secrecy_capacity(4, 0.0)),
+    # protocols
+    "toeplitz-seed-length": (ParameterError, "seed length", lambda:
+        ToeplitzSeed(np.zeros(5), 4, 4)),
+    "key-agreement-eta-zero": (ParameterError, "eta must be >= 1", lambda:
+        KeyAgreementConfig(P, 0)),
+    "cipher-secret-shape": (ParameterError, "one symbol per antenna", lambda:
+        CipherContext(np.zeros(3), P)),
+    "cipher-secret-range": (ParameterError, r"lie in \[0, M\)", lambda:
+        CipherContext(np.array([0, 1, 2, 4]), P)),
+    "encrypt-not-bits": (ParameterError, "bit vector", lambda:
+        encrypt(CipherContext(np.zeros(4), P), np.array([0, 1, 2, 0]),
+                make_instance(P, RNG), RNG)),
+    # wiretap
+    "params-n-zero": (ParameterError, "n must be >= 1", lambda:
+        SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
+    "precode-dimension": (ParameterError, "message dimension", lambda:
+        precode(make_instance(P, RNG), np.zeros(3))),
+    "A-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
+        sample_A_dist(np.zeros(4), P, RNG, count=0)),
+    "R-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
+        sample_R_dist(P, RNG, count=0)),
+}
+
+
+@pytest.mark.parametrize("error,message,call", CHECKS.values(), ids=CHECKS)
+def test_input_check_raises_typed_error(error, message, call):
+    with pytest.raises(error, match=message):
+        call()

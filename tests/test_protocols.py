@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from csikey.errors import ConfigurationError, ParameterError
 from csikey.numerics import make_rng
+from csikey.params import secrecy_capacity
 from csikey.protocols import (CipherContext, KeyAgreementConfig, ToeplitzSeed,
                               _majority_vote, bits_to_hex, decrypt,
                               encode_symbols, encrypt, min_message_count,
-                              run_key_agreement, secrecy_bits_per_message,
-                              universal_hash)
+                              run_key_agreement, universal_hash)
 from csikey.wiretap import SystemParams, make_instance
 from protocol_reference import (dense_hash, reference_key_agreement,
                                 toeplitz_matrix, unique_vote)
@@ -81,8 +83,9 @@ def test_key_agreement_config_capacity_gate():
     p = _params()
     eta = 64
     c = min_message_count(p, eta)
-    assert 2 * c * secrecy_bits_per_message(p) > eta
-    assert 2 * (c - 1) * secrecy_bits_per_message(p) <= eta or c == 1
+    per = secrecy_capacity(p.n, math.log2(p.M))
+    assert c * per > eta
+    assert (c - 1) * per <= eta or c == 1
     assert KeyAgreementConfig(p, eta).c == c
     with pytest.raises(ConfigurationError):
         KeyAgreementConfig(p, eta=8, coder="bogus")

@@ -138,11 +138,10 @@ def test_eve_noiseless_and_invariance():
     rng = make_rng(6)
     inst = make_instance(p, rng)
     x = random_message(p, rng)
-    g, y = eve_receive(inst, x, p, rng, noise_scale=0.0)
-    assert np.allclose(y, g @ x)
-    entries = np.concatenate([
-        eve_receive(make_instance(p, rng), x, p, rng)[0].ravel()
-        for _ in range(700)])
+    y = eve_receive(inst, x, p, rng, noise_scale=0.0)
+    assert np.allclose(y, inst.G @ x)
+    entries = np.concatenate([make_instance(p, rng).G.ravel()
+                              for _ in range(700)])
     se = np.std(entries) / math.sqrt(entries.size)
     assert abs(np.mean(entries)) < 3 * se
     assert stats.kstest(entries[:10**4], "norm",
