@@ -15,13 +15,13 @@ import numpy as np
 
 from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
                             smoothing_upper_bound)
-from .errors import (ConfigurationError, DimensionGuardError, NumericalError,
-                     ParameterError, ReductionFailureError, SearchFailureError)
+from .errors import (ConfigurationError, DimensionGuardError, ParameterError,
+                     ReductionFailureError, SearchFailureError)
 from .lattice import (LatticeBasis, ReductionResult, closest_point, dual_basis,
                       lattice_bases, lll_reduce, nearest_plane)
 from .numerics import SvdTriple, pseudo_inverse, svd
 from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
-    transmit_to_bob, bob_decode, eve_receive
+    transmit_to_bob, bob_decode, eve_receive, hard_decision
 
 ML_SPACE_GUARD = 10**7
 BER_CHUNK = 64  # ber trials per stacked factoring; bounds the memory held at once
@@ -46,11 +46,9 @@ class BddInstance:
 
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     """Zero-forcing: per-symbol rounding and clamping of g_pinv y."""
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        est = np.rint(g_pinv @ np.asarray(y, dtype=float))
-    if not np.all(np.isfinite(est)):
-        raise NumericalError("a zero-forcing estimate is not finite")
-    return DecoderOutcome(np.clip(est, 0, M - 1).astype(np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):  # hard_decision raises
+        est = g_pinv @ np.asarray(y, dtype=float)
+    return DecoderOutcome(hard_decision(est, M))
 
 
 def babai_attack(reds: list[ReductionResult], y: np.ndarray,
@@ -63,7 +61,7 @@ def babai_attack(reds: list[ReductionResult], y: np.ndarray,
     _, coeffs = nearest_plane(stack, np.asarray(y, dtype=float)[:, None],
                               lambda i, c: np.rint(c))
     est = [r.original_coeffs(z) for r, z in zip(reds, coeffs[:, 0])]
-    return DecoderOutcome(np.clip(est, 0, M - 1))
+    return DecoderOutcome(hard_decision(est, M))
 
 
 def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int,
@@ -113,14 +111,15 @@ def verify_solution(batch: SampleBatch, candidate: np.ndarray, p: SystemParams,
 def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
                           rng: np.random.Generator) -> np.ndarray:
     """Solve from samples with unknown noise width beta <= alpha by padding
-    with widths from a grid of multiples of n^-2 * alpha^2 (at most 10^4)."""
+    with widths from a grid of multiples of n^-2 * alpha^2 (at most 10^4).
+    The oracle is deterministic, so the unpadded batch gets one try."""
     n = p.n
     step = p.alpha**2 * n ** -2.0
     npoints = min(int(math.floor(p.alpha**2 / step)) + 1, 10**4)
     for idx in range(npoints):
         gamma = idx * step
         padded_width = math.sqrt(p.alpha**2 + gamma)
-        for _ in range(max(1, n)):
+        for _ in range(max(1, n) if gamma > 0 else 1):
             if gamma > 0:
                 pad = psi_sample(math.sqrt(gamma), rng, size=len(batch))
                 padded = SampleBatch(a=batch.a, y=batch.y + pad)
@@ -286,20 +285,6 @@ def toy_bdd_setup(n: int, rng: np.random.Generator):
     return p, BddInstance(basis, target, bound_d), point, r
 
 
-@dataclass
-class BerResult:
-    method: str
-    n: int
-    M: int
-    alpha: float
-    k: float
-    trials: int
-    ser: float
-    ser_ci_low: float
-    ser_ci_high: float
-    seed: int
-
-
 def _binom_ci(errors: int, total: int):
     p_hat = errors / total
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / total)
@@ -307,7 +292,7 @@ def _binom_ci(errors: int, total: int):
 
 
 def ber_experiment(p: SystemParams, trials: int, methods, rng,
-                   seed: int = 0, noise_scale: float = 1.0) -> list[BerResult]:
+                   noise_scale: float = 1.0) -> list[dict]:
     """Monte Carlo symbol-error-rate comparison.  Bob's SVD decoder is
     always measured alongside the requested eavesdropper methods.  Each chunk
     of trials first draws and factors its channels in stacked calls."""
@@ -347,9 +332,10 @@ def ber_experiment(p: SystemParams, trials: int, methods, rng,
                 est = exact_ml_decode(inst.G, y_e, p.M, basis=basis).estimate
                 counts["ml"] += int(np.sum(est != x))
     total = trials * p.n
-    results = []
+    rows = []
     for method, errs in sorted(counts.items()):
         lo, hi = _binom_ci(errs, total)
-        results.append(BerResult(method, p.n, p.M, p.alpha, p.k, trials,
-                                 errs / total, lo, hi, seed))
-    return results
+        rows.append({"method": method, "n": p.n, "M": p.M, "alpha": p.alpha,
+                     "k": p.k, "trials": trials, "ser": errs / total,
+                     "ser_ci_low": lo, "ser_ci_high": hi})
+    return rows

@@ -13,7 +13,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +81,6 @@ class ExperimentConfig:
                             m_slack=float(o["m_slack"]))
 
 
-@dataclass
-class ExperimentRecord:
-    config: dict
-    results: list
-    version: str
-    git_describe: str
-
-
 @functools.cache
 def _git_describe() -> str:
     """`git describe` of this package's own tree, once per process."""
@@ -118,11 +110,11 @@ def rows_to_csv(rows: list) -> str:
 
 
 def _warn_gate(p: SystemParams):
-    gate = check_secrecy_constraints(p)
-    if not (gate.noise_ok and gate.constellation_ok):
+    noise_ok, constellation_ok = check_secrecy_constraints(p)
+    if not (noise_ok and constellation_ok):
         print(f"warning: parameters violate the secrecy constraint gate "
-              f"(noise_ok={gate.noise_ok}, constellation_ok="
-              f"{gate.constellation_ok})", file=sys.stderr)
+              f"(noise_ok={noise_ok}, constellation_ok={constellation_ok})",
+              file=sys.stderr)
 
 
 def _run_params_table(cfg: ExperimentConfig) -> list:
@@ -140,10 +132,9 @@ def _run_ber(cfg: ExperimentConfig) -> list:
     methods = ["zf", "babai"]
     if p.M ** p.n <= min(ML_SPACE_GUARD, 10**5):
         methods.append("ml")
-    results = ber_experiment(p, int(cfg.options["trials"]), methods,
-                             make_rng(seed), seed=seed,
-                             noise_scale=float(cfg.options["noise_scale"]))
-    return [asdict(r) for r in results]
+    rows = ber_experiment(p, int(cfg.options["trials"]), methods, make_rng(seed),
+                          noise_scale=float(cfg.options["noise_scale"]))
+    return [{**row, "seed": seed} for row in rows]
 
 
 def _run_key_agreement(cfg: ExperimentConfig) -> list:
@@ -172,8 +163,8 @@ def _run_cipher(cfg: ExperimentConfig) -> list:
     for _ in range(trials):
         inst = make_instance(p, rng)
         m = rng.integers(0, 2, size=p.n)
-        enc = encrypt(ctx, m, inst, rng, noise_scale=scale)
-        bit_errors += int(np.sum(decrypt(ctx, enc.channel_output, inst) != m))
+        y = encrypt(ctx, m, inst, rng, noise_scale=scale)
+        bit_errors += int(np.sum(decrypt(ctx, y, inst) != m))
     total = trials * p.n
     return [{"n": p.n, "M": p.M, "alpha": p.alpha, "k": p.k, "trials": trials,
              "bits": total, "bit_errors": bit_errors,
@@ -221,22 +212,19 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig) -> ExperimentRecord:
+def run(cfg: ExperimentConfig) -> dict:
     results = _RUNNERS[cfg.subcommand](cfg)
     echo = {k: v for k, v in cfg.options.items() if k != "out"}
-    return ExperimentRecord(
-        config={"subcommand": cfg.subcommand, **echo},
-        results=results,
-        version=__version__,
-        git_describe=_git_describe(),
-    )
+    return {"config": {"subcommand": cfg.subcommand, **echo},
+            "results": results, "version": __version__,
+            "git_describe": _git_describe()}
 
 
-def render(record: ExperimentRecord, fmt: str) -> str:
+def render(record: dict, fmt: str) -> str:
     if fmt == "csv":
-        header = f"# config: {json.dumps(record.config, sort_keys=True)}\n"
-        return header + rows_to_csv(record.results)
-    return json.dumps(asdict(record), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        header = f"# config: {json.dumps(record['config'], sort_keys=True)}\n"
+        return header + rows_to_csv(record["results"])
+    return json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

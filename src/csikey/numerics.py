@@ -11,7 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBasisError, IllConditionedError, NumericalError
+from .errors import (DegenerateBasisError, IllConditionedError, NumericalError,
+                     ParameterError)
 
 COND_LIMIT = 1e12
 
@@ -30,6 +31,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Streams with distinct ids are statistically independent, which is what
     Monte Carlo workers use.
     """
+    if seed < 0 or stream < 0:
+        raise ParameterError(f"seed and stream must be >= 0, got {seed}, {stream}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.default_rng(ss)
 

@@ -5,19 +5,9 @@ the only base reproducing the published example parameter sets.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 from .wiretap import SystemParams
-
-
-@dataclass
-class ConstraintReport:
-    noise_ok: bool
-    noise_margin: float
-    constellation_ok: bool
-    log2M_required: float
-    snr_db: float
 
 
 def required_log2M(n: int, m_slack: float = 1.0) -> float:
@@ -54,17 +44,11 @@ def secrecy_capacity(n: int, log2M: float) -> float:
     return 2.0 * math.sqrt(n * log2M * math.log2(1.01))
 
 
-def check_secrecy_constraints(p: SystemParams) -> ConstraintReport:
-    """Evaluate the minimum-noise and constellation-size constraints."""
-    log2m_req = required_log2M(p.n, p.m_slack)
-    noise_margin = p.m_slack * p.alpha / p.k**2 - math.sqrt(p.n)
-    return ConstraintReport(
-        noise_ok=noise_margin > 0,
-        noise_margin=noise_margin,
-        constellation_ok=math.log2(p.M) > log2m_req,
-        log2M_required=log2m_req,
-        snr_db=max_snr_db(p.n, p.m_slack),
-    )
+def check_secrecy_constraints(p: SystemParams) -> tuple[bool, bool]:
+    """(noise_ok, constellation_ok): m alpha / k^2 > sqrt(n), log2 M > its minimum."""
+    max_snr_db(p.n, p.m_slack)  # rejects an m_slack off the normal floats
+    return (p.m_slack * p.alpha / p.k**2 > math.sqrt(p.n),
+            math.log2(p.M) > required_log2M(p.n, p.m_slack))
 
 
 def design_table(ns, m_slack: float = 1.0):

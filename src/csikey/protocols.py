@@ -117,7 +117,7 @@ def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator,
     NumericalError.
     """
     p = cfg.p
-    gate = check_secrecy_constraints(p)
+    gate_ok = all(check_secrecy_constraints(p))
     alice_bits = []
     bob_bits = []
     messages = []
@@ -142,7 +142,7 @@ def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator,
         "c": cfg.c,
         "coder": cfg.coder,
         "encoding": "per-symbol little-endian, ceil(log2 M) bits",
-        "constraint_gate_ok": bool(gate.noise_ok and gate.constellation_ok),
+        "constraint_gate_ok": gate_ok,
         "messages": messages,
         "message_errors": errors,
         "hash_seed": bits_to_hex(seed.bits),
@@ -171,15 +171,9 @@ class CipherContext:
         return cls(rng.integers(0, p.M, size=p.n), p)
 
 
-@dataclass
-class EncryptionResult:
-    symbols: np.ndarray      # (s + (M/2) m) mod M, in [0, M)
-    channel_output: np.ndarray
-
-
 def encrypt(ctx: CipherContext, m: np.ndarray, inst: WiretapInstance,
-            rng: np.random.Generator, noise_scale: float = 1.0) -> EncryptionResult:
-    """Transmit V((s + (M/2) m) mod M) through a fresh channel instance."""
+            rng: np.random.Generator, noise_scale: float = 1.0) -> np.ndarray:
+    """Channel output y of V((s + (M/2) m) mod M) through a fresh instance."""
     p = ctx.p
     if p.M % 2 != 0:
         raise ConfigurationError("cipher requires even M so that M/2 is a symbol")
@@ -187,8 +181,7 @@ def encrypt(ctx: CipherContext, m: np.ndarray, inst: WiretapInstance,
     if m.shape != (p.n,) or np.any((m != 0) & (m != 1)):
         raise ParameterError("message must be a length-n bit vector")
     symbols = (ctx.s + (p.M // 2) * m) % p.M
-    y = transmit_to_bob(inst, symbols, p, rng, noise_scale=noise_scale)
-    return EncryptionResult(symbols, y)
+    return transmit_to_bob(inst, symbols, p, rng, noise_scale=noise_scale)
 
 
 def decrypt(ctx: CipherContext, y: np.ndarray, inst: WiretapInstance) -> np.ndarray:

@@ -38,7 +38,9 @@ class SystemParams:
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if not 2 <= self.M <= 2**53:  # symbols stay exact float64 integers
-            raise ParameterError(f"M must lie in [2, 2^53], got {self.M}")
+            big = isinstance(self.M, int) and self.M > 2**64  # too long to print
+            got = f"a {self.M.bit_length()}-bit M" if big else self.M
+            raise ParameterError(f"M must lie in [2, 2^53], got {got}")
         for name in ("alpha", "k", "m_slack"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be positive and finite")
@@ -143,9 +145,17 @@ def transmit_to_bob(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
     return y
 
 
+def hard_decision(est, M: int) -> np.ndarray:
+    """Nearest symbols in [0, M) as int64; NumericalError if one is not finite."""
+    est = np.rint(est)
+    if not np.all(np.isfinite(est)):
+        raise NumericalError("a symbol estimate is not finite")
+    return np.clip(est, 0, M - 1).astype(np.int64)
+
+
 def bob_decode(inst: WiretapInstance, y: np.ndarray, p: SystemParams) -> np.ndarray:
     """Receiver shaping U^T y then per-stream rounding by 1/sigma_i."""
-    return np.clip(np.rint(inst.invert(y)), 0, p.M - 1).astype(np.int64)
+    return hard_decision(inst.invert(y), p.M)
 
 
 def eve_receive(inst: WiretapInstance, x: np.ndarray, p: SystemParams,

@@ -5,7 +5,7 @@ Gram-Schmidt, the per-basis LLL) and draws from rng in the same order.
 
 import numpy as np
 
-from csikey.attacks import BerResult, _binom_ci, exact_ml_decode
+from csikey.attacks import _binom_ci, exact_ml_decode
 from csikey.lattice import LatticeBasis
 from csikey.numerics import pseudo_inverse
 from csikey.wiretap import (bob_decode, eve_receive, make_instance,
@@ -13,8 +13,7 @@ from csikey.wiretap import (bob_decode, eve_receive, make_instance,
 from lattice_reference import babai_nearest_plane, lll_per_basis
 
 
-def reference_ber_experiment(p, trials, methods, rng, seed=0,
-                             noise_scale=1.0):
+def reference_ber_experiment(p, trials, methods, rng, noise_scale=1.0):
     methods = set(methods)
     counts = dict.fromkeys(["bob", *methods], 0)
     for _ in range(trials):
@@ -36,6 +35,10 @@ def reference_ber_experiment(p, trials, methods, rng, seed=0,
             est = exact_ml_decode(g, y_e, p.M).estimate
             counts["ml"] += int(np.sum(est != x))
     total = trials * p.n
-    return [BerResult(m, p.n, p.M, p.alpha, p.k, trials, errs / total,
-                      *_binom_ci(errs, total), seed)
-            for m, errs in sorted(counts.items())]
+    rows = []
+    for m, errs in sorted(counts.items()):
+        lo, hi = _binom_ci(errs, total)
+        rows.append({"method": m, "n": p.n, "M": p.M, "alpha": p.alpha,
+                     "k": p.k, "trials": trials, "ser": errs / total,
+                     "ser_ci_low": lo, "ser_ci_high": hi})
+    return rows

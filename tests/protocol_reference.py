@@ -53,7 +53,7 @@ def reference_key_agreement(cfg, rng):
     """run_key_agreement with the full SVD, the loop vote and the dense
     hash; it draws from rng in the same order."""
     p = cfg.p
-    gate = check_secrecy_constraints(p)
+    gate_ok = all(check_secrecy_constraints(p))
     reps = 3 if cfg.coder == "repetition-3" else 1
     alice_bits, bob_bits, messages = [], [], []
     errors = 0
@@ -81,7 +81,7 @@ def reference_key_agreement(cfg, rng):
         "c": cfg.c,
         "coder": cfg.coder,
         "encoding": "per-symbol little-endian, ceil(log2 M) bits",
-        "constraint_gate_ok": bool(gate.noise_ok and gate.constellation_ok),
+        "constraint_gate_ok": gate_ok,
         "messages": messages,
         "message_errors": errors,
         "hash_seed": bits_to_hex(seed.bits),

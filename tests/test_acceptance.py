@@ -76,9 +76,8 @@ def test_acceptance_03_noiseless_correctness():
             bob_exact += np.array_equal(bob_decode(inst, y, p), x)
             ctx = CipherContext.random(p, rng)
             m = rng.integers(0, 2, size=n)
-            enc = encrypt(ctx, m, inst, rng, noise_scale=0.0)
-            cipher_exact += np.array_equal(
-                decrypt(ctx, enc.channel_output, inst), m)
+            y = encrypt(ctx, m, inst, rng, noise_scale=0.0)
+            cipher_exact += np.array_equal(decrypt(ctx, y, inst), m)
             trials += 1
     elapsed = time.monotonic() - start
     ok = bob_exact == trials == cipher_exact and elapsed < 30.0
@@ -263,18 +262,17 @@ def test_acceptance_13_attack_separation():
     k = 0.002
     p = SystemParams(n=16, m_rx=16, M=256, alpha=1.05 * math.sqrt(16) * k**2,
                      k=k)
-    res = {r.method: r
-           for r in ber_experiment(p, 2000, ["zf", "babai"], make_rng(1300),
-                                   seed=1300)}
+    res = {r["method"]: r
+           for r in ber_experiment(p, 2000, ["zf", "babai"], make_rng(1300))}
     bob, zf, babai = res["bob"], res["zf"], res["babai"]
-    ok = (bob.ser < zf.ser and bob.ser < babai.ser
-          and bob.ser_ci_high < zf.ser_ci_low
-          and bob.ser_ci_high < babai.ser_ci_low)
+    ok = (bob["ser"] < zf["ser"] and bob["ser"] < babai["ser"]
+          and bob["ser_ci_high"] < zf["ser_ci_low"]
+          and bob["ser_ci_high"] < babai["ser_ci_low"])
     _report(13, ok,
             f"attack separation at minimum-noise parameters: Bob SER "
-            f"{bob.ser:.4f} [{bob.ser_ci_low:.4f},{bob.ser_ci_high:.4f}] vs "
-            f"ZF {zf.ser:.4f} [{zf.ser_ci_low:.4f},-] and Babai "
-            f"{babai.ser:.4f} [{babai.ser_ci_low:.4f},-], CIs disjoint")
+            f"{bob['ser']:.4f} [{bob['ser_ci_low']:.4f},{bob['ser_ci_high']:.4f}] "
+            f"vs ZF {zf['ser']:.4f} [{zf['ser_ci_low']:.4f},-] and Babai "
+            f"{babai['ser']:.4f} [{babai['ser_ci_low']:.4f},-], CIs disjoint")
 
 
 def test_acceptance_14_protocol_correctness():
@@ -294,9 +292,9 @@ def test_acceptance_14_protocol_correctness():
     while bits < 10**4:
         inst = make_instance(p, rng)
         m = rng.integers(0, 2, size=p.n)
-        enc = encrypt(ctx, m, inst, rng, noise_scale=0.0)
+        y = encrypt(ctx, m, inst, rng, noise_scale=0.0)
         wrong = CipherContext.random(p, rng)
-        errs += int(np.sum(decrypt(wrong, enc.channel_output, inst) != m))
+        errs += int(np.sum(decrypt(wrong, y, inst) != m))
         bits += p.n
     ber = errs / bits
     ok = implication_ok and clean_runs > 0 and abs(ber - 0.5) <= 0.05

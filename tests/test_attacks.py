@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csikey import attacks, cli
-from csikey.attacks import (BddInstance, BerResult, bdd_sample_count,
+from csikey.attacks import (BddInstance, bdd_sample_count,
                             bdd_via_mimo, ber_experiment, babai_attack,
                             decision_to_search, error_handling_search,
                             exact_ml_decode, make_decision_oracle,
@@ -12,7 +12,7 @@ from csikey.attacks import (BddInstance, BerResult, bdd_sample_count,
                             verify_solution, zf_decode)
 from csikey.errors import (ConfigurationError, DegenerateBasisError,
                            DimensionGuardError, NumericalError,
-                           ReductionFailureError)
+                           ReductionFailureError, SearchFailureError)
 from csikey.lattice import (LatticeBasis, enumerate_cvp, lattice_bases,
                             lll_reduce)
 from csikey.numerics import make_rng, pseudo_inverse
@@ -181,6 +181,44 @@ def test_error_handling_search_with_unknown_beta():
         assert np.array_equal(error_handling_search(batch, oracle, p, rng), x)
 
 
+def _wrong_until(calls, x, M, right_from):
+    """Stub search oracle: records each batch, answers x from call
+    right_from on (never if None) and a wrong vector before."""
+
+    def oracle(batch):
+        calls.append(batch)
+        right = right_from is not None and len(calls) >= right_from
+        return x if right else (x + 1) % M
+
+    return oracle
+
+
+def test_error_handling_search_pads_when_unpadded_answer_fails():
+    p = _params()
+    rng = make_rng(20)
+    x = rng.integers(0, p.M, size=p.n)
+    batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=p.alpha / 2)
+    calls = []
+    got = error_handling_search(batch, _wrong_until(calls, x, p.M, 2), p, rng)
+    assert np.array_equal(got, x)
+    assert len(calls) == 2 and calls[0] is batch
+    # The padded batch adds noise to y and keeps the channel rows a.
+    assert np.array_equal(calls[1].a, batch.a)
+    assert not np.array_equal(calls[1].y, batch.y)
+
+
+def test_error_handling_search_fails_after_every_padded_width():
+    p = _params(n=2, m_rx=2)
+    rng = make_rng(21)
+    x = rng.integers(0, p.M, size=p.n)
+    batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=p.alpha / 2)
+    calls = []
+    with pytest.raises(SearchFailureError):
+        error_handling_search(batch, _wrong_until(calls, x, p.M, None), p, rng)
+    # One unpadded try, then n paddings at each of the n^2 padded widths.
+    assert len(calls) == 1 + 2**2 * 2
+
+
 def test_decision_to_search_recovers():
     p = _params()
     rng = make_rng(5)
@@ -212,6 +250,19 @@ def test_bdd_precondition_errors():
         bdd_via_mimo(wide, r, oracle, p, rng)  # bound above the distance cap
 
 
+def test_bdd_hiding_error_and_progress_warning():
+    # The toy lattice shrunk tenfold, with r = 0.5, passes the smoothing and
+    # distance checks; its distance cap falls below sqrt(n / 2) (a warning)
+    # and the scaled dual's smoothing width exceeds k / sqrt(2).
+    rng = make_rng(7)
+    p, inst, _, _ = toy_bdd_setup(3, rng)
+    small = BddInstance(LatticeBasis(inst.basis.matrix * 0.1),
+                        inst.target * 0.1, inst.bound_d * 0.1)
+    with pytest.warns(UserWarning, match="iteration-progress"), \
+            pytest.raises(ConfigurationError, match="statistical-hiding"):
+        bdd_via_mimo(small, 0.5, make_exact_ml_oracle(p), p, rng)
+
+
 def test_bdd_via_mimo_matches_enumeration():
     rng = make_rng(8)
     for _ in range(5):
@@ -233,22 +284,21 @@ def test_bdd_sample_count_grows_with_noise():
 
 def test_ber_experiment_counts_and_determinism():
     p = _params(n=4, m_rx=8, M=4, alpha=0.2)
-    res1 = ber_experiment(p, 50, ["zf", "babai", "ml"], make_rng(9), seed=9)
-    res2 = ber_experiment(p, 50, ["zf", "babai", "ml"], make_rng(9), seed=9)
-    assert [r.ser for r in res1] == [r.ser for r in res2]
-    by_method = {r.method: r for r in res1}
+    res1 = ber_experiment(p, 50, ["zf", "babai", "ml"], make_rng(9))
+    res2 = ber_experiment(p, 50, ["zf", "babai", "ml"], make_rng(9))
+    assert [r["ser"] for r in res1] == [r["ser"] for r in res2]
+    by_method = {r["method"]: r for r in res1}
     assert set(by_method) == {"bob", "zf", "babai", "ml"}
     for r in res1:
-        assert isinstance(r, BerResult)
-        assert 0.0 <= r.ser_ci_low <= r.ser <= r.ser_ci_high <= 1.0
+        assert 0.0 <= r["ser_ci_low"] <= r["ser"] <= r["ser_ci_high"] <= 1.0
     # ML is the optimal decoder for Eve: never worse than ZF here
-    assert by_method["ml"].ser <= by_method["zf"].ser + 1e-12
+    assert by_method["ml"]["ser"] <= by_method["zf"]["ser"] + 1e-12
 
 
 def test_ber_experiment_noiseless_all_exact():
     p = _params(n=4, m_rx=8)
     res = ber_experiment(p, 20, ["zf", "babai"], make_rng(10), noise_scale=0.0)
-    assert all(r.ser == 0.0 for r in res)
+    assert all(r["ser"] == 0.0 for r in res)
 
 
 def _attack_point(n, log2m):
@@ -259,11 +309,11 @@ def _attack_point(n, log2m):
 
 def _assert_matches_reference(p, trials, methods, seed, noise_scale=1.0):
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    got = ber_experiment(p, trials, methods, rng, seed=seed,
-                         noise_scale=noise_scale)
-    want = reference_ber_experiment(p, trials, methods, ref_rng, seed=seed,
+    got = ber_experiment(p, trials, methods, rng, noise_scale=noise_scale)
+    want = reference_ber_experiment(p, trials, methods, ref_rng,
                                     noise_scale=noise_scale)
     assert got == want
+    assert [list(r) for r in got] == [list(r) for r in want]  # CSV column order
     # Both took the same draws and spawned the same streams from rng.
     assert rng.integers(2**62) == ref_rng.integers(2**62)
     assert rng.spawn(1)[0].integers(2**62) == ref_rng.spawn(1)[0].integers(2**62)

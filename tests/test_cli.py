@@ -248,15 +248,22 @@ def test_extreme_channel_scales_exit_1(argv, reason):
     assert reason in errors[0] and "Warning" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["ber", "--trials", "2"], ["key-agreement", "--eta", "8"],
-    ["cipher", "--trials", "2"]], ids=["ber", "key-agreement", "cipher"])
-def test_non_finite_decoder_estimates_exit_1(argv, capsys):
-    # Bob's CSI-key inversion overflows; the error comes before any int64
-    # cast, and a numpy warning would fail the test (pytest's filter).
-    assert main([*argv, "--n", "4", "--alpha", "1e250", "--k", "1e-100"]) == 1
+BOB_OVERFLOW = ["--alpha", "1e250", "--k", "1e-100"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["ber", "--trials", "2", *BOB_OVERFLOW], "the CSI-key inversion"),
+    (["key-agreement", "--eta", "8", *BOB_OVERFLOW], "the CSI-key inversion"),
+    (["cipher", "--trials", "2", *BOB_OVERFLOW], "the CSI-key inversion"),
+    (["ber", "--trials", "2", "--alpha", "1e307"], "a symbol estimate")],
+    ids=["ber", "key-agreement", "cipher", "ber-zero-forcing"])
+def test_non_finite_decoder_estimates_exit_1(argv, error, capsys):
+    # Bob's CSI-key inversion overflows, or (at alpha 1e307) stays finite
+    # while ZF's estimate overflows.  The error comes before any int64 cast,
+    # and a numpy warning would fail the test (pytest's filter).
+    assert main([*argv, "--n", "4"]) == 1
     errors = [ln for ln in capsys.readouterr().err.splitlines() if "rror" in ln]
-    assert errors == ["error: the CSI-key inversion is not finite"]
+    assert errors == [f"error: {error} is not finite"]
 
 
 def test_large_channel_scale_runs():
@@ -280,8 +287,8 @@ def test_parser_has_all_subcommands():
 
 def test_run_returns_record():
     rec = run(ExperimentConfig("params-table", {}))
-    assert rec.version
-    assert len(rec.results) == 4
+    assert rec["version"]
+    assert len(rec["results"]) == 4
     assert DEFAULTS["format"] == "csv"
 
 

@@ -54,6 +54,10 @@ CHECKS = {  # name: (error, message pattern, call)
     # numerics
     "gso-wide-matrix": (DegenerateBasisError, "3 columns in dimension 2",
                         lambda: gram_schmidt(np.ones((2, 3)))),
+    "rng-seed-negative": (ParameterError, "seed and stream must be >= 0",
+                          lambda: make_rng(-1)),
+    "rng-stream-negative": (ParameterError, "seed and stream must be >= 0",
+                            lambda: make_rng(0, -1)),
     # params
     "capacity-n-zero": (ParameterError, "need n >= 1", lambda:
         secrecy_capacity(0, 4.0)),
@@ -74,6 +78,8 @@ CHECKS = {  # name: (error, message pattern, call)
     # wiretap
     "params-n-zero": (ParameterError, "n must be >= 1", lambda:
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
+    "params-M-20001-bits": (ParameterError, r"got a 20001-bit M", lambda:
+        SystemParams(n=4, m_rx=8, M=2**20000, alpha=1.0)),
     "precode-dimension": (ParameterError, "message dimension", lambda:
         precode(make_instance(P, RNG), np.zeros(3))),
     "A-dist-count-zero": (ParameterError, "count must be >= 1", lambda:

@@ -319,6 +319,20 @@ def test_successive_minima_z_family():
     assert np.allclose(est, [1.0, 2.0, 3.0])
 
 
+def test_successive_minima_above_enumeration_limit_are_lll_bounds():
+    # Above n = 8 the minima are the sorted column norms of the LLL-reduced
+    # basis: exact for an orthogonal lattice, and at least 1 on Z^10.
+    est = successive_minima(LatticeBasis(np.diag(np.arange(10.0, 0.0, -1.0))))
+    assert np.allclose(est, np.arange(1.0, 11.0))
+    rng = make_rng(31)
+    # Unit upper-triangular integer columns: another basis of Z^10.
+    b = LatticeBasis(np.triu(rng.integers(-3, 4, size=(10, 10)), 1) + np.eye(10))
+    est = successive_minima(b)
+    want = np.sort(np.linalg.norm(lll_reduce(b).reduced.matrix, axis=0))
+    assert np.array_equal(est, want)
+    assert np.all(est >= 1.0 - 1e-12)
+
+
 def test_successive_minima_skewed_matches_known():
     b = LatticeBasis(np.array([[2.0, 1.0], [0.0, 2.0]]))
     est = successive_minima(b)
