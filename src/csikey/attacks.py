@@ -24,6 +24,7 @@ from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
     transmit_to_bob, bob_decode, eve_receive, hard_decision
 
 ML_SPACE_GUARD = 10**7
+BER_ML_SPACE = 10**5  # ber_experiment adds exact ML where M^n is at most this
 BER_CHUNK = 64  # ber trials per stacked factoring; bounds the memory held at once
 
 
@@ -115,6 +116,9 @@ def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
     The oracle is deterministic, so the unpadded batch gets one try."""
     n = p.n
     step = p.alpha**2 * n ** -2.0
+    if step == 0:
+        raise ParameterError(f"alpha = {p.alpha:.4g} is too small for the padding "
+                             f"grid: alpha^2 / n^2 underflows to 0 at n = {n}")
     npoints = min(int(math.floor(p.alpha**2 / step)) + 1, 10**4)
     for idx in range(npoints):
         gamma = idx * step
@@ -251,6 +255,10 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
             t0 = t0.astype(np.int64)
             coord = binv @ (y - bmat @ (p.M * t0).astype(float)) + offset
             v, _ = discrete_gaussian_sample(dual, r, rng, size=samples)
+            if np.linalg.matrix_rank(v) < n:  # the oracle's channel would be singular
+                raise ConfigurationError(
+                    f"width r={r:.4g} is too narrow for the dual lattice: its "
+                    f"{samples} Klein samples span fewer than {n} dimensions")
             a = p.k * v / r
             e = psi_sample(p.alpha / math.sqrt(2), rng, size=samples)
             y_samp = p.k * (v @ coord) / (r * p.M) + p.k * e / r
@@ -291,43 +299,35 @@ def _binom_ci(errors: int, total: int):
     return max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
-def ber_experiment(p: SystemParams, trials: int, methods, rng,
-                   noise_scale: float = 1.0) -> list[dict]:
-    """Monte Carlo symbol-error-rate comparison.  Bob's SVD decoder is
-    always measured alongside the requested eavesdropper methods.  Each chunk
-    of trials first draws and factors its channels in stacked calls."""
+def ber_experiment(p: SystemParams, trials: int, rng) -> list[dict]:
+    """Monte Carlo symbol-error-rate comparison of Bob's SVD decoder with
+    Eve's zero-forcing, LLL+Babai and, where M^n <= BER_ML_SPACE, exact ML.
+    Each chunk of trials first draws and factors its channels in stacked calls."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    methods = set(methods)
-    counts = {"bob": 0}
-    for m in methods:
-        counts[m] = 0
+    with_ml = p.M**p.n <= BER_ML_SPACE
+    counts = dict.fromkeys(["bob", "zf", "babai"] + ["ml"] * with_ml, 0)
     for start in range(0, trials, BER_CHUNK):
         insts = [make_instance(p, rng)
                  for _ in range(min(BER_CHUNK, trials - start))]
         for inst, *key in zip(insts, *svd(np.stack([i.A for i in insts]))):
             inst.svdA = SvdTriple(*key)
         g = np.stack([inst.G for inst in insts])
-        if "zf" in methods:
-            g_pinv = pseudo_inverse(g)
-        if methods & {"babai", "ml"}:
-            bases = lattice_bases(g)
-        if "babai" in methods:
-            reds = [lll_reduce(b) for b in bases]
+        g_pinv = pseudo_inverse(g)
+        bases = lattice_bases(g)
+        reds = [lll_reduce(b) for b in bases]
         xs, ys = [], []
         for t, inst in enumerate(insts):
             x = random_message(p, rng)
-            y_b = transmit_to_bob(inst, x, p, rng, noise_scale=noise_scale)
+            y_b = transmit_to_bob(inst, x, p, rng)
             counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
-            y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
+            y_e = eve_receive(inst, x, p, rng)
             xs.append(x)
             ys.append(y_e)
-            if "zf" in methods:
-                counts["zf"] += int(np.sum(zf_decode(g_pinv[t], y_e, p.M).estimate != x))
-        if "babai" in methods:
-            est = babai_attack(reds, np.stack(ys), p.M).estimate
-            counts["babai"] += int(np.sum(est != np.stack(xs)))
-        if "ml" in methods:
+            counts["zf"] += int(np.sum(zf_decode(g_pinv[t], y_e, p.M).estimate != x))
+        est = babai_attack(reds, np.stack(ys), p.M).estimate
+        counts["babai"] += int(np.sum(est != np.stack(xs)))
+        if with_ml:
             for inst, x, y_e, basis in zip(insts, xs, ys, bases):
                 est = exact_ml_decode(inst.G, y_e, p.M, basis=basis).estimate
                 counts["ml"] += int(np.sum(est != x))

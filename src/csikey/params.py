@@ -45,10 +45,13 @@ def secrecy_capacity(n: int, log2M: float) -> float:
 
 
 def check_secrecy_constraints(p: SystemParams) -> tuple[bool, bool]:
-    """(noise_ok, constellation_ok): m alpha / k^2 > sqrt(n), log2 M > its minimum."""
+    """(noise_ok, constellation_ok): m alpha / k^2 > sqrt(n), log2 M > its minimum.
+    Below n = 4 the minimum is undefined, so constellation_ok is False."""
+    noise_ok = p.m_slack * p.alpha / p.k**2 > math.sqrt(p.n)
+    if p.n < 4:
+        return noise_ok, False
     max_snr_db(p.n, p.m_slack)  # rejects an m_slack off the normal floats
-    return (p.m_slack * p.alpha / p.k**2 > math.sqrt(p.n),
-            math.log2(p.M) > required_log2M(p.n, p.m_slack))
+    return noise_ok, math.log2(p.M) > required_log2M(p.n, p.m_slack)
 
 
 def design_table(ns, m_slack: float = 1.0):

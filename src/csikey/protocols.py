@@ -98,18 +98,14 @@ def _majority_vote(votes: np.ndarray) -> np.ndarray:
 
 
 def _bob_receive_message(cfg: KeyAgreementConfig, inst: WiretapInstance,
-                         x: np.ndarray, rng: np.random.Generator,
-                         noise_scale: float) -> np.ndarray:
+                         x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     reps = 3 if cfg.coder == "repetition-3" else 1
-    votes = np.stack([
-        bob_decode(inst, transmit_to_bob(inst, x, cfg.p, rng,
-                                         noise_scale=noise_scale), cfg.p)
-        for _ in range(reps)])
+    votes = np.stack([bob_decode(inst, transmit_to_bob(inst, x, cfg.p, rng), cfg.p)
+                      for _ in range(reps)])
     return votes[0] if reps == 1 else _majority_vote(votes)
 
 
-def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator,
-                      noise_scale: float = 1.0) -> dict:
+def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator) -> dict:
     """Algorithm: exchange c random vectors, hash both views to eta bits.
 
     Decode failures are recorded in the transcript, never raised; a
@@ -125,7 +121,7 @@ def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator,
     for _ in range(cfg.c):
         inst = make_instance(p, rng)
         x = random_message(p, rng)
-        x_hat = _bob_receive_message(cfg, inst, x, rng, noise_scale)
+        x_hat = _bob_receive_message(cfg, inst, x, rng)
         errors += int(np.any(x_hat != x))
         alice_bits.append(encode_symbols(x, p.M))
         bob_bits.append(encode_symbols(x_hat, p.M))
@@ -172,7 +168,7 @@ class CipherContext:
 
 
 def encrypt(ctx: CipherContext, m: np.ndarray, inst: WiretapInstance,
-            rng: np.random.Generator, noise_scale: float = 1.0) -> np.ndarray:
+            rng: np.random.Generator) -> np.ndarray:
     """Channel output y of V((s + (M/2) m) mod M) through a fresh instance."""
     p = ctx.p
     if p.M % 2 != 0:
@@ -181,7 +177,7 @@ def encrypt(ctx: CipherContext, m: np.ndarray, inst: WiretapInstance,
     if m.shape != (p.n,) or np.any((m != 0) & (m != 1)):
         raise ParameterError("message must be a length-n bit vector")
     symbols = (ctx.s + (p.M // 2) * m) % p.M
-    return transmit_to_bob(inst, symbols, p, rng, noise_scale=noise_scale)
+    return transmit_to_bob(inst, symbols, p, rng)
 
 
 def decrypt(ctx: CipherContext, y: np.ndarray, inst: WiretapInstance) -> np.ndarray:

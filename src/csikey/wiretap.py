@@ -32,6 +32,7 @@ class SystemParams:
     alpha: float
     k: float = 1.0
     m_slack: float = 1.0
+    noise_scale: float = 1.0  # channel noise width factor; 0 is noiseless
     P: float = field(init=False)  # expected norm of a uniform [0, M)^n vector
 
     def __post_init__(self):
@@ -44,6 +45,8 @@ class SystemParams:
         for name in ("alpha", "k", "m_slack"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be positive and finite")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ParameterError("noise_scale must be finite and >= 0")
         if not np.finfo(float).tiny <= self.k * self.k < math.inf:
             raise ParameterError(f"k^2 must be a positive normal float, k = {self.k}")
         if self.m_rx < 1 or self.m_rx > self.n**3:
@@ -137,11 +140,11 @@ def precode(inst: WiretapInstance, x: np.ndarray) -> np.ndarray:
 
 
 def transmit_to_bob(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
-                    rng: np.random.Generator, noise_scale: float = 1.0) -> np.ndarray:
-    """y = A V x + e with e i.i.d. width M*alpha (scaled by noise_scale)."""
+                    rng: np.random.Generator) -> np.ndarray:
+    """y = A V x + e with e i.i.d. width M*alpha (scaled by p.noise_scale)."""
     y = inst.A @ precode(inst, x)
-    if noise_scale > 0:
-        y = y + psi_sample(p.noise_width * noise_scale, rng, size=y.shape)
+    if p.noise_scale > 0:
+        y = y + psi_sample(p.noise_width * p.noise_scale, rng, size=y.shape)
     return y
 
 
@@ -159,11 +162,11 @@ def bob_decode(inst: WiretapInstance, y: np.ndarray, p: SystemParams) -> np.ndar
 
 
 def eve_receive(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
-                rng: np.random.Generator, noise_scale: float = 1.0):
+                rng: np.random.Generator):
     """Eve's observation y = G x + e through her effective channel G = B V."""
     y = inst.G @ np.asarray(x, dtype=float)
-    if noise_scale > 0:
-        y = y + psi_sample(p.noise_width * noise_scale, rng, size=y.shape)
+    if p.noise_scale > 0:
+        y = y + psi_sample(p.noise_width * p.noise_scale, rng, size=y.shape)
     return y
 
 

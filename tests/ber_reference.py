@@ -5,7 +5,7 @@ Gram-Schmidt, the per-basis LLL) and draws from rng in the same order.
 
 import numpy as np
 
-from csikey.attacks import _binom_ci, exact_ml_decode
+from csikey.attacks import BER_ML_SPACE, _binom_ci, exact_ml_decode
 from csikey.lattice import LatticeBasis
 from csikey.numerics import pseudo_inverse
 from csikey.wiretap import (bob_decode, eve_receive, make_instance,
@@ -13,16 +13,16 @@ from csikey.wiretap import (bob_decode, eve_receive, make_instance,
 from lattice_reference import babai_nearest_plane, lll_per_basis
 
 
-def reference_ber_experiment(p, trials, methods, rng, noise_scale=1.0):
-    methods = set(methods)
+def reference_ber_experiment(p, trials, rng):
+    methods = {"zf", "babai"} | ({"ml"} if p.M**p.n <= BER_ML_SPACE else set())
     counts = dict.fromkeys(["bob", *methods], 0)
     for _ in range(trials):
         inst = make_instance(p, rng)
         x = random_message(p, rng)
-        y_b = transmit_to_bob(inst, x, p, rng, noise_scale=noise_scale)
+        y_b = transmit_to_bob(inst, x, p, rng)
         counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
         g = inst.G
-        y_e = eve_receive(inst, x, p, rng, noise_scale=noise_scale)
+        y_e = eve_receive(inst, x, p, rng)
         if "zf" in methods:
             est = np.rint(pseudo_inverse(g) @ y_e).astype(np.int64)
             counts["zf"] += int(np.sum(np.clip(est, 0, p.M - 1) != x))

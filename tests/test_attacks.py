@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,8 +145,7 @@ def test_exact_ml_non_finite_centre_or_distance_raises():
     # centre near 1e200, whose squared distance overflows; at 1e300 the
     # centre itself does.  Both raise, with no numpy warning.
     with pytest.raises(NumericalError, match="distance"):
-        ber_experiment(SystemParams(n=4, m_rx=8, M=16, alpha=1e200), 2,
-                       ["ml"], make_rng(0))
+        exact_ml_decode(np.eye(2), np.array([1e200, 0.0]), 4)
     with pytest.raises(NumericalError, match="centre"):
         exact_ml_decode(np.eye(2) * 1e-10, np.array([1e300, 0.0]), 4)
 
@@ -263,6 +263,17 @@ def test_bdd_hiding_error_and_progress_warning():
         bdd_via_mimo(small, 0.5, make_exact_ml_oracle(p), p, rng)
 
 
+def test_bdd_width_too_narrow_for_the_dual():
+    # The same shrunk lattice with r = 0.3 passes all four precondition
+    # checks, but the dual's spacing is 10, so every Klein sample is 0.
+    rng = make_rng(7)
+    p, inst, _, _ = toy_bdd_setup(3, rng)
+    small = BddInstance(LatticeBasis(inst.basis.matrix * 0.1),
+                        inst.target * 0.1, inst.bound_d * 0.1)
+    with pytest.raises(ConfigurationError, match="width r=0.3 is too narrow"):
+        bdd_via_mimo(small, 0.3, make_exact_ml_oracle(p), p, rng)
+
+
 def test_bdd_via_mimo_matches_enumeration():
     rng = make_rng(8)
     for _ in range(5):
@@ -284,8 +295,8 @@ def test_bdd_sample_count_grows_with_noise():
 
 def test_ber_experiment_counts_and_determinism():
     p = _params(n=4, m_rx=8, M=4, alpha=0.2)
-    res1 = ber_experiment(p, 50, ["zf", "babai", "ml"], make_rng(9))
-    res2 = ber_experiment(p, 50, ["zf", "babai", "ml"], make_rng(9))
+    res1 = ber_experiment(p, 50, make_rng(9))
+    res2 = ber_experiment(p, 50, make_rng(9))
     assert [r["ser"] for r in res1] == [r["ser"] for r in res2]
     by_method = {r["method"]: r for r in res1}
     assert set(by_method) == {"bob", "zf", "babai", "ml"}
@@ -296,8 +307,8 @@ def test_ber_experiment_counts_and_determinism():
 
 
 def test_ber_experiment_noiseless_all_exact():
-    p = _params(n=4, m_rx=8)
-    res = ber_experiment(p, 20, ["zf", "babai"], make_rng(10), noise_scale=0.0)
+    p = _params(n=4, m_rx=8, noise_scale=0.0)
+    res = ber_experiment(p, 20, make_rng(10))
     assert all(r["ser"] == 0.0 for r in res)
 
 
@@ -307,11 +318,10 @@ def _attack_point(n, log2m):
                         alpha=1.05 * math.sqrt(n) * k**2, k=k)
 
 
-def _assert_matches_reference(p, trials, methods, seed, noise_scale=1.0):
+def _assert_matches_reference(p, trials, seed):
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    got = ber_experiment(p, trials, methods, rng, noise_scale=noise_scale)
-    want = reference_ber_experiment(p, trials, methods, ref_rng,
-                                    noise_scale=noise_scale)
+    got = ber_experiment(p, trials, rng)
+    want = reference_ber_experiment(p, trials, ref_rng)
     assert got == want
     assert [list(r) for r in got] == [list(r) for r in want]  # CSV column order
     # Both took the same draws and spawned the same streams from rng.
@@ -323,9 +333,8 @@ def _assert_matches_reference(p, trials, methods, seed, noise_scale=1.0):
 def test_ber_experiment_matches_reference_at_benchmark_points(seed):
     # The attack-n16 and attack-n4-ml workloads: the channels factored in
     # stacked calls give the trial-by-trial counts exactly.
-    _assert_matches_reference(_attack_point(16, 8), 2, ["zf", "babai"], seed)
-    _assert_matches_reference(_attack_point(4, 4), 40, ["zf", "babai", "ml"],
-                              seed)
+    _assert_matches_reference(_attack_point(16, 8), 2, seed)
+    _assert_matches_reference(_attack_point(4, 4), 40, seed)
 
 
 def test_ber_experiment_lll_calls_keep_the_per_basis_contract(monkeypatch):
@@ -340,7 +349,7 @@ def test_ber_experiment_lll_calls_keep_the_per_basis_contract(monkeypatch):
         return res
 
     monkeypatch.setattr(attacks, "lll_reduce", recording)
-    ber_experiment(_attack_point(4, 4), 40, ["babai"], make_rng(12))
+    ber_experiment(_attack_point(4, 4), 40, make_rng(12))
     assert len(results) == 40
     for g, res in results:
         assert res.transform.dtype == np.int64 and res.transform.shape == (4, 4)
@@ -350,11 +359,20 @@ def test_ber_experiment_lll_calls_keep_the_per_basis_contract(monkeypatch):
                            atol=1e-9 * np.abs(g).max())
 
 
-@pytest.mark.parametrize("methods", [["zf"], ["babai"], ["ml"],
-                                     ["zf", "babai", "ml"]])
-def test_ber_experiment_matches_reference_across_chunks(methods):
-    # One trial past a chunk, with and without noise.
-    p = _params(n=4, m_rx=6, M=4, alpha=0.5)
+@pytest.mark.parametrize("p", [_params(n=4, m_rx=6, M=4, alpha=0.5),
+                               _params(n=6, m_rx=8, M=8, alpha=0.5)],
+                         ids=["with-ml", "without-ml"])
+def test_ber_experiment_matches_reference_across_chunks(p):
+    # One trial past a chunk, with and without noise; M^n = 4^4 takes exact
+    # ML and 8^6 does not.
     for noise_scale in (1.0, 0.0):
-        _assert_matches_reference(p, attacks.BER_CHUNK + 1, methods, 11,
-                                  noise_scale)
+        _assert_matches_reference(replace(p, noise_scale=noise_scale),
+                                  attacks.BER_CHUNK + 1, 11)
+
+
+@pytest.mark.parametrize("M,with_ml", [(10, True), (11, False)])
+def test_ber_experiment_adds_exact_ml_up_to_its_space_limit(M, with_ml):
+    # 10^5 = BER_ML_SPACE takes exact ML; 11^5 does not.
+    rows = ber_experiment(_params(n=5, m_rx=10, M=M), 2, make_rng(13))
+    methods = {"bob", "zf", "babai"} | ({"ml"} if with_ml else set())
+    assert [r["method"] for r in rows] == sorted(methods)

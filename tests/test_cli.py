@@ -167,6 +167,19 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     assert "error: cannot write output" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["ber", "--n", "2", "--trials", "2"],
+                                  ["ber", "--n", "3", "--trials", "2"],
+                                  ["cipher", "--n", "3", "--trials", "2"],
+                                  ["key-agreement", "--n", "2", "--eta", "8"]])
+def test_gate_below_n_4_warns_and_runs(argv, capsys):
+    # The constellation bound is undefined below n = 4: the warning-only
+    # gate reports it as unmet and the run goes on.
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert "warning:" in err and "constellation_ok=False" in err
+    assert "error:" not in err
+
+
 @pytest.mark.parametrize("subcommand", ["ber", "key-agreement", "cipher"])
 def test_tiny_well_conditioned_channel_runs(subcommand):
     # Channel gains of width 1e-14: the CSI-key's rank test is relative.

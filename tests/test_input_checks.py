@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from csikey.attacks import (BddInstance, ber_experiment, decision_to_search,
-                            make_decision_oracle, verify_solution)
+                            error_handling_search, make_decision_oracle,
+                            verify_solution)
 from csikey.distributions import (discrete_gaussian_sample, psi_sample,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
@@ -32,7 +33,10 @@ CHECKS = {  # name: (error, message pattern, call)
         decision_to_search(EMPTY, make_decision_oracle(P),
                            SystemParams(n=4, m_rx=8, M=32, alpha=1.0), RNG)),
     "ber-zero-trials": (ParameterError, "trials must be >= 1", lambda:
-        ber_experiment(P, 0, ["zf"], RNG)),
+        ber_experiment(P, 0, RNG)),
+    "padding-grid-alpha-underflow": (ParameterError, "underflows", lambda:
+        error_handling_search(EMPTY, None, SystemParams(n=4, m_rx=4, M=4,
+                                                        alpha=1e-170), RNG)),
     # distributions
     "psi-width-zero": (ParameterError, "width must be positive", lambda:
         psi_sample(0.0, RNG)),
@@ -80,6 +84,12 @@ CHECKS = {  # name: (error, message pattern, call)
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
     "params-M-20001-bits": (ParameterError, r"got a 20001-bit M", lambda:
         SystemParams(n=4, m_rx=8, M=2**20000, alpha=1.0)),
+    "params-noise-scale-negative": (ParameterError, "noise_scale must be", lambda:
+        SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=-1.0)),
+    "params-noise-scale-inf": (ParameterError, "noise_scale must be", lambda:
+        SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=float("inf"))),
+    "params-noise-scale-nan": (ParameterError, "noise_scale must be", lambda:
+        SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=float("nan"))),
     "precode-dimension": (ParameterError, "message dimension", lambda:
         precode(make_instance(P, RNG), np.zeros(3))),
     "A-dist-count-zero": (ParameterError, "count must be >= 1", lambda:

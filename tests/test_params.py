@@ -47,6 +47,14 @@ def test_small_n_rejected():
         max_snr_db(2, 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_secrecy_constraints_below_n_4_fail_the_constellation_bound(n):
+    # The minimum log2 M is undefined below n = 4, so the gate reports the
+    # constellation constraint as unmet instead of raising.
+    p = SystemParams(n=n, m_rx=n, M=2**40, alpha=10.0)
+    assert check_secrecy_constraints(p) == (True, False)
+
+
 def test_secrecy_constraints_boundary_strict():
     n, k, m = 16, 1.0, 1.0
     # alpha exactly at sqrt(n) k^2 / m: strict inequality, so not ok

@@ -92,9 +92,9 @@ def test_key_agreement_config_capacity_gate():
 
 
 def test_key_agreement_noiseless_success():
-    p = _params()
+    p = _params(noise_scale=0.0)
     cfg = KeyAgreementConfig(p, 32, coder="none")
-    tr = run_key_agreement(cfg, make_rng(3), noise_scale=0.0)
+    tr = run_key_agreement(cfg, make_rng(3))
     assert tr["success"]
     assert tr["alice_key"] == tr["bob_key"]
     assert tr["message_errors"] == 0
@@ -148,20 +148,20 @@ def test_repetition_coding_reduces_errors():
 
 
 def test_cipher_round_trip_and_wrong_key():
-    p = _params()
+    p = _params(noise_scale=0.0)
     rng = make_rng(4)
     ctx = CipherContext.random(p, rng)
     for _ in range(50):
         inst = make_instance(p, rng)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(ctx, m, inst, rng, noise_scale=0.0)
+        y = encrypt(ctx, m, inst, rng)
         assert np.array_equal(decrypt(ctx, y, inst), m)
     # wrong-key scrambling
     bits = errs = 0
     for _ in range(100):
         inst = make_instance(p, rng)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(ctx, m, inst, rng, noise_scale=0.0)
+        y = encrypt(ctx, m, inst, rng)
         wrong = CipherContext.random(p, rng)
         errs += int(np.sum(decrypt(wrong, y, inst) != m))
         bits += p.n
@@ -169,15 +169,15 @@ def test_cipher_round_trip_and_wrong_key():
 
 
 def test_cipher_symbol_identities():
-    p = _params(n=4, m_rx=4)
+    p = _params(n=4, m_rx=4, noise_scale=0.0)
     rng = make_rng(5)
     inst = make_instance(p, rng)
     s = np.array([1, 5, 9, 13])
     ctx = CipherContext(s, p)
-    zero = encrypt(ctx, np.zeros(4, dtype=int), inst, rng, noise_scale=0.0)
+    zero = encrypt(ctx, np.zeros(4, dtype=int), inst, rng)
     assert np.array_equal(bob_decode(inst, zero, p), s)
     ones = encrypt(CipherContext(np.zeros(4, dtype=int), p),
-                   np.ones(4, dtype=int), inst, rng, noise_scale=0.0)
+                   np.ones(4, dtype=int), inst, rng)
     assert np.all(bob_decode(inst, ones, p) == p.M // 2)
 
 

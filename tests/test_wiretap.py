@@ -78,24 +78,24 @@ def test_precode_preserves_norm():
 
 
 def test_noiseless_end_to_end():
-    p = _params()
+    p = _params(noise_scale=0.0)
     rng = make_rng(3)
     for _ in range(50):
         inst = make_instance(p, rng)
         x = random_message(p, rng)
-        y = transmit_to_bob(inst, x, p, rng, noise_scale=0.0)
+        y = transmit_to_bob(inst, x, p, rng)
         assert np.allclose(y, inst.A @ precode(inst, x))
         assert np.array_equal(bob_decode(inst, y, p), x)
 
 
 @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
 def test_noiseless_decoding_does_not_depend_on_channel_scale(scale):
-    p = _params(k=scale)
+    p = _params(k=scale, noise_scale=0.0)
     rng = make_rng(3)
     for _ in range(20):
         inst = make_instance(p, rng)
         x = random_message(p, rng)
-        y = transmit_to_bob(inst, x, p, rng, noise_scale=0.0)
+        y = transmit_to_bob(inst, x, p, rng)
         assert np.array_equal(bob_decode(inst, y, p), x)
 
 
@@ -134,11 +134,11 @@ def test_tiny_noise_still_exact():
 
 
 def test_eve_noiseless_and_invariance():
-    p = _params(n=4, m_rx=4)
+    p = _params(n=4, m_rx=4, noise_scale=0.0)
     rng = make_rng(6)
     inst = make_instance(p, rng)
     x = random_message(p, rng)
-    y = eve_receive(inst, x, p, rng, noise_scale=0.0)
+    y = eve_receive(inst, x, p, rng)
     assert np.allclose(y, inst.G @ x)
     entries = np.concatenate([make_instance(p, rng).G.ravel()
                               for _ in range(700)])
