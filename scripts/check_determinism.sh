@@ -21,8 +21,11 @@ params-table --n 8,16,80
 ber --n 4 --trials 40
 ber --n 4 --trials 70
 key-agreement --n 8 --eta 32
+ber --n 16 --m-rx 16 --log2m 8 --k 0.002 --alpha 1.68e-05 --trials 2
 key-agreement --n 8 --eta 32 --noise-scale 0
+key-agreement --n 8 --eta 32 --coder none
 cipher --n 8 --trials 20
+cipher --n 8 --trials 20 --noise-scale 0
 reduction-demo --n 3 --trials 2
 decision-to-search --n 2 --log2m 2 --trials 2
 LINES

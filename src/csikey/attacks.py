@@ -8,6 +8,7 @@ padded width), not the channel's M*alpha; pass noise_width accordingly.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -19,9 +20,9 @@ from .errors import (ConfigurationError, DimensionGuardError, ParameterError,
                      ReductionFailureError, SearchFailureError)
 from .lattice import (LatticeBasis, ReductionResult, closest_point, dual_basis,
                       lattice_bases, lll_reduce, nearest_plane)
-from .numerics import SvdTriple, pseudo_inverse, svd
+from .numerics import matvec, pseudo_inverse
 from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
-    transmit_to_bob, bob_decode, eve_receive, hard_decision
+    channel_noise, transmit_to_bob, bob_decode, eve_receive, hard_decision
 
 ML_SPACE_GUARD = 10**7
 BER_ML_SPACE = 10**5  # ber_experiment adds exact ML where M^n is at most this
@@ -48,7 +49,7 @@ class BddInstance:
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     """Zero-forcing: per-symbol rounding and clamping of g_pinv y."""
     with np.errstate(over="ignore", invalid="ignore"):  # hard_decision raises
-        est = g_pinv @ np.asarray(y, dtype=float)
+        est = matvec(g_pinv, y)
     return DecoderOutcome(hard_decision(est, M))
 
 
@@ -115,6 +116,8 @@ def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
     with widths from a grid of multiples of n^-2 * alpha^2 (at most 10^4).
     The oracle is deterministic, so the unpadded batch gets one try."""
     n = p.n
+    if p.alpha > math.sqrt(sys.float_info.max):
+        raise ParameterError(f"alpha = {p.alpha:.4g} is too large: alpha^2 overflows")
     step = p.alpha**2 * n ** -2.0
     if step == 0:
         raise ParameterError(f"alpha = {p.alpha:.4g} is too small for the padding "
@@ -302,35 +305,29 @@ def _binom_ci(errors: int, total: int):
 def ber_experiment(p: SystemParams, trials: int, rng) -> list[dict]:
     """Monte Carlo symbol-error-rate comparison of Bob's SVD decoder with
     Eve's zero-forcing, LLL+Babai and, where M^n <= BER_ML_SPACE, exact ML.
-    Each chunk of trials first draws and factors its channels in stacked calls."""
+    A chunk factors its channels in stacked calls, draws each trial's message,
+    Bob's noise and Eve's noise in turn, and decodes in stacked products."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     with_ml = p.M**p.n <= BER_ML_SPACE
     counts = dict.fromkeys(["bob", "zf", "babai"] + ["ml"] * with_ml, 0)
     for start in range(0, trials, BER_CHUNK):
-        insts = [make_instance(p, rng)
-                 for _ in range(min(BER_CHUNK, trials - start))]
-        for inst, *key in zip(insts, *svd(np.stack([i.A for i in insts]))):
-            inst.svdA = SvdTriple(*key)
-        g = np.stack([inst.G for inst in insts])
-        g_pinv = pseudo_inverse(g)
-        bases = lattice_bases(g)
+        t = min(BER_CHUNK, trials - start)
+        ch = make_instance(p, rng, t, eve=True)
+        g_pinv = pseudo_inverse(ch.G)
+        bases = lattice_bases(ch.G)
         reds = [lll_reduce(b) for b in bases]
-        xs, ys = [], []
-        for t, inst in enumerate(insts):
-            x = random_message(p, rng)
-            y_b = transmit_to_bob(inst, x, p, rng)
-            counts["bob"] += int(np.sum(bob_decode(inst, y_b, p) != x))
-            y_e = eve_receive(inst, x, p, rng)
-            xs.append(x)
-            ys.append(y_e)
-            counts["zf"] += int(np.sum(zf_decode(g_pinv[t], y_e, p.M).estimate != x))
-        est = babai_attack(reds, np.stack(ys), p.M).estimate
-        counts["babai"] += int(np.sum(est != np.stack(xs)))
+        draws = [(random_message(p, rng), channel_noise(p, rng, p.m_rx),
+                  channel_noise(p, rng, p.m_rx)) for _ in range(t)]
+        x, e_b, e_e = map(np.stack, zip(*draws))
+        counts["bob"] += int(np.sum(bob_decode(ch, transmit_to_bob(ch, x, e_b), p) != x))
+        y_e = eve_receive(ch, x, e_e)
+        counts["zf"] += int(np.sum(zf_decode(g_pinv, y_e, p.M).estimate != x))
+        counts["babai"] += int(np.sum(babai_attack(reds, y_e, p.M).estimate != x))
         if with_ml:
-            for inst, x, y_e, basis in zip(insts, xs, ys, bases):
-                est = exact_ml_decode(inst.G, y_e, p.M, basis=basis).estimate
-                counts["ml"] += int(np.sum(est != x))
+            for g, y, basis, x_t in zip(ch.G, y_e, bases, x):
+                est = exact_ml_decode(g, y, p.M, basis=basis).estimate
+                counts["ml"] += int(np.sum(est != x_t))
     total = trials * p.n
     rows = []
     for method, errs in sorted(counts.items()):

@@ -152,10 +152,10 @@ def _run_cipher(cfg: ExperimentConfig) -> list:
     trials = int(cfg.options["trials"])
     bit_errors = 0
     for _ in range(trials):
-        inst = make_instance(p, rng)
+        ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(ctx, m, inst, rng)
-        bit_errors += int(np.sum(decrypt(ctx, y, inst) != m))
+        y = encrypt(ctx, m, ch, rng)
+        bit_errors += int(np.sum(decrypt(ctx, y, ch) != m))
     total = trials * p.n
     return [{"n": p.n, "M": p.M, "alpha": p.alpha, "k": p.k, "trials": trials,
              "bits": total, "bit_errors": bit_errors,

@@ -1,10 +1,10 @@
 """Dense real linear algebra and seeded randomness used everywhere else.
 
 Matrices are plain float64 numpy arrays.  Basis vectors are stored as
-matrix *columns* throughout the package.  svd, gram_schmidt and
-pseudo_inverse also take a stack (..., m, n), slice by slice bit-equal to
-per-matrix calls; each check runs over the whole stack in turn, and the
-first matrix failing it raises the per-matrix error.
+matrix *columns* throughout the package.  svd, gram_schmidt,
+pseudo_inverse and matvec also take a stack (..., m, n), slice by slice
+bit-equal to per-matrix calls; each check runs over the whole stack in
+turn, and the first matrix failing it raises the per-matrix error.
 """
 
 from typing import NamedTuple
@@ -81,3 +81,9 @@ def pseudo_inverse(a: np.ndarray) -> np.ndarray:
             raise IllConditionedError(
                 f"condition number {top / max(low, 1e-300):.3e} exceeds {COND_LIMIT:.0e}")
     return v @ ((1 / s)[..., :, None] * np.swapaxes(u, -1, -2))
+
+
+def matvec(a: np.ndarray, x) -> np.ndarray:
+    """a @ x for each matrix of the stack a and vector of the stack x (the
+    two broadcast); a stacked matmul, since np.einsum is not bit-equal."""
+    return (a @ np.asarray(x, dtype=float)[..., None])[..., 0]

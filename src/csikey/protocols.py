@@ -1,10 +1,10 @@
 """Key agreement over the wiretap channel and the symmetric-key cipher.
 
-Key agreement sends c random symbol vectors through fresh channel
-instances and condenses the exchanged bits to an eta-bit key with a
+Key agreement sends c random symbol vectors through fresh channels and
+condenses the exchanged bits to an eta-bit key with a
 Toeplitz universal hash.  The cipher hides a one-bit-per-antenna message
 inside a shared secret vector s, transmitted through the precoded channel,
-one message per coherence interval (fresh instance each time).
+one message per coherence interval (a fresh channel each time).
 """
 
 import math
@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 from .params import check_secrecy_constraints, secrecy_capacity
-from .wiretap import (SystemParams, WiretapInstance, bob_decode, make_instance,
-                      random_message, transmit_to_bob)
+from .wiretap import (Channels, SystemParams, bob_decode, channel_noise,
+                      csi_invert, make_instance, random_message, transmit_to_bob)
 
 VALID_CODERS = ("none", "repetition-3")
 
@@ -97,14 +97,6 @@ def _majority_vote(votes: np.ndarray) -> np.ndarray:
                     np.where(b == c, b, votes.min(axis=0)))
 
 
-def _bob_receive_message(cfg: KeyAgreementConfig, inst: WiretapInstance,
-                         x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    reps = 3 if cfg.coder == "repetition-3" else 1
-    votes = np.stack([bob_decode(inst, transmit_to_bob(inst, x, cfg.p, rng), cfg.p)
-                      for _ in range(reps)])
-    return votes[0] if reps == 1 else _majority_vote(votes)
-
-
 def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator) -> dict:
     """Algorithm: exchange c random vectors, hash both views to eta bits.
 
@@ -114,14 +106,15 @@ def run_key_agreement(cfg: KeyAgreementConfig, rng: np.random.Generator) -> dict
     """
     p = cfg.p
     gate_ok = all(check_secrecy_constraints(p))
-    alice_bits = []
-    bob_bits = []
-    messages = []
+    reps = 3 if cfg.coder == "repetition-3" else 1
+    alice_bits, bob_bits, messages = [], [], []
     errors = 0
     for _ in range(cfg.c):
-        inst = make_instance(p, rng)
+        ch = make_instance(p, rng, 1)
         x = random_message(p, rng)
-        x_hat = _bob_receive_message(cfg, inst, x, rng)
+        y = transmit_to_bob(ch, x, channel_noise(p, rng, (reps, p.m_rx)))
+        votes = bob_decode(ch, y, p)
+        x_hat = votes[0] if reps == 1 else _majority_vote(votes)
         errors += int(np.any(x_hat != x))
         alice_bits.append(encode_symbols(x, p.M))
         bob_bits.append(encode_symbols(x_hat, p.M))
@@ -167,22 +160,22 @@ class CipherContext:
         return cls(rng.integers(0, p.M, size=p.n), p)
 
 
-def encrypt(ctx: CipherContext, m: np.ndarray, inst: WiretapInstance,
+def encrypt(ctx: CipherContext, m: np.ndarray, ch: Channels,
             rng: np.random.Generator) -> np.ndarray:
-    """Channel output y of V((s + (M/2) m) mod M) through a fresh instance."""
+    """Channel outputs of V((s + (M/2) m) mod M), one row per fresh channel."""
     p = ctx.p
     if p.M % 2 != 0:
         raise ConfigurationError("cipher requires even M so that M/2 is a symbol")
     m = np.asarray(m, dtype=np.int64)
-    if m.shape != (p.n,) or np.any((m != 0) & (m != 1)):
+    if m.shape[-1:] != (p.n,) or np.any((m != 0) & (m != 1)):
         raise ParameterError("message must be a length-n bit vector")
     symbols = (ctx.s + (p.M // 2) * m) % p.M
-    return transmit_to_bob(inst, symbols, p, rng)
+    return transmit_to_bob(ch, symbols, channel_noise(p, rng, ch.A.shape[:-1]))
 
 
-def decrypt(ctx: CipherContext, y: np.ndarray, inst: WiretapInstance) -> np.ndarray:
+def decrypt(ctx: CipherContext, y: np.ndarray, ch: Channels) -> np.ndarray:
     """Invert the channel with the CSI-key, strip s modulo M, round each
     entry of (2/M)*((Sigma^-1 U^T y - s) mod M) to a bit (2 wraps to 0)."""
     p = ctx.p
-    scaled = 2.0 / p.M * np.mod(inst.invert(y) - ctx.s, p.M)
+    scaled = 2.0 / p.M * np.mod(csi_invert(ch, y) - ctx.s, p.M)
     return (np.rint(scaled).astype(np.int64) % 2).astype(np.int64)

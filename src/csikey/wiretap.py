@@ -1,6 +1,9 @@
-"""The MIMO wiretap system: channel instantiation, SVD precoding, Bob's
+"""The MIMO wiretap system: channel stacks with their SVD precoding, Bob's
 per-stream decoder, Eve's observation, and the two sample distributions
 that feed the decoding problems.
+
+Channels travel as stacks of arrays (`Channels`); messages, noise and
+observations as stacks of vectors that broadcast against them.
 
 Channel gains are width-k Gaussians; channel noise defaults to width
 M*alpha per receive antenna.  The reduction machinery instead works with
@@ -11,13 +14,13 @@ SNR); pass noise_width explicitly where that matters.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import psi_sample
 from .errors import DegenerateBasisError, NumericalError, ParameterError
-from .numerics import SvdTriple, svd
+from .numerics import matvec, svd
 
 SIGMA_FLOOR = 1e-12  # relative to the largest singular value
 
@@ -61,44 +64,16 @@ class SystemParams:
         return self.M * self.alpha
 
 
-@dataclass
-class WiretapInstance:
-    """Channel matrices for the legitimate link (A) and eavesdropper (B),
-    plus the SVD of A, which acts as the CSI-key.  B, the SVD and Eve's
-    channel G = B V are computed on first read unless assigned first."""
+class Channels(NamedTuple):
+    """T channels as stacks: A (T, m_rx, n), its thin SVD
+    A = U diag(sigma) V^T (the CSI-key), and Eve's channel G = B V
+    (T, m_rx, n), None where B was not drawn."""
 
     A: np.ndarray
-    k: float
-    rng_b: np.random.Generator = field(repr=False)
-
-    def __post_init__(self):
-        if self.A.shape[0] < self.A.shape[1]:
-            raise DegenerateBasisError("fewer receive antennas than streams")
-
-    @cached_property
-    def B(self) -> np.ndarray:
-        return psi_sample(self.k, self.rng_b, size=self.A.shape)
-
-    @cached_property
-    def svdA(self) -> SvdTriple:
-        return svd(self.A)
-
-    @cached_property
-    def G(self) -> np.ndarray:
-        return self.B @ self.svdA.V
-
-    def invert(self, y: np.ndarray) -> np.ndarray:
-        """Sigma^-1 U^T y, the CSI-key inversion; the rank test is relative.
-        An estimate that overflows (noise that dwarfs the channel) raises
-        NumericalError."""
-        tri = self.svdA
-        if not tri.sigma[-1] > SIGMA_FLOOR * tri.sigma[0]:
-            raise DegenerateBasisError("channel matrix numerically rank deficient")
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-            est = (tri.U.T @ np.asarray(y, dtype=float)) / tri.sigma
-        if not np.all(np.isfinite(est)):
-            raise NumericalError("the CSI-key inversion is not finite")
-        return est
+    U: np.ndarray
+    sigma: np.ndarray
+    V: np.ndarray
+    G: np.ndarray | None
 
 
 @dataclass
@@ -124,28 +99,36 @@ def random_message(p: SystemParams, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, p.M, size=p.n)
 
 
-def make_instance(p: SystemParams, rng: np.random.Generator) -> WiretapInstance:
-    """Draw A with i.i.d. width-k entries; B is drawn from its own substream
-    on first read."""
-    rng_a, rng_b = rng.spawn(2)
-    return WiretapInstance(psi_sample(p.k, rng_a, size=(p.m_rx, p.n)), p.k, rng_b)
+def make_instance(p: SystemParams, rng: np.random.Generator, t: int,
+                  eve: bool = False) -> Channels:
+    """Draw t channels with i.i.d. width-k entries, each from its own pair of
+    child streams of rng: A from the first and, if eve, B from the second.
+    rng itself takes no draw, so t channels equal t draws of one."""
+    if p.m_rx < p.n:
+        raise DegenerateBasisError("fewer receive antennas than streams")
+    streams = rng.spawn(2 * t)
+
+    def draw(kids):  # one width-k matrix from each child stream
+        return np.stack([psi_sample(p.k, c, size=(p.m_rx, p.n)) for c in kids])
+
+    A = draw(streams[::2])
+    U, sigma, V = svd(A)
+    return Channels(A, U, sigma, V, draw(streams[1::2]) @ V if eve else None)
 
 
-def precode(inst: WiretapInstance, x: np.ndarray) -> np.ndarray:
-    """Alice's linear precoding x_tilde = V x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != inst.A.shape[1]:
+def channel_noise(p: SystemParams, rng: np.random.Generator, shape) -> np.ndarray:
+    """Bob's or Eve's channel noise, i.i.d. width M*alpha scaled by
+    p.noise_scale; at scale 0, zeros and no draw."""
+    if p.noise_scale == 0:
+        return np.zeros(shape)
+    return psi_sample(p.noise_width * p.noise_scale, rng, size=shape)
+
+
+def transmit_to_bob(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """y = A V x + e: Alice precodes each message with its channel's V."""
+    if np.shape(x)[-1] != ch.A.shape[-1]:
         raise ParameterError("message dimension does not match the channel")
-    return inst.svdA.V @ x
-
-
-def transmit_to_bob(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
-                    rng: np.random.Generator) -> np.ndarray:
-    """y = A V x + e with e i.i.d. width M*alpha (scaled by p.noise_scale)."""
-    y = inst.A @ precode(inst, x)
-    if p.noise_scale > 0:
-        y = y + psi_sample(p.noise_width * p.noise_scale, rng, size=y.shape)
-    return y
+    return matvec(ch.A, matvec(ch.V, x)) + e
 
 
 def hard_decision(est, M: int) -> np.ndarray:
@@ -156,18 +139,27 @@ def hard_decision(est, M: int) -> np.ndarray:
     return np.clip(est, 0, M - 1).astype(np.int64)
 
 
-def bob_decode(inst: WiretapInstance, y: np.ndarray, p: SystemParams) -> np.ndarray:
+def csi_invert(key, y: np.ndarray) -> np.ndarray:
+    """Sigma^-1 U^T y, the CSI-key inversion, with key's U and sigma (a
+    Channels or an SvdTriple); the rank test is relative.  An estimate
+    that overflows (noise that dwarfs the channel) raises NumericalError."""
+    if not np.all(key.sigma[..., -1] > SIGMA_FLOOR * key.sigma[..., 0]):
+        raise DegenerateBasisError("channel matrix numerically rank deficient")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
+        est = matvec(np.swapaxes(key.U, -1, -2), y) / key.sigma
+    if not np.all(np.isfinite(est)):
+        raise NumericalError("the CSI-key inversion is not finite")
+    return est
+
+
+def bob_decode(key, y: np.ndarray, p: SystemParams) -> np.ndarray:
     """Receiver shaping U^T y then per-stream rounding by 1/sigma_i."""
-    return hard_decision(inst.invert(y), p.M)
+    return hard_decision(csi_invert(key, y), p.M)
 
 
-def eve_receive(inst: WiretapInstance, x: np.ndarray, p: SystemParams,
-                rng: np.random.Generator):
+def eve_receive(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Eve's observation y = G x + e through her effective channel G = B V."""
-    y = inst.G @ np.asarray(x, dtype=float)
-    if p.noise_scale > 0:
-        y = y + psi_sample(p.noise_width * p.noise_scale, rng, size=y.shape)
-    return y
+    return matvec(ch.G, x) + e
 
 
 def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,

@@ -1,7 +1,7 @@
 """Slow reference implementations that the key-agreement path is tested
 against: the dense Toeplitz matrix and its matrix-vector hash, the
-per-symbol np.unique majority vote, and a key agreement that decodes with a
-full-matrices SVD of each channel.
+per-symbol np.unique majority vote, and a key agreement that precodes and
+decodes each repetition on its own with a full-matrices SVD of the channel.
 """
 
 from dataclasses import asdict
@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from csikey.numerics import SvdTriple
 from csikey.params import check_secrecy_constraints
 from csikey.protocols import ToeplitzSeed, bits_to_hex, encode_symbols
-from csikey.wiretap import make_instance, random_message, transmit_to_bob
+from csikey.wiretap import channel_noise, make_instance, random_message
 
 
 def toeplitz_matrix(seed):
@@ -41,11 +41,10 @@ def full_svd(a):
     return SvdTriple(U=u, sigma=s, V=vh.T)
 
 
-def _full_bob_decode(inst, y, p):
+def _full_bob_decode(key, y, p):
     """Bob's decoder on the first n rows of U^T y, with U m_rx x m_rx."""
-    n = inst.A.shape[1]
-    shaped = inst.svdA.U.T @ np.asarray(y, dtype=float)
-    est = np.rint(shaped[:n] / inst.svdA.sigma[:n]).astype(np.int64)
+    shaped = key.U.T @ np.asarray(y, dtype=float)
+    est = np.rint(shaped[:p.n] / key.sigma[:p.n]).astype(np.int64)
     return np.clip(est, 0, p.M - 1)
 
 
@@ -58,11 +57,12 @@ def reference_key_agreement(cfg, rng):
     alice_bits, bob_bits, messages = [], [], []
     errors = 0
     for _ in range(cfg.c):
-        inst = make_instance(p, rng)
-        inst.svdA = full_svd(inst.A)
+        a = make_instance(p, rng, 1).A[0]
+        key = full_svd(a)
         x = random_message(p, rng)
-        votes = np.stack([
-            _full_bob_decode(inst, transmit_to_bob(inst, x, p, rng), p)
+        votes = np.stack([  # one noise draw per repetition
+            _full_bob_decode(key, a @ (key.V @ x.astype(float))
+                             + channel_noise(p, rng, p.m_rx), p)
             for _ in range(reps)])
         x_hat = votes[0] if reps == 1 else unique_vote(votes)
         errors += int(np.any(x_hat != x))

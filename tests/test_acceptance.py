@@ -25,8 +25,9 @@ from csikey.numerics import make_rng
 from csikey.params import design_table
 from csikey.protocols import (CipherContext, KeyAgreementConfig, decrypt,
                               encrypt, run_key_agreement)
-from csikey.wiretap import (SystemParams, bob_decode, make_instance,
-                            random_message, sample_A_dist, transmit_to_bob)
+from csikey.wiretap import (SystemParams, bob_decode, channel_noise,
+                            make_instance, random_message, sample_A_dist,
+                            transmit_to_bob)
 from lattice_reference import is_lll_reduced
 
 TABLE_LOG2M = [33.7, 51.3, 75.4, 96.0]
@@ -71,14 +72,14 @@ def test_acceptance_03_noiseless_correctness():
     for n in (4, 8, 16, 32, 64):
         p = SystemParams(n=n, m_rx=n, M=16, alpha=0.1, k=1.0, noise_scale=0.0)
         for _ in range(200):
-            inst = make_instance(p, rng)
+            ch = make_instance(p, rng, 1)
             x = random_message(p, rng)
-            y = transmit_to_bob(inst, x, p, rng)
-            bob_exact += np.array_equal(bob_decode(inst, y, p), x)
+            y = transmit_to_bob(ch, x, channel_noise(p, rng, p.m_rx))
+            bob_exact += np.array_equal(bob_decode(ch, y, p), [x])
             ctx = CipherContext.random(p, rng)
             m = rng.integers(0, 2, size=n)
-            y = encrypt(ctx, m, inst, rng)
-            cipher_exact += np.array_equal(decrypt(ctx, y, inst), m)
+            y = encrypt(ctx, m, ch, rng)
+            cipher_exact += np.array_equal(decrypt(ctx, y, ch), [m])
             trials += 1
     elapsed = time.monotonic() - start
     ok = bob_exact == trials == cipher_exact and elapsed < 30.0
@@ -91,12 +92,12 @@ def test_acceptance_04_unitary_invariance():
     p = SystemParams(n=8, m_rx=8, M=16, alpha=0.5, k=1.0)
     worst = 0.0
     for _ in range(1000):
-        inst = make_instance(p, rng)
+        ch = make_instance(p, rng, 1)
         x = random_message(p, rng)
-        clean = transmit_to_bob(inst, x, replace(p, noise_scale=0.0), rng)
-        y = transmit_to_bob(inst, x, p, rng)
+        clean = transmit_to_bob(ch, x, 0.0)[0]
+        y = transmit_to_bob(ch, x, channel_noise(p, rng, p.m_rx))[0]
         e = y - clean
-        shaped_noise = inst.svdA.U.T @ y - inst.svdA.sigma * x
+        shaped_noise = ch.U[0].T @ y - ch.sigma[0] * x
         worst = max(worst, abs(np.linalg.norm(shaped_noise)
                                - np.linalg.norm(e)) / np.linalg.norm(e))
     ok = worst <= 1e-9
@@ -107,9 +108,8 @@ def test_acceptance_04_unitary_invariance():
 def test_acceptance_05_orthogonal_invariance():
     rng = make_rng(5000)
     p = SystemParams(n=16, m_rx=16, M=16, alpha=0.5, k=1.0)
-    entries = np.concatenate([
-        (make_instance(p, rng).B @ make_instance(p, rng).svdA.V).ravel()
-        for _ in range(40)])[:10**4]
+    # Eve's G = B V of 40 channels: B is independent of A, hence of V.
+    entries = make_instance(p, rng, 40, eve=True).G.ravel()[:10**4]
     std = p.k / math.sqrt(2 * math.pi)
     se_mean = std / math.sqrt(entries.size)
     se_var = std**2 * math.sqrt(2.0 / entries.size)
@@ -291,11 +291,11 @@ def test_acceptance_14_protocol_correctness():
     ctx = CipherContext.random(replace(p, noise_scale=0.0), rng)
     bits = errs = 0
     while bits < 10**4:
-        inst = make_instance(p, rng)
+        ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(ctx, m, inst, rng)
+        y = encrypt(ctx, m, ch, rng)
         wrong = CipherContext.random(p, rng)
-        errs += int(np.sum(decrypt(wrong, y, inst) != m))
+        errs += int(np.sum(decrypt(wrong, y, ch) != m))
         bits += p.n
     ber = errs / bits
     ok = implication_ok and clean_runs > 0 and abs(ber - 0.5) <= 0.05

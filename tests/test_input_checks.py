@@ -16,8 +16,8 @@ from csikey.numerics import gram_schmidt, make_rng
 from csikey.params import secrecy_capacity
 from csikey.protocols import (CipherContext, KeyAgreementConfig, ToeplitzSeed,
                               encrypt)
-from csikey.wiretap import (SampleBatch, SystemParams, make_instance, precode,
-                            sample_A_dist, sample_R_dist)
+from csikey.wiretap import (SampleBatch, SystemParams, make_instance,
+                            sample_A_dist, sample_R_dist, transmit_to_bob)
 
 P = SystemParams(n=4, m_rx=8, M=4, alpha=1.0)
 RNG = make_rng(0)
@@ -37,6 +37,9 @@ CHECKS = {  # name: (error, message pattern, call)
     "padding-grid-alpha-underflow": (ParameterError, "underflows", lambda:
         error_handling_search(EMPTY, None, SystemParams(n=4, m_rx=4, M=4,
                                                         alpha=1e-170), RNG)),
+    "padding-grid-alpha-overflow": (ParameterError, r"alpha\^2 overflows", lambda:
+        error_handling_search(EMPTY, None, SystemParams(n=4, m_rx=4, M=4,
+                                                        alpha=1e155), RNG)),
     # distributions
     "psi-width-zero": (ParameterError, "width must be positive", lambda:
         psi_sample(0.0, RNG)),
@@ -78,7 +81,7 @@ CHECKS = {  # name: (error, message pattern, call)
         CipherContext(np.array([0, 1, 2, 4]), P)),
     "encrypt-not-bits": (ParameterError, "bit vector", lambda:
         encrypt(CipherContext(np.zeros(4), P), np.array([0, 1, 2, 0]),
-                make_instance(P, RNG), RNG)),
+                make_instance(P, RNG, 1), RNG)),
     # wiretap
     "params-n-zero": (ParameterError, "n must be >= 1", lambda:
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
@@ -91,7 +94,7 @@ CHECKS = {  # name: (error, message pattern, call)
     "params-noise-scale-nan": (ParameterError, "noise_scale must be", lambda:
         SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=float("nan"))),
     "precode-dimension": (ParameterError, "message dimension", lambda:
-        precode(make_instance(P, RNG), np.zeros(3))),
+        transmit_to_bob(make_instance(P, RNG, 1), np.zeros(3), 0.0)),
     "A-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
         sample_A_dist(np.zeros(4), P, RNG, count=0)),
     "R-dist-count-zero": (ParameterError, "count must be >= 1", lambda:

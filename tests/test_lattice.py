@@ -10,8 +10,8 @@ from csikey.lattice import (LOCKSTEP_MIN, LatticeBasis, ReductionResult,
                             lattice_bases, lll_reduce, nearest_plane,
                             successive_minima)
 from csikey.numerics import gram_schmidt, make_rng
-from csikey.wiretap import (SystemParams, eve_receive, make_instance,
-                            random_message, transmit_to_bob)
+from csikey.wiretap import (SystemParams, channel_noise, eve_receive,
+                            make_instance, random_message)
 from lattice_reference import (babai_nearest_plane, babai_reference,
                                enumerate_svp, fraction_rank, is_lll_reduced,
                                lll_per_basis, lll_recompute)
@@ -78,10 +78,10 @@ def _attack_channels(count):
     p = _attack_params()
     rng = make_rng(1300)
     for _ in range(count):
-        inst = make_instance(p, rng)
+        ch = make_instance(p, rng, 1, eve=True)
         x = random_message(p, rng)
-        transmit_to_bob(inst, x, p, rng)
-        yield inst.G, eve_receive(inst, x, p, rng), p.M
+        channel_noise(p, rng, p.m_rx)  # Bob's noise
+        yield ch.G[0], eve_receive(ch, x, channel_noise(p, rng, p.m_rx))[0], p.M
 
 
 def _assert_matches_reference(g):
@@ -125,7 +125,7 @@ def test_stacked_lll_matches_per_basis_lll(trials, n):
     p = _attack_params(n)
     rng = make_rng(1000 * n + trials)
     _assert_stack_matches_per_basis_lll(
-        np.stack([make_instance(p, rng).G for _ in range(trials)]))
+        make_instance(p, rng, trials, eve=True).G)
 
 
 def test_stacked_lll_matches_per_basis_lll_across_scales():
@@ -212,10 +212,11 @@ def test_nearest_plane_rounding_matches_babai_reference():
     p = _attack_params()
     rng = make_rng(1301)
     for _ in range(5):
-        inst = make_instance(p, rng)
-        targets = np.array([eve_receive(inst, random_message(p, rng), p, rng)
+        ch = make_instance(p, rng, 1, eve=True)
+        targets = np.array([eve_receive(ch, random_message(p, rng),
+                                        channel_noise(p, rng, p.m_rx))[0]
                             for _ in range(40)])
-        red = lll_reduce(LatticeBasis(inst.G))
+        red = lll_reduce(LatticeBasis(ch.G[0]))
         _, coeffs = nearest_plane(red.reduced, targets,
                                   lambda i, c: np.rint(c))
         for row, y in zip(coeffs, targets):

@@ -152,18 +152,18 @@ def test_cipher_round_trip_and_wrong_key():
     rng = make_rng(4)
     ctx = CipherContext.random(p, rng)
     for _ in range(50):
-        inst = make_instance(p, rng)
+        ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(ctx, m, inst, rng)
-        assert np.array_equal(decrypt(ctx, y, inst), m)
+        y = encrypt(ctx, m, ch, rng)
+        assert np.array_equal(decrypt(ctx, y, ch), [m])
     # wrong-key scrambling
     bits = errs = 0
     for _ in range(100):
-        inst = make_instance(p, rng)
+        ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(ctx, m, inst, rng)
+        y = encrypt(ctx, m, ch, rng)
         wrong = CipherContext.random(p, rng)
-        errs += int(np.sum(decrypt(wrong, y, inst) != m))
+        errs += int(np.sum(decrypt(wrong, y, ch) != m))
         bits += p.n
     assert errs / bits == pytest.approx(0.5, abs=0.06)
 
@@ -171,14 +171,14 @@ def test_cipher_round_trip_and_wrong_key():
 def test_cipher_symbol_identities():
     p = _params(n=4, m_rx=4, noise_scale=0.0)
     rng = make_rng(5)
-    inst = make_instance(p, rng)
+    ch = make_instance(p, rng, 1)
     s = np.array([1, 5, 9, 13])
     ctx = CipherContext(s, p)
-    zero = encrypt(ctx, np.zeros(4, dtype=int), inst, rng)
-    assert np.array_equal(bob_decode(inst, zero, p), s)
+    zero = encrypt(ctx, np.zeros(4, dtype=int), ch, rng)
+    assert np.array_equal(bob_decode(ch, zero, p), [s])
     ones = encrypt(CipherContext(np.zeros(4, dtype=int), p),
-                   np.ones(4, dtype=int), inst, rng)
-    assert np.all(bob_decode(inst, ones, p) == p.M // 2)
+                   np.ones(4, dtype=int), ch, rng)
+    assert np.all(bob_decode(ch, ones, p) == p.M // 2)
 
 
 def test_cipher_fresh_channel_randomizes_ciphertext():
@@ -186,8 +186,8 @@ def test_cipher_fresh_channel_randomizes_ciphertext():
     rng = make_rng(6)
     ctx = CipherContext.random(p, rng)
     m = np.array([1, 0, 1, 0])
-    e1 = encrypt(ctx, m, make_instance(p, rng), rng)
-    e2 = encrypt(ctx, m, make_instance(p, rng), rng)
+    e1 = encrypt(ctx, m, make_instance(p, rng, 1), rng)
+    e2 = encrypt(ctx, m, make_instance(p, rng, 1), rng)
     assert not np.allclose(e1, e2)
 
 
@@ -196,16 +196,16 @@ def test_cipher_odd_m_rejected():
     rng = make_rng(7)
     ctx = CipherContext.random(p, rng)
     with pytest.raises(ConfigurationError):
-        encrypt(ctx, np.zeros(p.n, dtype=int), make_instance(p, rng), rng)
+        encrypt(ctx, np.zeros(p.n, dtype=int), make_instance(p, rng, 1), rng)
 
 
 def test_successive_instances_uncorrelated():
     p = _params(n=8, m_rx=8)
     rng = make_rng(8)
-    prev = make_instance(p, rng)
+    prev = make_instance(p, rng, 1)
     corrs = []
     for _ in range(500):
-        cur = make_instance(p, rng)
+        cur = make_instance(p, rng, 1)
         corrs.append(np.corrcoef(prev.A.ravel(), cur.A.ravel())[0, 1])
         prev = cur
     se = 1.0 / np.sqrt(prev.A.size)
