@@ -1,10 +1,10 @@
 """Key agreement over the wiretap channel and the symmetric-key cipher.
 
 Key agreement sends c random symbol vectors through fresh channels and
-condenses the exchanged bits to an eta-bit key with a
-Toeplitz universal hash.  The cipher hides a one-bit-per-antenna message
-inside a shared secret vector s, transmitted through the precoded channel,
-one message per coherence interval (a fresh channel each time).
+condenses the exchanged bits to an eta-bit key with a Toeplitz universal
+hash.  The cipher hides a one-bit-per-antenna message inside a shared
+secret vector s, sent with SVD precoding through the channel, one message
+per coherence interval (a fresh channel each time).
 """
 
 import math

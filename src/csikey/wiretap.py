@@ -125,7 +125,7 @@ def channel_noise(p: SystemParams, rng: np.random.Generator, shape) -> np.ndarra
 
 
 def transmit_to_bob(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """y = A V x + e: Alice precodes each message with its channel's V."""
+    """y = A V x + e: Alice sends V x (the SVD precoding) through A."""
     if np.shape(x)[-1] != ch.A.shape[-1]:
         raise ParameterError("message dimension does not match the channel")
     return matvec(ch.A, matvec(ch.V, x)) + e
