@@ -105,8 +105,11 @@ def verify_solution(batch: SampleBatch, candidate: np.ndarray, p: SystemParams,
         raise ParameterError("empty batch")
     w0 = p.alpha if noise_width is None else noise_width
     res = batch.y - batch.a @ np.asarray(candidate, dtype=float)
-    res_std = math.sqrt(float(np.mean(res**2)))
-    threshold = 0.5 * (psi_std(w0) + psi_std(math.sqrt(w0**2 + p.k**2)))
+    # The RMS of the residuals scaled by a power of two (largest below 1)
+    # is exact and its squares cannot overflow; hypot does not square.
+    e = math.frexp(float(np.max(np.abs(res))))[1]
+    res_std = math.ldexp(math.sqrt(float(np.mean(np.ldexp(res, -e) ** 2))), e)
+    threshold = 0.5 * (psi_std(w0) + psi_std(math.hypot(w0, p.k)))
     return res_std < threshold
 
 

@@ -24,8 +24,7 @@ from .errors import ConfigurationError, CsikeyError, OptionError
 from .lattice import enumerate_cvp
 from .numerics import make_rng
 from .params import check_secrecy_constraints, design_table
-from .protocols import (VALID_CODERS, CipherContext, KeyAgreementConfig,
-                        decrypt, encrypt, run_key_agreement)
+from .protocols import VALID_CODERS, decrypt, encrypt, run_key_agreement
 from .wiretap import SystemParams, make_instance, sample_A_dist
 
 # One typed definition per option, for the flags and the --config keys:
@@ -133,9 +132,8 @@ def _run_ber(cfg: ExperimentConfig) -> list:
 def _run_key_agreement(cfg: ExperimentConfig) -> list:
     p = cfg.system_params()
     _warn_gate(p)
-    eta = int(cfg.options["eta"])
-    ka = KeyAgreementConfig(p, eta, coder=cfg.options["coder"])
-    transcript = run_key_agreement(ka, make_rng(int(cfg.options["seed"])))
+    transcript = run_key_agreement(p, int(cfg.options["eta"]), cfg.options["coder"],
+                                   make_rng(int(cfg.options["seed"])))
     if cfg.options["format"] == "json":
         return [transcript]
     return [{k: transcript[k] for k in
@@ -148,14 +146,14 @@ def _run_cipher(cfg: ExperimentConfig) -> list:
     _warn_gate(p)
     seed = int(cfg.options["seed"])
     rng = make_rng(seed)
-    ctx = CipherContext.random(p, rng)
+    s = rng.integers(0, p.M, size=p.n)  # the shared secret
     trials = int(cfg.options["trials"])
     bit_errors = 0
     for _ in range(trials):
         ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(ctx, m, ch, rng)
-        bit_errors += int(np.sum(decrypt(ctx, y, ch) != m))
+        y = encrypt(p, s, m, ch, rng)
+        bit_errors += int(np.sum(decrypt(p, s, y, ch) != m))
     total = trials * p.n
     return [{"n": p.n, "M": p.M, "alpha": p.alpha, "k": p.k, "trials": trials,
              "bits": total, "bit_errors": bit_errors,
@@ -218,8 +216,9 @@ def render(record: dict, fmt: str) -> str:
     return json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every subcommand; --n stays a string (main types it)."""
+    """One parser for every subcommand, built once; main types --n."""
     parser = argparse.ArgumentParser(
         prog="csikey",
         description="Seeded experiment harness for the massive-MIMO "

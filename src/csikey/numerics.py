@@ -7,8 +7,6 @@ bit-equal to per-matrix calls; each check runs over the whole stack in
 turn, and the first matrix failing it raises the per-matrix error.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (DegenerateBasisError, IllConditionedError, NumericalError,
@@ -17,28 +15,18 @@ from .errors import (DegenerateBasisError, IllConditionedError, NumericalError,
 COND_LIMIT = 1e12
 
 
-class SvdTriple(NamedTuple):
-    """A = U @ diag(sigma) @ V.T with sigma non-increasing."""
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Reproducible generator: identical (seed, stream) gives identical draws.
-
-    Streams with distinct ids are statistically independent, which is what
-    Monte Carlo workers use.
-    """
-    if seed < 0 or stream < 0:
-        raise ParameterError(f"seed and stream must be >= 0, got {seed}, {stream}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+def make_rng(seed: int) -> np.random.Generator:
+    """Reproducible generator: an identical seed gives identical draws."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    # spawn key (0,) is the one every artifact so far was drawn with
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
     return np.random.default_rng(ss)
 
 
-def svd(a: np.ndarray) -> SvdTriple:
-    """Thin SVD: U is m x min(m, n), sigma non-increasing (numpy convention)."""
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (U, sigma, V) with A = U @ diag(sigma) @ V.T: U is
+    m x min(m, n), sigma non-increasing (numpy convention)."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NumericalError("svd input contains non-finite entries")
@@ -46,7 +34,7 @@ def svd(a: np.ndarray) -> SvdTriple:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"svd failed to converge on {a.shape[-2:]} matrix") from exc
-    return SvdTriple(U=u, sigma=s, V=np.swapaxes(vh, -1, -2))
+    return u, s, np.swapaxes(vh, -1, -2)
 
 
 def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -139,22 +139,22 @@ def hard_decision(est, M: int) -> np.ndarray:
     return np.clip(est, 0, M - 1).astype(np.int64)
 
 
-def csi_invert(key, y: np.ndarray) -> np.ndarray:
-    """Sigma^-1 U^T y, the CSI-key inversion, with key's U and sigma (a
-    Channels or an SvdTriple); the rank test is relative.  An estimate
-    that overflows (noise that dwarfs the channel) raises NumericalError."""
-    if not np.all(key.sigma[..., -1] > SIGMA_FLOOR * key.sigma[..., 0]):
+def csi_invert(ch: Channels, y: np.ndarray) -> np.ndarray:
+    """Sigma^-1 U^T y, the CSI-key inversion with ch's U and sigma; the
+    rank test is relative.  An estimate that overflows (noise that dwarfs
+    the channel) raises NumericalError."""
+    if not np.all(ch.sigma[..., -1] > SIGMA_FLOOR * ch.sigma[..., 0]):
         raise DegenerateBasisError("channel matrix numerically rank deficient")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        est = matvec(np.swapaxes(key.U, -1, -2), y) / key.sigma
+        est = matvec(np.swapaxes(ch.U, -1, -2), y) / ch.sigma
     if not np.all(np.isfinite(est)):
         raise NumericalError("the CSI-key inversion is not finite")
     return est
 
 
-def bob_decode(key, y: np.ndarray, p: SystemParams) -> np.ndarray:
+def bob_decode(ch: Channels, y: np.ndarray, p: SystemParams) -> np.ndarray:
     """Receiver shaping U^T y then per-stream rounding by 1/sigma_i."""
-    return hard_decision(csi_invert(key, y), p.M)
+    return hard_decision(csi_invert(ch, y), p.M)
 
 
 def eve_receive(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:

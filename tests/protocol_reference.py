@@ -9,22 +9,21 @@ from dataclasses import asdict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from csikey.numerics import SvdTriple
 from csikey.params import check_secrecy_constraints
-from csikey.protocols import ToeplitzSeed, bits_to_hex, encode_symbols
+from csikey.protocols import bits_to_hex, encode_symbols, min_message_count
 from csikey.wiretap import channel_noise, make_instance, random_message
 
 
-def toeplitz_matrix(seed):
-    """The eta x input_len matrix T[i, j] = bits[input_len - 1 + i - j]
-    (a read-only view of the seed bits)."""
-    return sliding_window_view(seed.bits, seed.input_len)[:, ::-1]
+def toeplitz_matrix(seed, input_len):
+    """The (len(seed) - input_len + 1) x input_len matrix
+    T[i, j] = seed[input_len - 1 + i - j] (a read-only view of the seed)."""
+    return sliding_window_view(seed, input_len)[:, ::-1]
 
 
 def dense_hash(seed, bits):
     """T @ bits mod 2 with the dense Toeplitz matrix."""
     bits = np.asarray(bits, dtype=np.uint8) & 1
-    return (toeplitz_matrix(seed) @ bits.astype(np.int64)) % 2
+    return (toeplitz_matrix(seed, len(bits)) @ bits.astype(np.int64)) % 2
 
 
 def unique_vote(votes):
@@ -36,32 +35,27 @@ def unique_vote(votes):
     return out
 
 
-def full_svd(a):
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return SvdTriple(U=u, sigma=s, V=vh.T)
-
-
-def _full_bob_decode(key, y, p):
+def _full_bob_decode(u, sigma, y, p):
     """Bob's decoder on the first n rows of U^T y, with U m_rx x m_rx."""
-    shaped = key.U.T @ np.asarray(y, dtype=float)
-    est = np.rint(shaped[:p.n] / key.sigma[:p.n]).astype(np.int64)
+    shaped = u.T @ np.asarray(y, dtype=float)
+    est = np.rint(shaped[:p.n] / sigma[:p.n]).astype(np.int64)
     return np.clip(est, 0, p.M - 1)
 
 
-def reference_key_agreement(cfg, rng):
+def reference_key_agreement(p, eta, coder, rng):
     """run_key_agreement with the full SVD, the loop vote and the dense
     hash; it draws from rng in the same order."""
-    p = cfg.p
+    c = min_message_count(p, eta)
     gate_ok = all(check_secrecy_constraints(p))
-    reps = 3 if cfg.coder == "repetition-3" else 1
+    reps = 3 if coder == "repetition-3" else 1
     alice_bits, bob_bits, messages = [], [], []
     errors = 0
-    for _ in range(cfg.c):
+    for _ in range(c):
         a = make_instance(p, rng, 1).A[0]
-        key = full_svd(a)
+        u, sigma, vh = np.linalg.svd(a, full_matrices=True)
         x = random_message(p, rng)
         votes = np.stack([  # one noise draw per repetition
-            _full_bob_decode(key, a @ (key.V @ x.astype(float))
+            _full_bob_decode(u, sigma, a @ (vh.T @ x.astype(float))
                              + channel_noise(p, rng, p.m_rx), p)
             for _ in range(reps)])
         x_hat = votes[0] if reps == 1 else unique_vote(votes)
@@ -72,19 +66,19 @@ def reference_key_agreement(cfg, rng):
                          "bob": bits_to_hex(bob_bits[-1])})
     alice_bits = np.concatenate(alice_bits)
     bob_bits = np.concatenate(bob_bits)
-    seed = ToeplitzSeed.random(alice_bits.shape[0], cfg.eta, rng)
+    seed = rng.integers(0, 2, size=len(alice_bits) + eta - 1, dtype=np.uint8)
     alice_key = dense_hash(seed, alice_bits)
     bob_key = dense_hash(seed, bob_bits)
     return {
         "params": asdict(p),
-        "eta": cfg.eta,
-        "c": cfg.c,
-        "coder": cfg.coder,
+        "eta": eta,
+        "c": c,
+        "coder": coder,
         "encoding": "per-symbol little-endian, ceil(log2 M) bits",
         "constraint_gate_ok": gate_ok,
         "messages": messages,
         "message_errors": errors,
-        "hash_seed": bits_to_hex(seed.bits),
+        "hash_seed": bits_to_hex(seed),
         "alice_key": bits_to_hex(alice_key),
         "bob_key": bits_to_hex(bob_key),
         "success": bool(np.array_equal(alice_key, bob_key)),

@@ -23,8 +23,7 @@ from csikey.lattice import (LatticeBasis, enumerate_cvp, int_rank_det,
                             lll_reduce, successive_minima)
 from csikey.numerics import make_rng
 from csikey.params import design_table
-from csikey.protocols import (CipherContext, KeyAgreementConfig, decrypt,
-                              encrypt, run_key_agreement)
+from csikey.protocols import decrypt, encrypt, run_key_agreement
 from csikey.wiretap import (SystemParams, bob_decode, channel_noise,
                             make_instance, random_message, sample_A_dist,
                             transmit_to_bob)
@@ -76,10 +75,10 @@ def test_acceptance_03_noiseless_correctness():
             x = random_message(p, rng)
             y = transmit_to_bob(ch, x, channel_noise(p, rng, p.m_rx))
             bob_exact += np.array_equal(bob_decode(ch, y, p), [x])
-            ctx = CipherContext.random(p, rng)
+            s = rng.integers(0, p.M, size=n)
             m = rng.integers(0, 2, size=n)
-            y = encrypt(ctx, m, ch, rng)
-            cipher_exact += np.array_equal(decrypt(ctx, y, ch), [m])
+            y = encrypt(p, s, m, ch, rng)
+            cipher_exact += np.array_equal(decrypt(p, s, y, ch), [m])
             trials += 1
     elapsed = time.monotonic() - start
     ok = bob_exact == trials == cipher_exact and elapsed < 30.0
@@ -279,23 +278,25 @@ def test_acceptance_13_attack_separation():
 def test_acceptance_14_protocol_correctness():
     p = SystemParams(n=16, m_rx=32, M=16, alpha=0.02, k=1.0)
     eta = 32
-    cfg = KeyAgreementConfig(p, eta, coder="none")
     implication_ok = True
     clean_runs = 0
     for seed in range(100):
-        tr = run_key_agreement(cfg, make_rng(seed, stream=14))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                           spawn_key=(14,)))
+        tr = run_key_agreement(p, eta, "none", rng)
         if tr["message_errors"] == 0:
             clean_runs += 1
             implication_ok &= tr["success"]
     rng = make_rng(1400)
-    ctx = CipherContext.random(replace(p, noise_scale=0.0), rng)
+    noiseless = replace(p, noise_scale=0.0)
+    s = rng.integers(0, p.M, size=p.n)
     bits = errs = 0
     while bits < 10**4:
         ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(ctx, m, ch, rng)
-        wrong = CipherContext.random(p, rng)
-        errs += int(np.sum(decrypt(wrong, y, ch) != m))
+        y = encrypt(noiseless, s, m, ch, rng)
+        wrong = rng.integers(0, p.M, size=p.n)
+        errs += int(np.sum(decrypt(p, wrong, y, ch) != m))
         bits += p.n
     ber = errs / bits
     ok = implication_ok and clean_runs > 0 and abs(ber - 0.5) <= 0.05

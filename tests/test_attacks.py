@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,20 @@ def test_verify_solution_accepts_and_rejects():
         wrong[0] = (wrong[0] + 1) % p.M
         rej += not verify_solution(batch, wrong, p, noise_width=p.alpha)
     assert acc == trials and rej == trials
+
+
+@pytest.mark.parametrize("alpha,width", [(1.2e154, 6e153), (2e154, 1e154),
+                                         (2e154, 1e300)])
+def test_verify_solution_near_the_top_of_the_float_range(alpha, width):
+    # The squared residuals overflow here; their RMS must not.
+    p = SystemParams(n=2, m_rx=2, M=4, alpha=alpha, k=1e152)
+    x = np.array([1, 3])
+    batch = sample_A_dist(x, p, make_rng(0), count=128, noise_width=width)
+    wrong = x + 8 * width / p.k  # residual width about 8 times the noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_solution(batch, x, p, noise_width=width)
+        assert not verify_solution(batch, wrong, p, noise_width=width)
 
 
 def test_error_handling_search_with_unknown_beta():

@@ -14,8 +14,7 @@ from csikey.errors import (DegenerateBasisError, DimensionGuardError,
 from csikey.lattice import LatticeBasis, enumerate_cvp
 from csikey.numerics import gram_schmidt, make_rng
 from csikey.params import secrecy_capacity
-from csikey.protocols import (CipherContext, KeyAgreementConfig, ToeplitzSeed,
-                              encrypt)
+from csikey.protocols import decrypt, encrypt, run_key_agreement, universal_hash
 from csikey.wiretap import (SampleBatch, SystemParams, make_instance,
                             sample_A_dist, sample_R_dist, transmit_to_bob)
 
@@ -61,10 +60,8 @@ CHECKS = {  # name: (error, message pattern, call)
     # numerics
     "gso-wide-matrix": (DegenerateBasisError, "3 columns in dimension 2",
                         lambda: gram_schmidt(np.ones((2, 3)))),
-    "rng-seed-negative": (ParameterError, "seed and stream must be >= 0",
+    "rng-seed-negative": (ParameterError, "seed must be >= 0",
                           lambda: make_rng(-1)),
-    "rng-stream-negative": (ParameterError, "seed and stream must be >= 0",
-                            lambda: make_rng(0, -1)),
     # params
     "capacity-n-zero": (ParameterError, "need n >= 1", lambda:
         secrecy_capacity(0, 4.0)),
@@ -72,15 +69,15 @@ CHECKS = {  # name: (error, message pattern, call)
         secrecy_capacity(4, 0.0)),
     # protocols
     "toeplitz-seed-length": (ParameterError, "seed length", lambda:
-        ToeplitzSeed(np.zeros(5), 4, 4)),
+        universal_hash(np.zeros(5), np.zeros(6))),
     "key-agreement-eta-zero": (ParameterError, "eta must be >= 1", lambda:
-        KeyAgreementConfig(P, 0)),
+        run_key_agreement(P, 0, "none", RNG)),
     "cipher-secret-shape": (ParameterError, "one symbol per antenna", lambda:
-        CipherContext(np.zeros(3), P)),
+        encrypt(P, np.zeros(3), np.zeros(4), None, RNG)),
     "cipher-secret-range": (ParameterError, r"lie in \[0, M\)", lambda:
-        CipherContext(np.array([0, 1, 2, 4]), P)),
+        decrypt(P, np.array([0, 1, 2, 4]), np.zeros(8), None)),
     "encrypt-not-bits": (ParameterError, "bit vector", lambda:
-        encrypt(CipherContext(np.zeros(4), P), np.array([0, 1, 2, 0]),
+        encrypt(P, np.zeros(4), np.array([0, 1, 2, 0]),
                 make_instance(P, RNG, 1), RNG)),
     # wiretap
     "params-n-zero": (ParameterError, "n must be >= 1", lambda:

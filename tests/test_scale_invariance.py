@@ -11,7 +11,7 @@ import pytest
 
 from csikey.attacks import ber_experiment
 from csikey.numerics import make_rng
-from csikey.protocols import KeyAgreementConfig, run_key_agreement
+from csikey.protocols import run_key_agreement
 from csikey.wiretap import SystemParams
 
 
@@ -51,7 +51,7 @@ def test_key_agreement_does_not_depend_on_scale(coder):
     p = SystemParams(n=8, m_rx=16, M=16, alpha=0.05)
 
     def run(q):
-        tr = run_key_agreement(KeyAgreementConfig(q, 32, coder), make_rng(5))
+        tr = run_key_agreement(q, 32, coder, make_rng(5))
         return tr["messages"], tr["alice_key"], tr["bob_key"]
 
     want = run(p)
