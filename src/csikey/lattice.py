@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DimensionGuardError, NumericalError
+from .errors import (DegenerateBasisError, DimensionGuardError, NumericalError,
+                     ParameterError)
 from .numerics import gram_schmidt, pseudo_inverse
 
 ENUM_DIM_LIMIT = 8
@@ -232,64 +233,56 @@ def _zigzag(c: float, lo, hi):
             down -= 1
 
 
-def _search(b: LatticeBasis, target: np.ndarray, radius2: float, visit,
-            box=None):
-    """Schnorr-Euchner enumeration of the lattice points b z within squared
-    distance radius2 of target (in the span of b), each z_i in [lo, hi] when
-    box = (lo, hi) is given.  Each level tries coefficients nearest its
-    centre first, so the first leaf is the Babai point (clamped into the
-    box) and a level ends at its first coefficient beyond the radius.
-    visit(z, d2) is called at each leaf, z a tuple, and returns the squared
-    radius for the rest of the search.  A centre or distance that is not
-    finite raises NumericalError."""
+def _search(b: LatticeBasis, target: np.ndarray, radius2: float, box=None,
+            shrink=False):
+    """Schnorr-Euchner enumeration, a generator of the leaves (d2, z), z a
+    tuple, of the lattice points b z within squared distance radius2 of
+    target (in the span of b), each z_i in [lo, hi] when box = (lo, hi) is
+    given.  Each level tries coefficients nearest its centre first, so the
+    first leaf is the Babai point (clamped into the box), and a level ends
+    at its first coefficient beyond the radius.  With shrink, the radius
+    becomes each leaf's d2.  A centre or distance that is not finite raises
+    NumericalError."""
     bstar, mu, norms2 = b.gso
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
         tcoord = (np.asarray(target, dtype=float) @ bstar / norms2).tolist()
     norms2, mu = norms2.tolist(), mu.tolist()
     n = len(norms2)
     lo, hi = box if box is not None else (-math.inf, math.inf)
-    z, center, levels = [0] * n, [0.0] * n, [None] * n
-    above = [0.0] * (n + 1)  # squared distance of the levels above
+    z = [0] * n
 
-    def enter(i):
-        center[i] = tcoord[i] - sum(z[k] * mu[k][i] for k in range(i + 1, n))
-        if not math.isfinite(center[i]):
+    def level(i, above):  # above: squared distance of the levels above i
+        nonlocal radius2
+        center = tcoord[i] - sum(z[k] * mu[k][i] for k in range(i + 1, n))
+        if not math.isfinite(center):
             raise NumericalError("an enumeration centre is not finite")
-        levels[i] = _zigzag(center[i], lo, hi)
-
-    i = n - 1
-    enter(i)
-    while i < n:
-        zi = next(levels[i], None)
-        if zi is not None:
-            dz = abs(zi - center[i])  # dz ** 2 raises OverflowError from 2^512
-            d2 = above[i + 1] + dz**2 * norms2[i] if dz < 2.0**512 else math.inf
+        for zi in _zigzag(center, lo, hi):
+            dz = abs(zi - center)  # dz ** 2 raises OverflowError from 2^512
+            d2 = above + dz**2 * norms2[i] if dz < 2.0**512 else math.inf
             if not d2 < math.inf:
                 raise NumericalError("an enumeration distance is not finite")
-        if zi is None or d2 > radius2:
-            i += 1
-        elif i:
-            z[i], above[i] = zi, d2
-            i -= 1
-            enter(i)
-        else:
-            z[0] = zi
-            radius2 = visit(tuple(z), d2)
+            if d2 > radius2:
+                return
+            z[i] = zi
+            if i:
+                yield from level(i - 1, d2)
+            else:
+                if shrink:
+                    radius2 = d2
+                yield d2, tuple(z)
+
+    return level(n - 1, 0.0)
 
 
 def closest_point(b: LatticeBasis, target: np.ndarray, box=None) -> tuple:
     """Coefficients z of the point b z closest to target, each z_i in
-    [lo, hi] when box = (lo, hi) is given; exact, in b's own coordinates (no
-    reduction step).  Ties go to the lexicographically smallest z."""
-    best = (math.inf, ())
-
-    def visit(z, d2):
-        nonlocal best
-        best = min(best, (d2, z))
-        return best[0]
-
-    _search(b, target, math.inf, visit, box)
-    return best[1]
+    [lo, hi] when box = (lo, hi) is given (ParameterError unless lo <= hi);
+    exact, in b's own coordinates (no reduction step): the least leaf of
+    the search under a shrinking radius, ties to the lexicographically
+    smallest z."""
+    if box is not None and not box[0] <= box[1]:
+        raise ParameterError(f"empty coefficient box {tuple(box)}")
+    return min(_search(b, target, math.inf, box, shrink=True))[1]
 
 
 def enumerate_cvp(b: LatticeBasis, target: np.ndarray):
@@ -311,14 +304,8 @@ def successive_minima(b: LatticeBasis) -> np.ndarray:
         return np.sort(np.linalg.norm(red.matrix, axis=0))
     # The minima are at most the longest reduced column (a relative slack).
     radius2 = float(np.max(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9)
-    cands = []
-
-    def visit(z, d2):
-        if any(z):
-            cands.append((d2, z))
-        return radius2
-
-    _search(red, np.zeros(b.ambient_dim), radius2, visit)
+    zeros = np.zeros(b.ambient_dim)
+    cands = [c for c in _search(red, zeros, radius2) if any(c[1])]
     chosen, values = [], []
     for d2, coeffs in sorted(cands):
         if int_rank_det(chosen + [coeffs])[0] == len(chosen) + 1:

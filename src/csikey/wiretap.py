@@ -4,11 +4,6 @@ that feed the decoding problems.
 
 Channels travel as stacks of arrays (`Channels`); messages, noise and
 observations as stacks of vectors that broadcast against them.
-
-Channel gains are width-k Gaussians; channel noise defaults to width
-M*alpha per receive antenna.  The reduction machinery instead works with
-per-sample noise width alpha (both conventions give the same received
-SNR); pass noise_width explicitly where that matters.
 """
 
 import math
@@ -163,16 +158,11 @@ def eve_receive(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,
-                  count: int, noise_width: float | None = None) -> SampleBatch:
-    """Rows (a_i, <a_i, x> + e_i); a_i i.i.d. width-k entries.
-
-    noise_width defaults to the channel convention M*alpha; the search
-    reductions pass noise_width=alpha (or a padded width) instead.
-    """
+                  count: int, noise_width: float) -> SampleBatch:
+    """Rows (a_i, <a_i, x> + e_i); a_i i.i.d. width-k entries, e_i of width
+    noise_width (alpha, or a padded width, in the search reductions)."""
     if count < 1:
         raise ParameterError("count must be >= 1")
-    if noise_width is None:
-        noise_width = p.noise_width
     x = np.asarray(x, dtype=float)
     a = psi_sample(p.k, rng, size=(count, p.n))
     e = psi_sample(noise_width, rng, size=count) if noise_width > 0 else 0.0

@@ -223,15 +223,8 @@ def enumerate_svp(b: LatticeBasis):
     if b.rank > ENUM_DIM_LIMIT:
         raise DimensionGuardError(f"exact SVP limited to n <= {ENUM_DIM_LIMIT}")
     red = lll_reduce(b).reduced
-    # Start just above the shortest reduced column (relative slack).
-    best = (float(np.min(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9), ())
-
-    def visit(z, d2):
-        nonlocal best
-        if any(z):
-            best = min(best, (d2, z))
-        return best[0]
-
-    _search(red, np.zeros(b.ambient_dim), best[0], visit)
-    v = red.matrix @ np.array(best[1])
+    # Search just beyond the shortest reduced column (relative slack).
+    radius2 = float(np.min(np.sum(red.matrix**2, axis=0))) * (1 + 1e-9)
+    leaves = _search(red, np.zeros(b.ambient_dim), radius2)
+    v = red.matrix @ np.array(min(c for c in leaves if any(c[1]))[1])
     return v, float(np.linalg.norm(v))

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from csikey.attacks import (BddInstance, ber_experiment, decision_to_search,
-                            error_handling_search, make_decision_oracle,
-                            verify_solution)
+                            error_handling_search, exact_ml_decode,
+                            make_decision_oracle, verify_solution)
 from csikey.distributions import (discrete_gaussian_sample, psi_sample,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
 from csikey.errors import (DegenerateBasisError, DimensionGuardError,
                            ParameterError)
-from csikey.lattice import LatticeBasis, enumerate_cvp
+from csikey.lattice import LatticeBasis, closest_point, enumerate_cvp
 from csikey.numerics import gram_schmidt, make_rng
 from csikey.params import secrecy_capacity
 from csikey.protocols import decrypt, encrypt, run_key_agreement, universal_hash
@@ -31,6 +31,10 @@ CHECKS = {  # name: (error, message pattern, call)
     "decision-M-above-16": (DimensionGuardError, "M <= 16", lambda:
         decision_to_search(EMPTY, make_decision_oracle(P),
                            SystemParams(n=4, m_rx=8, M=32, alpha=1.0), RNG)),
+    "ml-M-zero": (ParameterError, "empty coefficient box", lambda:
+        exact_ml_decode(np.eye(2), np.array([0.3, 0.4]), 0)),
+    "ml-M-negative": (ParameterError, "empty coefficient box", lambda:
+        exact_ml_decode(np.eye(2), np.array([0.3, 0.4]), -3)),
     "ber-zero-trials": (ParameterError, "trials must be >= 1", lambda:
         ber_experiment(P, 0, RNG)),
     "padding-grid-alpha-underflow": (ParameterError, "underflows", lambda:
@@ -55,6 +59,8 @@ CHECKS = {  # name: (error, message pattern, call)
         LatticeBasis(np.ones(3))),
     "basis-no-columns": (DegenerateBasisError, ">= 1 column", lambda:
         LatticeBasis(np.zeros((3, 0)))),
+    "closest-point-empty-box": (ParameterError, "empty coefficient box",
+        lambda: closest_point(LatticeBasis(np.eye(2)), np.zeros(2), (2, 1))),
     "cvp-rank-9": (DimensionGuardError, "exact CVP limited", lambda:
         enumerate_cvp(LatticeBasis(np.eye(9)), np.zeros(9))),
     # numerics
@@ -93,7 +99,7 @@ CHECKS = {  # name: (error, message pattern, call)
     "precode-dimension": (ParameterError, "message dimension", lambda:
         transmit_to_bob(make_instance(P, RNG, 1), np.zeros(3), 0.0)),
     "A-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
-        sample_A_dist(np.zeros(4), P, RNG, count=0)),
+        sample_A_dist(np.zeros(4), P, RNG, count=0, noise_width=P.alpha)),
     "R-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
         sample_R_dist(P, RNG, count=0)),
 }

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from csikey.attacks import babai_attack, exact_ml_decode
 from csikey.errors import DimensionGuardError, NumericalError
 from csikey.lattice import (LOCKSTEP_MIN, LatticeBasis, ReductionResult,
-                            dual_basis, enumerate_cvp, int_rank_det,
+                            _search, dual_basis, enumerate_cvp, int_rank_det,
                             lattice_bases, lll_reduce, nearest_plane,
                             successive_minima)
 from csikey.numerics import gram_schmidt, make_rng
@@ -287,6 +288,45 @@ def test_babai_exact_on_lattice_points():
     point, got = babai_nearest_plane(b, b.matrix @ coeffs.astype(float))
     assert np.array_equal(got, coeffs)
     assert np.allclose(point, b.matrix @ coeffs.astype(float))
+
+
+def _box_search_case(rng, n):
+    """A normal basis, a box [0, M - 1]^n with M <= 5, a target near it, and
+    brute force: {z: ||b z - target||^2} over the box."""
+    b = LatticeBasis(rng.normal(size=(n, n)))
+    M = int(rng.integers(2, 6))
+    target = b.matrix @ rng.uniform(-0.5, M - 0.5, size=n)
+    grid = itertools.product(range(M), repeat=n)
+    brute = {z: float(np.sum((b.matrix @ z - target) ** 2)) for z in grid}
+    return b, M, target, brute
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_leaves_are_the_box_points_within_the_radius(n):
+    rng = make_rng(50 + n)
+    for _ in range(10):
+        b, M, target, brute = _box_search_case(rng, n)
+        # A radius halfway between the two middle distances, so no point of
+        # the box lies within rounding of it.
+        d = sorted(brute.values())
+        radius2 = (d[len(d) // 2 - 1] + d[len(d) // 2]) / 2
+        leaves = list(_search(b, target, radius2, (0, M - 1)))
+        zs = [z for _, z in leaves]
+        assert len(set(zs)) == len(zs)
+        assert set(zs) == {z for z, d2 in brute.items() if d2 <= radius2}
+        for d2, z in leaves:
+            assert d2 == pytest.approx(brute[z], rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_with_shrink_yields_non_increasing_distances(n):
+    rng = make_rng(60 + n)
+    for _ in range(10):
+        b, M, target, brute = _box_search_case(rng, n)
+        leaves = list(_search(b, target, math.inf, (0, M - 1), shrink=True))
+        d2s = [d2 for d2, _ in leaves]
+        assert all(x >= y for x, y in zip(d2s, d2s[1:]))
+        assert leaves[-1][1] == min(brute, key=brute.get)
 
 
 def test_enumerate_svp_z2_skewed():

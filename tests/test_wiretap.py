@@ -217,11 +217,12 @@ def test_sample_A_dist():
     p = _params(n=4, m_rx=4, M=4)
     rng = make_rng(7)
     x = np.array([1, 3, 0, 2])
-    batch = sample_A_dist(x, p, rng, count=20000)
+    batch = sample_A_dist(x, p, rng, count=20000, noise_width=p.noise_width)
     # regression recovers x
     est, *_ = np.linalg.lstsq(batch.a, batch.y, rcond=None)
     assert np.max(np.abs(est - x)) < 0.5
-    zero = sample_A_dist(np.zeros(4, dtype=int), p, rng, count=20000)
+    zero = sample_A_dist(np.zeros(4, dtype=int), p, rng, count=20000,
+                         noise_width=p.noise_width)
     assert np.var(zero.y) == pytest.approx(p.noise_width**2 / (2 * math.pi),
                                            rel=0.05)
 
