@@ -129,12 +129,10 @@ def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
     for idx in range(npoints):
         gamma = idx * step
         padded_width = math.sqrt(p.alpha**2 + gamma)
-        for _ in range(max(1, n) if gamma > 0 else 1):
-            if gamma > 0:
-                pad = psi_sample(math.sqrt(gamma), rng, size=len(batch))
-                padded = SampleBatch(a=batch.a, y=batch.y + pad)
-            else:
-                padded = batch
+        for _ in range(n if gamma > 0 else 1):
+            padded = batch if gamma == 0 else SampleBatch(
+                a=batch.a, y=batch.y + psi_sample(math.sqrt(gamma), rng,
+                                                  size=len(batch)))
             cand = oracle(padded)
             if verify_solution(padded, cand, p, noise_width=padded_width):
                 return np.asarray(cand, dtype=np.int64)
@@ -154,22 +152,15 @@ def decision_to_search(batch: SampleBatch, decision_oracle, p: SystemParams,
     x = np.zeros(p.n, dtype=np.int64)
     for j in range(p.n):
         a_new = psi_sample(p.k, rng, size=len(batch))
-        tiny = np.abs(a_new) < 1e-300
-        while np.any(tiny):
-            a_new[tiny] = psi_sample(p.k, rng, size=int(np.sum(tiny)))
-            tiny = np.abs(a_new) < 1e-300
         shift = a_new - batch.a[:, j]
-        accepted = None
+        a_mod = batch.a.copy()
+        a_mod[:, j] = a_new
         for m in range(p.M):
-            a_mod = batch.a.copy()
-            a_mod[:, j] = a_new
-            shifted = SampleBatch(a=a_mod, y=batch.y + shift * m)
-            if decision_oracle(shifted):
-                accepted = m
+            if decision_oracle(SampleBatch(a=a_mod, y=batch.y + shift * m)):
+                x[j] = m
                 break
-        if accepted is None:
+        else:
             raise ReductionFailureError(f"no guess accepted for coordinate {j}")
-        x[j] = accepted
     if not verify_solution(batch, x, p):
         raise ReductionFailureError("recovered vector failed verification")
     return x
@@ -178,9 +169,10 @@ def decision_to_search(batch: SampleBatch, decision_oracle, p: SystemParams,
 def make_decision_oracle(p: SystemParams):
     """Test-grade decision oracle: YES iff exact ML finds a verified solution."""
 
+    search = make_exact_ml_oracle(p)
+
     def oracle(batch: SampleBatch) -> bool:
-        cand = exact_ml_decode(batch.a, batch.y, p.M).estimate
-        return verify_solution(batch, cand, p)
+        return verify_solution(batch, search(batch), p)
 
     return oracle
 

@@ -22,7 +22,7 @@ def psi_std(width: float) -> float:
 
 def psi_sample(width: float, rng: np.random.Generator, size=None):
     """Draw from the zero-mean Gaussian of the given width."""
-    if width <= 0:
+    if not width > 0:
         raise ParameterError(f"width must be positive, got {width}")
     return rng.normal(0.0, psi_std(width), size=size)
 
@@ -32,8 +32,8 @@ def tvd_gaussians(w1: float, w2: float) -> float:
 
     Uses the closed form from the densities' crossing points +-x*.
     """
-    if w1 <= 0 or w2 <= 0:
-        raise ParameterError("widths must be positive")
+    if not (0 < w1 < math.inf and 0 < w2 < math.inf):
+        raise ParameterError("widths must be positive and finite")
     if w1 == w2:
         return 0.0
     s1, s2 = sorted((psi_std(w1), psi_std(w2)))
@@ -46,41 +46,40 @@ def tvd_gaussians(w1: float, w2: float) -> float:
     return inner1 - inner2
 
 
-def sample_discrete_gaussian_int(width, center, rng: np.random.Generator):
+def sample_discrete_gaussian_int(width: float, center, rng: np.random.Generator):
     """Sample integers from the 1-D discrete Gaussian of the given width.
 
-    width and center may be arrays (one independent draw per entry).  From
+    One independent draw per entry of center, all at the one width.  From
     width 1 up, rejection from a two-sided geometric proposal, exact for any
     width.  Below it, where that proposal accepts too rarely, inversion over
     the integers floor(c - 11 sigma) .. ceil(c + 11 sigma), which include
     floor(c) and ceil(c); the dropped tail weighs below 2^-60.
     """
-    shape = np.broadcast_shapes(np.shape(width), np.shape(center))
-    width = np.atleast_1d(np.broadcast_to(np.asarray(width, dtype=float),
-                                          shape)).copy()
-    center = np.broadcast_to(np.asarray(center, dtype=float),
-                             width.shape).copy()
-    if np.any(width <= 0):
-        raise ParameterError("width must be positive")
-    sigma = width / SQRT_2PI
-    out = np.zeros(width.shape, dtype=np.int64)
-    narrow = width < 1
-    if np.any(narrow):
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if not 0 < width < math.inf:
+        raise ParameterError(f"width must be positive and finite, got {width}")
+    if not np.all(np.isfinite(center)):
+        raise ParameterError("center must be finite")
+    # One sigma per entry: the arithmetic below stays elementwise, since a
+    # scalar x**2 goes through pow and can differ from numpy's square.
+    sigma = np.full(center.shape, width / SQRT_2PI)
+    if width < 1:
         # Weights relative to the nearest integer, so none of them underflows
         # there.  Beyond the support |z - c| >= 1 and > 11 sigma, so each
         # weight is below exp(-3 (z - c)^2 / (8 sigma^2)) <= exp(-45.3).
-        s, c = sigma[narrow, None], center[narrow, None]
+        s, c = sigma[:, None], center[:, None]
         lo, hi = np.floor(c - 11 * s), np.ceil(c + 11 * s)
-        z = lo + np.arange(int((hi - lo).max()) + 1)
+        z = lo + np.arange(int((hi - lo).max(initial=0)) + 1)
         w = np.exp(((np.round(c) - c) ** 2 - (z - c) ** 2) / (2 * s**2))
         cdf = np.cumsum(np.where(z <= hi, w, 0.0), axis=1)
         u = (1 - rng.random(cdf.shape[0])) * cdf[:, -1]  # in (0, total]
-        out[narrow] = lo[:, 0] + np.sum(cdf < u[:, None], axis=1)
+        return (lo[:, 0] + np.sum(cdf < u[:, None], axis=1)).astype(np.int64)
+    out = np.zeros(center.shape, dtype=np.int64)
     c0 = np.round(center)
-    t = np.exp(-1.0 / np.maximum(sigma, 1e-12))
+    t = np.exp(-1.0 / sigma)
     # exp bound on  -(z-c)^2/(2 s^2) + |z-c0|/s  over integers z.
     log_m = 0.5 + 0.5 / sigma
-    pending = ~narrow
+    pending = np.ones(center.shape, dtype=bool)
     while np.any(pending):
         idx = np.flatnonzero(pending)
         k = idx.size
@@ -106,7 +105,7 @@ def discrete_gaussian_sample(b: LatticeBasis, r: float, rng: np.random.Generator
     Returns (points, coeffs): points has shape (size, m), coeffs (size, n)
     with points = coeffs @ b.T exactly.
     """
-    if r <= 0:
+    if not r > 0:
         raise ParameterError("width r must be positive")
     widths = r / np.sqrt(b.gso[2])
     return nearest_plane(b, np.zeros((size, b.ambient_dim)), lambda i, c:

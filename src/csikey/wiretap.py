@@ -165,7 +165,7 @@ def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,
         raise ParameterError("count must be >= 1")
     x = np.asarray(x, dtype=float)
     a = psi_sample(p.k, rng, size=(count, p.n))
-    e = psi_sample(noise_width, rng, size=count) if noise_width > 0 else 0.0
+    e = psi_sample(noise_width, rng, size=count)
     return SampleBatch(a=a, y=a @ x + e)
 
 

@@ -102,7 +102,7 @@ def klein_reference(basis, r, rng, size):
     for i in range(n - 1, -1, -1):
         ci = t @ bstar[:, i] / norms2[i]
         wi = r / math.sqrt(norms2[i])
-        zi = sample_discrete_gaussian_int(np.full(size, wi), ci, rng)
+        zi = sample_discrete_gaussian_int(wi, ci, rng)
         coeffs[:, i] = zi
         t -= np.outer(zi, b[:, i])
     return coeffs @ b.T, coeffs

@@ -114,9 +114,16 @@ def test_integer_sampler_keeps_draws_from_width_1():
     s = sample_discrete_gaussian_int(2.5, np.linspace(-3.3, 4.7, 24), rng)
     assert s.tolist() == [-4, -6, -3, -2, -4, -2, -2, -1, -1, 1, 1, -1, 1, 1,
                           0, 2, 1, 2, 3, 3, 4, 3, 3, 4]
-    s = sample_discrete_gaussian_int(np.array([1.0, 2.5, 7.0]),
-                                     np.array([0.5, -0.25, 10.1]), rng)
-    assert s.tolist() == [0, 0, 13]
+
+
+def test_integer_sampler_keeps_draws_below_width_1():
+    # The inversion path and its draws, at one narrow width.
+    rng = make_rng(41)
+    s = sample_discrete_gaussian_int(0.4, np.linspace(-2.7, 3.4, 16), rng)
+    assert s.tolist() == [-3, -2, -2, -1, -1, -1, 0, 0, 1, 1, 1, 2, 2, 3, 3, 3]
+    s = sample_discrete_gaussian_int(0.4, np.array([0.5, -1.5, 2.49, -0.51]),
+                                     rng)
+    assert s.tolist() == [0, -2, 3, -1]
 
 
 def test_discrete_gaussian_z1_support_and_pmf():

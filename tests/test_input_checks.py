@@ -1,8 +1,15 @@
 """Every library input check raises its typed error on the input it guards."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import csikey
 from csikey.attacks import (BddInstance, ber_experiment, decision_to_search,
                             error_handling_search, exact_ml_decode,
                             make_decision_oracle, verify_solution)
@@ -46,10 +53,16 @@ CHECKS = {  # name: (error, message pattern, call)
     # distributions
     "psi-width-zero": (ParameterError, "width must be positive", lambda:
         psi_sample(0.0, RNG)),
+    "psi-width-nan": (ParameterError, "width must be positive", lambda:
+        psi_sample(float("nan"), RNG, 2)),
     "tvd-width-negative": (ParameterError, "widths must be positive", lambda:
         tvd_gaussians(1.0, -1.0)),
+    "tvd-width-inf": (ParameterError, "widths must be positive and finite",
+                      lambda: tvd_gaussians(float("inf"), 1.0)),
     "dgauss-int-width-zero": (ParameterError, "width must be positive", lambda:
         sample_discrete_gaussian_int(0.0, 0.0, RNG)),
+    "dgauss-int-width-inf": (ParameterError, "width must be positive and finite",
+        lambda: sample_discrete_gaussian_int(float("inf"), 0.0, RNG)),
     "klein-r-zero": (ParameterError, "width r must be positive", lambda:
         discrete_gaussian_sample(LatticeBasis(np.eye(2)), 0.0, RNG)),
     "smoothing-epsilon-zero": (ParameterError, "epsilon must be positive",
@@ -100,6 +113,8 @@ CHECKS = {  # name: (error, message pattern, call)
         transmit_to_bob(make_instance(P, RNG, 1), np.zeros(3), 0.0)),
     "A-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
         sample_A_dist(np.zeros(4), P, RNG, count=0, noise_width=P.alpha)),
+    "A-dist-noise-width-negative": (ParameterError, "width must be positive",
+        lambda: sample_A_dist(np.zeros(4), P, RNG, count=3, noise_width=-1.0)),
     "R-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
         sample_R_dist(P, RNG, count=0)),
 }
@@ -109,3 +124,41 @@ CHECKS = {  # name: (error, message pattern, call)
 def test_input_check_raises_typed_error(error, message, call):
     with pytest.raises(error, match=message):
         call()
+
+
+HANGS = {  # name: (message pattern, call); each of these inputs used to hang
+    "dgauss-int-center-nan": ("center must be finite",
+                              "sample_discrete_gaussian_int(2.0, nan, rng)"),
+    "dgauss-int-center-inf": ("center must be finite",
+                              "sample_discrete_gaussian_int(2.0, inf, rng)"),
+    "dgauss-int-width-nan": ("width must be positive and finite",
+                             "sample_discrete_gaussian_int(nan, 0.0, rng)"),
+    "klein-r-nan": ("width r must be positive", "discrete_gaussian_sample("
+                    "LatticeBasis(np.eye(2)), nan, rng, 3)"),
+}
+HANG_PROGRAM = """
+from math import inf, nan
+import numpy as np
+from csikey.distributions import (discrete_gaussian_sample,
+                                  sample_discrete_gaussian_int)
+from csikey.errors import ParameterError
+from csikey.lattice import LatticeBasis
+rng = np.random.default_rng(0)
+try:
+    {call}
+except ParameterError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("message,call", HANGS.values(), ids=HANGS)
+def test_input_check_raises_instead_of_hanging(message, call):
+    # A fresh interpreter under a time limit, so a regression fails the test
+    # instead of stalling the suite.
+    src = str(Path(csikey.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", HANG_PROGRAM.format(call=call)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(message, proc.stdout), proc.stdout

@@ -1,18 +1,25 @@
 """Metamorphic scale tests: multiplying both the channel width k and the
 noise parameter alpha by 2^j is exact in floating point, so every decision
 the library takes, and hence every count and key it reports, must stay the
-same.  Any difference is a real dependence of the numerics on scale.
+same.  The same holds for the lattice layer when a basis, its target and a
+sampling width are scaled together.  Any difference is a real dependence of
+the numerics on scale.
 """
 
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from csikey.attacks import ber_experiment
+from csikey.attacks import ber_experiment, exact_ml_decode
+from csikey.distributions import discrete_gaussian_sample
+from csikey.lattice import (LatticeBasis, enumerate_cvp, lll_reduce,
+                            successive_minima)
 from csikey.numerics import make_rng
 from csikey.protocols import run_key_agreement
-from csikey.wiretap import SystemParams
+from csikey.wiretap import (SystemParams, channel_noise, make_instance,
+                            random_message)
 
 
 def _attack_point(n, log2m):
@@ -58,3 +65,44 @@ def test_key_agreement_does_not_depend_on_scale(coder):
     assert any(m["alice"] != m["bob"] for m in want[0])  # some messages fail
     for j in (8, -100, 300):
         assert run(_scaled(p, j)) == want, j
+
+
+LATTICE_SCALES = (8, -8, 100, -100, 300, -300)
+
+
+def _lattice_layer(g, y, r, seed):
+    """Everything the lattice layer decides about Eve's channel g and her
+    received word y: LLL's reduced basis, transform and swaps, exact ML's
+    estimate, the successive minima, the exact CVP coefficients and Klein's
+    coefficients at width r."""
+    red = lll_reduce(LatticeBasis(g))
+    _, klein = discrete_gaussian_sample(LatticeBasis(g), r, make_rng(seed), 40)
+    return (red.reduced.matrix, red.transform, red.swaps,
+            exact_ml_decode(g, y, 16).estimate,
+            successive_minima(LatticeBasis(g)),
+            enumerate_cvp(LatticeBasis(g), y)[1], klein)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lattice_layer_does_not_depend_on_scale(n):
+    p = _attack_point(n, 4)
+    for seed in range(8):
+        rng = make_rng(seed)
+        g = make_instance(p, rng, 1, eve=True).G[0]
+        y = g @ random_message(p, rng) + channel_noise(p, rng, p.m_rx)
+        # The geometric mean of the extreme Gram-Schmidt norms puts Klein's
+        # per-level widths on both sides of 1, so both integer samplers run.
+        norms2 = LatticeBasis(g).gso[2]
+        r = math.sqrt(math.sqrt(norms2.min() * norms2.max()))
+        reduced, transform, swaps, ml, minima, cvp, klein = _lattice_layer(
+            g, y, r, seed)
+        for j in LATTICE_SCALES:
+            s = 2.0**j
+            got = _lattice_layer(g * s, y * s, r * s, seed)
+            assert np.array_equal(got[0], reduced * s), (seed, j)
+            assert np.array_equal(got[1], transform), (seed, j)
+            assert got[2] == swaps, (seed, j)
+            assert np.array_equal(got[3], ml), (seed, j)
+            assert np.array_equal(got[4], minima * s), (seed, j)
+            assert np.array_equal(got[5], cvp), (seed, j)
+            assert np.array_equal(got[6], klein), (seed, j)
