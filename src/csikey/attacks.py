@@ -16,8 +16,7 @@ import numpy as np
 
 from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
                             smoothing_upper_bound)
-from .errors import (ConfigurationError, DimensionGuardError, ParameterError,
-                     ReductionFailureError, SearchFailureError)
+from .errors import DimensionGuardError, ParameterError, SearchFailureError
 from .lattice import (LatticeBasis, ReductionResult, closest_point, dual_basis,
                       lattice_bases, lll_reduce, nearest_plane)
 from .numerics import matvec, pseudo_inverse
@@ -160,9 +159,9 @@ def decision_to_search(batch: SampleBatch, decision_oracle, p: SystemParams,
                 x[j] = m
                 break
         else:
-            raise ReductionFailureError(f"no guess accepted for coordinate {j}")
+            raise SearchFailureError(f"no guess accepted for coordinate {j}")
     if not verify_solution(batch, x, p):
-        raise ReductionFailureError("recovered vector failed verification")
+        raise SearchFailureError("recovered vector failed verification")
     return x
 
 
@@ -205,12 +204,12 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
 
     eta_bound = smoothing_upper_bound(bmat, eps)
     if r <= math.sqrt(2) * eta_bound:
-        raise ConfigurationError(
+        raise ParameterError(
             f"width r={r:.4g} violates r > sqrt(2)*smoothing bound "
             f"({math.sqrt(2) * eta_bound:.4g})")
     d_cap = p.M * sigma * p.alpha / (p.k**2 * r * math.sqrt(2))
     if inst.bound_d >= d_cap:
-        raise ConfigurationError(
+        raise ParameterError(
             f"bound_d={inst.bound_d:.4g} violates d < M*sigma*alpha/(k^2 r sqrt(2)) "
             f"= {d_cap:.4g}")
     claim7_ok = d_cap > math.sqrt(n) / math.sqrt(2)
@@ -226,7 +225,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     lhs = 1.0 / math.sqrt(1.0 / p.k**2 + (math.sqrt(2) * xi / (p.M * p.alpha)) ** 2)
     eta_dual_scaled = (r / p.k) * smoothing_upper_bound(dual.matrix, eps)
     if not (lhs >= p.k / math.sqrt(2) > eta_dual_scaled):
-        raise ConfigurationError(
+        raise ParameterError(
             f"statistical-hiding inequality fails: need "
             f"{lhs:.4g} >= {p.k / math.sqrt(2):.4g} > {eta_dual_scaled:.4g}")
 
@@ -254,7 +253,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
             coord = binv @ (y - bmat @ (p.M * t0).astype(float)) + offset
             v, _ = discrete_gaussian_sample(dual, r, rng, size=samples)
             if np.linalg.matrix_rank(v) < n:  # the oracle's channel would be singular
-                raise ConfigurationError(
+                raise ParameterError(
                     f"width r={r:.4g} is too narrow for the dual lattice: its "
                     f"{samples} Klein samples span fewer than {n} dimensions")
             a = p.k * v / r

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .attacks import (ber_experiment, bdd_via_mimo, make_decision_oracle,
                       make_exact_ml_oracle, decision_to_search, toy_bdd_setup)
-from .errors import ConfigurationError, CsikeyError, OptionError
+from .errors import CsikeyError, OptionError, ParameterError
 from .lattice import enumerate_cvp
 from .numerics import make_rng
 from .params import check_secrecy_constraints, design_table
@@ -50,19 +50,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.subcommand not in _RUNNERS:
-            raise ConfigurationError(f"unknown subcommand {self.subcommand!r}")
+            raise ParameterError(f"unknown subcommand {self.subcommand!r}")
         _check_options(self.options, self.subcommand)
         merged = dict(DEFAULTS)
         merged.update({k: v for k, v in self.options.items() if v is not None})
         if self.subcommand == "params-table" and self.options.get("n") is None:
             merged["n"] = "80,128,196,256"  # the paper's dimensions
         if merged["trials"] < 1:
-            raise ConfigurationError("trials must be >= 1")
+            raise ParameterError("trials must be >= 1")
         if merged["seed"] < 0:
-            raise ConfigurationError("seed must be >= 0")
+            raise ParameterError("seed must be >= 0")
         for name in (o for o, (typ, _, _) in OPTIONS.items() if typ is float):
             if not abs(merged[name]) <= sys.float_info.max:  # no inf, nan, 10**400
-                raise ConfigurationError(f"{name} must be a finite float")
+                raise ParameterError(f"{name} must be a finite float")
         self.options = merged
 
     def system_params(self) -> SystemParams:
@@ -70,7 +70,7 @@ class ExperimentConfig:
         n = int(o["n"])
         m_rx = int(o["m_rx"]) if o["m_rx"] is not None else 2 * n
         if not 1 <= o["log2m"] <= 53:  # before 2 ** log2m, which can exhaust memory
-            raise ConfigurationError(f"log2m must lie in [1, 53], got {o['log2m']}")
+            raise ParameterError(f"log2m must lie in [1, 53], got {o['log2m']}")
         return SystemParams(n=n, m_rx=m_rx, M=2 ** int(o["log2m"]),
                             alpha=float(o["alpha"]), k=float(o["k"]),
                             m_slack=float(o["m_slack"]),
@@ -117,7 +117,7 @@ def _run_params_table(cfg: ExperimentConfig) -> list:
     try:
         ns = [int(s) for s in str(cfg.options["n"]).split(",")]
     except ValueError:
-        raise ConfigurationError("n must be a comma list of integers") from None
+        raise ParameterError("n must be a comma list of integers") from None
     return design_table(ns, m_slack=float(cfg.options["m_slack"]))
 
 
@@ -163,7 +163,7 @@ def _run_cipher(cfg: ExperimentConfig) -> list:
 def _run_reduction_demo(cfg: ExperimentConfig) -> list:
     n = int(cfg.options["n"])
     if not 1 <= n <= 4:
-        raise ConfigurationError("reduction-demo supports 1 <= n <= 4")
+        raise ParameterError("reduction-demo supports 1 <= n <= 4")
     rng = make_rng(int(cfg.options["seed"]))
     rows = []
     for trial in range(int(cfg.options["trials"])):
@@ -180,7 +180,7 @@ def _run_reduction_demo(cfg: ExperimentConfig) -> list:
 def _run_decision_to_search(cfg: ExperimentConfig) -> list:
     p = cfg.system_params()
     if p.n > 4 or p.M > 4:
-        raise ConfigurationError("decision-to-search demo supports n <= 4, M <= 4")
+        raise ParameterError("decision-to-search demo supports n <= 4, M <= 4")
     rng = make_rng(int(cfg.options["seed"]))
     rows = []
     for trial in range(int(cfg.options["trials"])):

@@ -10,32 +10,20 @@ class NumericalError(CsikeyError):
 
 
 class DegenerateBasisError(CsikeyError):
-    """Input vectors are rank deficient."""
-
-
-class IllConditionedError(CsikeyError):
-    """Condition number too large for a reliable inverse."""
+    """Input vectors are rank deficient, exactly or numerically."""
 
 
 class ParameterError(CsikeyError):
-    """Invalid system parameter."""
+    """An invalid parameter, or a violated precondition of a reduction or protocol."""
 
 
 class DimensionGuardError(CsikeyError):
     """Exact solver invoked above its dimension / search-space guard."""
 
 
-class ConfigurationError(CsikeyError):
-    """A stated precondition of a reduction or protocol is violated."""
-
-
-class OptionError(ConfigurationError):
+class OptionError(ParameterError):
     """An experiment option with an unknown name or a value of the wrong type."""
 
 
 class SearchFailureError(CsikeyError):
-    """A search wrapper exhausted its options without a verified answer."""
-
-
-class ReductionFailureError(CsikeyError):
-    """A reduction step failed (no oracle guess accepted)."""
+    """A search or reduction ended without a verified answer."""

@@ -9,10 +9,9 @@ turn, and the first matrix failing it raises the per-matrix error.
 
 import numpy as np
 
-from .errors import (DegenerateBasisError, IllConditionedError, NumericalError,
-                     ParameterError)
+from .errors import DegenerateBasisError, NumericalError, ParameterError
 
-COND_LIMIT = 1e12
+RANK_FLOOR = 1e-12  # least sigma_min / sigma_max of a full-rank matrix
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -65,9 +64,9 @@ def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a full-column-rank matrix, from one thin SVD."""
     u, s, v = svd(a)
     for top, low in s.reshape(-1, s.shape[-1])[:, [0, -1]]:
-        if low == 0 or top / low > COND_LIMIT:
-            raise IllConditionedError(
-                f"condition number {top / max(low, 1e-300):.3e} exceeds {COND_LIMIT:.0e}")
+        if not low > RANK_FLOOR * top:
+            raise DegenerateBasisError(f"condition number {top / max(low, 1e-300):.3e} "
+                                       f"exceeds {1 / RANK_FLOOR:.0e}")
     return v @ ((1 / s)[..., :, None] * np.swapaxes(u, -1, -2))
 
 

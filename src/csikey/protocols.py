@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ParameterError
 from .params import check_secrecy_constraints, secrecy_capacity
 from .wiretap import (Channels, SystemParams, bob_decode, channel_noise,
                       csi_invert, make_instance, random_message, transmit_to_bob)
@@ -78,7 +78,7 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
     if eta < 1:
         raise ParameterError("eta must be >= 1")
     if coder not in VALID_CODERS:
-        raise ConfigurationError(f"unknown coder {coder!r}")
+        raise ParameterError(f"unknown coder {coder!r}")
     c = min_message_count(p, eta)
     gate_ok = all(check_secrecy_constraints(p))
     reps = 3 if coder == "repetition-3" else 1
@@ -131,7 +131,7 @@ def encrypt(p: SystemParams, s: np.ndarray, m: np.ndarray, ch: Channels,
     """Channel outputs of V((s + (M/2) m) mod M), one row per fresh channel."""
     s = _check_secret(s, p)
     if p.M % 2 != 0:
-        raise ConfigurationError("cipher requires even M so that M/2 is a symbol")
+        raise ParameterError("cipher requires even M so that M/2 is a symbol")
     m = np.asarray(m, dtype=np.int64)
     if m.shape[-1:] != (p.n,) or np.any((m != 0) & (m != 1)):
         raise ParameterError("message must be a length-n bit vector")

@@ -15,9 +15,7 @@ import numpy as np
 
 from .distributions import psi_sample
 from .errors import DegenerateBasisError, NumericalError, ParameterError
-from .numerics import matvec, svd
-
-SIGMA_FLOOR = 1e-12  # relative to the largest singular value
+from .numerics import RANK_FLOOR, matvec, svd
 
 
 @dataclass
@@ -138,7 +136,7 @@ def csi_invert(ch: Channels, y: np.ndarray) -> np.ndarray:
     """Sigma^-1 U^T y, the CSI-key inversion with ch's U and sigma; the
     rank test is relative.  An estimate that overflows (noise that dwarfs
     the channel) raises NumericalError."""
-    if not np.all(ch.sigma[..., -1] > SIGMA_FLOOR * ch.sigma[..., 0]):
+    if not np.all(ch.sigma[..., -1] > RANK_FLOOR * ch.sigma[..., 0]):
         raise DegenerateBasisError("channel matrix numerically rank deficient")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
         est = matvec(np.swapaxes(ch.U, -1, -2), y) / ch.sigma

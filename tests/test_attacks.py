@@ -12,9 +12,8 @@ from csikey.attacks import (BddInstance, bdd_sample_count,
                             exact_ml_decode, make_decision_oracle,
                             make_exact_ml_oracle, toy_bdd_setup,
                             verify_solution, zf_decode)
-from csikey.errors import (ConfigurationError, DegenerateBasisError,
-                           DimensionGuardError, NumericalError,
-                           ReductionFailureError, SearchFailureError)
+from csikey.errors import (DegenerateBasisError, DimensionGuardError,
+                           NumericalError, ParameterError, SearchFailureError)
 from csikey.lattice import (LatticeBasis, enumerate_cvp, lattice_bases,
                             lll_reduce)
 from csikey.numerics import make_rng, pseudo_inverse
@@ -263,7 +262,7 @@ def test_decision_to_search_rejects_structure_free():
     rng = make_rng(6)
     oracle = make_decision_oracle(p)
     batch = sample_R_dist(p, rng, count=64 * p.n)
-    with pytest.raises(ReductionFailureError):
+    with pytest.raises(SearchFailureError, match="no guess accepted for coordinate 0"):
         decision_to_search(batch, oracle, p, rng)
 
 
@@ -271,10 +270,10 @@ def test_bdd_precondition_errors():
     rng = make_rng(7)
     p, inst, _, r = toy_bdd_setup(3, rng)
     oracle = make_exact_ml_oracle(p)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="violates r > sqrt"):
         bdd_via_mimo(inst, 0.5, oracle, p, rng)  # r below smoothing bound
     wide = BddInstance(inst.basis, inst.target, bound_d=10.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="bound_d=10 violates d <"):
         bdd_via_mimo(wide, r, oracle, p, rng)  # bound above the distance cap
 
 
@@ -287,7 +286,7 @@ def test_bdd_hiding_error_and_progress_warning():
     small = BddInstance(LatticeBasis(inst.basis.matrix * 0.1),
                         inst.target * 0.1, inst.bound_d * 0.1)
     with pytest.warns(UserWarning, match="iteration-progress"), \
-            pytest.raises(ConfigurationError, match="statistical-hiding"):
+            pytest.raises(ParameterError, match="statistical-hiding"):
         bdd_via_mimo(small, 0.5, make_exact_ml_oracle(p), p, rng)
 
 
@@ -298,7 +297,7 @@ def test_bdd_width_too_narrow_for_the_dual():
     p, inst, _, _ = toy_bdd_setup(3, rng)
     small = BddInstance(LatticeBasis(inst.basis.matrix * 0.1),
                         inst.target * 0.1, inst.bound_d * 0.1)
-    with pytest.raises(ConfigurationError, match="width r=0.3 is too narrow"):
+    with pytest.raises(ParameterError, match="width r=0.3 is too narrow"):
         bdd_via_mimo(small, 0.3, make_exact_ml_oracle(p), p, rng)
 
 

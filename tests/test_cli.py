@@ -10,20 +10,20 @@ import csikey
 from csikey import cli
 from csikey.cli import (DEFAULTS, ExperimentConfig, build_parser, main,
                         render, rows_to_csv, run)
-from csikey.errors import ConfigurationError
+from csikey.errors import ParameterError
 
 import cli_reference
 
 
 def test_unknown_subcommand_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="unknown subcommand 'frobnicate'"):
         ExperimentConfig("frobnicate")
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="trials must be >= 1"):
         ExperimentConfig("ber", {"trials": 0})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="option 'format': invalid value 'xml'"):
         ExperimentConfig("ber", {"format": "xml"})
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from csikey.errors import ConfigurationError, ParameterError
+from csikey.errors import ParameterError
 from csikey.numerics import make_rng
 from csikey.params import secrecy_capacity
 from csikey.protocols import (_majority_vote, bits_to_hex, decrypt,
@@ -109,7 +109,7 @@ def test_key_agreement_capacity_gate():
     assert c * per > eta
     assert (c - 1) * per <= eta or c == 1
     assert run_key_agreement(p, eta, "none", make_rng(0))["c"] == c
-    with pytest.raises(ConfigurationError, match="unknown coder 'bogus'"):
+    with pytest.raises(ParameterError, match="unknown coder 'bogus'"):
         run_key_agreement(p, 8, "bogus", make_rng(0))
 
 
@@ -212,7 +212,7 @@ def test_cipher_odd_m_rejected():
     p = _params(M=15)
     rng = make_rng(7)
     s = rng.integers(0, p.M, size=p.n)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="cipher requires even M"):
         encrypt(p, s, np.zeros(p.n, dtype=int), make_instance(p, rng, 1), rng)
 
 
