@@ -27,6 +27,7 @@ import platform
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -56,24 +57,11 @@ def command_lines(path: Path = LINES) -> list[str]:
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-@contextlib.contextmanager
-def _columns(width: str):
-    old = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = width
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = old
-
-
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of csikey.cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
-    with _columns(COLUMNS), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS=COLUMNS), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
@@ -143,7 +131,6 @@ def differences(recorded: dict, current: dict) -> list[str]:
 
 def main() -> int:
     manifest = build_manifest(command_lines())
-    MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(manifest['artifacts'])} artifacts to "
           f"{MANIFEST.relative_to(ROOT)}")

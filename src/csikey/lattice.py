@@ -10,6 +10,7 @@ guarded to n <= 8.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +95,10 @@ class ReductionResult:
 def int_rank_det(m) -> tuple[int, int]:
     """Exact (rank, det) of an integer matrix by one fraction-free (Bareiss)
     elimination; det is 0 unless the matrix is square of full rank."""
-    a = [[int(x) for x in row] for row in np.asarray(m).tolist()]
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu":
+        raise ParameterError(f"int_rank_det needs integer entries, got dtype {m.dtype}")
+    a = m.tolist()
     rank, sign, prev = 0, 1, 1
     for col in range(len(a[0])):
         pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
@@ -276,10 +280,13 @@ def _search(b: LatticeBasis, target: np.ndarray, radius2: float, box=None,
 
 def closest_point(b: LatticeBasis, target: np.ndarray, box=None) -> tuple:
     """Coefficients z of the point b z closest to target, each z_i in
-    [lo, hi] when box = (lo, hi) is given (ParameterError unless lo <= hi);
+    [lo, hi] when box = (lo, hi) is given (ParameterError unless lo and hi
+    are integers with lo <= hi);
     exact, in b's own coordinates (no reduction step): the least leaf of
     the search under a shrinking radius, ties to the lexicographically
     smallest z."""
+    if box is not None and not all(isinstance(v, numbers.Integral) for v in box):
+        raise ParameterError(f"coefficient box {tuple(box)} needs integer bounds")
     if box is not None and not box[0] <= box[1]:
         raise ParameterError(f"empty coefficient box {tuple(box)}")
     return min(_search(b, target, math.inf, box, shrink=True))[1]

@@ -39,8 +39,8 @@ def max_snr_db(n: int, m_slack: float = 1.0) -> float:
 
 def secrecy_capacity(n: int, log2M: float) -> float:
     """Computational secrecy capacity 2*sqrt(n * log2M * log2(1.01)) bits."""
-    if n < 1 or log2M <= 0:
-        raise ParameterError("need n >= 1 and log2M > 0")
+    if n < 1 or not 0 < log2M < math.inf:
+        raise ParameterError("need n >= 1 and a finite log2M > 0")
     return 2.0 * math.sqrt(n * log2M * math.log2(1.01))
 
 

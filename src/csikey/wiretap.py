@@ -7,6 +7,7 @@ observations as stacks of vectors that broadcast against them.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -32,6 +33,9 @@ class SystemParams:
     P: float = field(init=False)  # expected norm of a uniform [0, M)^n vector
 
     def __post_init__(self):
+        for name in ("n", "m_rx", "M"):  # numpy integers are Integral too
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ParameterError(f"{name} must be an integer")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if not 2 <= self.M <= 2**53:  # symbols stay exact float64 integers

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import csikey
-from csikey import cli
+from csikey import cli, errors
 from csikey.cli import (DEFAULTS, ExperimentConfig, build_parser, main,
                         render, rows_to_csv, run)
 from csikey.errors import ParameterError
@@ -110,6 +110,21 @@ def test_key_agreement_and_cipher_subcommands(tmp_path):
                  "--trials", "5", "--noise-scale", "0",
                  "--out", str(out2)]) == 0
     assert out2.read_text().splitlines()[-1].split(",")[-2] == "0"
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.CsikeyError)]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
+    # An OptionError (a malformed option) exits 2; every other error, 1.
+    def runner(cfg):
+        raise error("planted failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "ber", runner)
+    assert main(["ber"]) == (2 if issubclass(error, errors.OptionError) else 1)
+    assert capsys.readouterr().err == "error: planted failure\n"
 
 
 def test_invalid_config_exit_codes(tmp_path, capsys):

@@ -18,10 +18,11 @@ from csikey.distributions import (discrete_gaussian_sample, psi_sample,
                                   smoothing_upper_bound, tvd_gaussians)
 from csikey.errors import (DegenerateBasisError, DimensionGuardError,
                            ParameterError)
-from csikey.lattice import LatticeBasis, closest_point, enumerate_cvp
+from csikey.lattice import LatticeBasis, closest_point, enumerate_cvp, int_rank_det
 from csikey.numerics import gram_schmidt, make_rng
 from csikey.params import secrecy_capacity
-from csikey.protocols import decrypt, encrypt, run_key_agreement, universal_hash
+from csikey.protocols import (decrypt, encode_symbols, encrypt, run_key_agreement,
+                              universal_hash)
 from csikey.wiretap import (SampleBatch, SystemParams, make_instance,
                             sample_A_dist, sample_R_dist, transmit_to_bob)
 
@@ -74,6 +75,11 @@ CHECKS = {  # name: (error, message pattern, call)
         LatticeBasis(np.zeros((3, 0)))),
     "closest-point-empty-box": (ParameterError, "empty coefficient box",
         lambda: closest_point(LatticeBasis(np.eye(2)), np.zeros(2), (2, 1))),
+    "closest-point-fractional-box": (ParameterError, "needs integer bounds",
+        lambda: closest_point(LatticeBasis(np.eye(2)), np.array([0.6, 0.6]),
+                              (0.5, 0.7))),
+    "int-rank-det-fractional": (ParameterError, "needs integer entries", lambda:
+        int_rank_det([[0.5, 1], [1, 2]])),
     "cvp-rank-9": (DimensionGuardError, "exact CVP limited", lambda:
         enumerate_cvp(LatticeBasis(np.eye(9)), np.zeros(9))),
     # numerics
@@ -86,9 +92,17 @@ CHECKS = {  # name: (error, message pattern, call)
         secrecy_capacity(0, 4.0)),
     "capacity-log2M-zero": (ParameterError, "log2M > 0", lambda:
         secrecy_capacity(4, 0.0)),
+    "capacity-log2M-nan": (ParameterError, "finite log2M > 0", lambda:
+        secrecy_capacity(4, float("nan"))),
+    "capacity-log2M-inf": (ParameterError, "finite log2M > 0", lambda:
+        secrecy_capacity(4, float("inf"))),
     # protocols
     "toeplitz-seed-length": (ParameterError, "seed length", lambda:
         universal_hash(np.zeros(5), np.zeros(6))),
+    "encode-symbol-negative": (ParameterError, r"symbols must lie in \[0, M\)",
+                               lambda: encode_symbols(np.array([-1, 3]), 4)),
+    "encode-symbol-above-M": (ParameterError, r"symbols must lie in \[0, M\)",
+                              lambda: encode_symbols(np.array([5, 3]), 4)),
     "key-agreement-eta-zero": (ParameterError, "eta must be >= 1", lambda:
         run_key_agreement(P, 0, "none", RNG)),
     "cipher-secret-shape": (ParameterError, "one symbol per antenna", lambda:
@@ -101,6 +115,12 @@ CHECKS = {  # name: (error, message pattern, call)
     # wiretap
     "params-n-zero": (ParameterError, "n must be >= 1", lambda:
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
+    "params-n-fractional": (ParameterError, "n must be an integer", lambda:
+        SystemParams(n=4.5, m_rx=8, M=16, alpha=1.0)),
+    "params-m-rx-fractional": (ParameterError, "m_rx must be an integer", lambda:
+        SystemParams(n=4, m_rx=8.5, M=16, alpha=1.0)),
+    "params-M-fractional": (ParameterError, "M must be an integer", lambda:
+        SystemParams(n=4, m_rx=8, M=4.5, alpha=1.0)),
     "params-M-20001-bits": (ParameterError, r"got a 20001-bit M", lambda:
         SystemParams(n=4, m_rx=8, M=2**20000, alpha=1.0)),
     "params-noise-scale-negative": (ParameterError, "noise_scale must be", lambda:

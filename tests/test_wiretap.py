@@ -29,6 +29,8 @@ def test_params_validation():
         _params(m_rx=8**3 + 1)
     with pytest.warns(UserWarning):
         _params(m_rx=8 * 16 + 1)
+    numpy_ints = _params(n=np.int64(8), m_rx=np.int32(8), M=np.int64(4))
+    assert numpy_ints.P == _params().P
 
 
 def test_wide_channel_rejected():
