@@ -27,7 +27,7 @@ def encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
     """Canonical bit encoding: per symbol, ceil(log2 M) bits, little-endian."""
     b = math.ceil(math.log2(M))  # M >= 2, so at least one bit
     x = np.asarray(x, dtype=np.int64)
-    if np.any((x < 0) | (x >= M)):
+    if ((x < 0) | (x >= M)).any():
         raise ParameterError("symbols must lie in [0, M)")
     bits = (x[:, None] >> np.arange(b)) & 1
     return bits.reshape(-1).astype(np.uint8)
