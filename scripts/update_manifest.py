@@ -51,9 +51,9 @@ def provenance() -> dict:
             "blas": blas, "machine": platform.machine()}
 
 
-def command_lines(path: Path = LINES) -> list[str]:
+def command_lines() -> list[str]:
     """The command lines of cli_lines.txt, without comments and blank lines."""
-    lines = (ln.strip() for ln in path.read_text().splitlines())
+    lines = (ln.strip() for ln in LINES.read_text().splitlines())
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
@@ -107,9 +107,9 @@ def line_entries(line: str) -> dict:
     return entries
 
 
-def build_manifest(lines: list[str]) -> dict:
+def build_manifest() -> dict:
     artifacts = {}
-    for line in lines:
+    for line in command_lines():
         artifacts.update(line_entries(line))
     return {"columns": int(COLUMNS), "provenance": provenance(),
             "artifacts": artifacts}
@@ -130,7 +130,7 @@ def differences(recorded: dict, current: dict) -> list[str]:
 
 
 def main() -> int:
-    manifest = build_manifest(command_lines())
+    manifest = build_manifest()
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(manifest['artifacts'])} artifacts to "
           f"{MANIFEST.relative_to(ROOT)}")
