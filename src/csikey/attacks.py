@@ -8,7 +8,6 @@ padded width), not the channel's M*alpha; pass noise_width accordingly.
 """
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -114,26 +113,21 @@ def verify_solution(batch: SampleBatch, candidate: np.ndarray, p: SystemParams,
 
 def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
                           rng: np.random.Generator) -> np.ndarray:
-    """Solve from samples with unknown noise width beta <= alpha by padding
-    with widths from a grid of multiples of n^-2 * alpha^2 (at most 10^4).
-    The oracle is deterministic, so the unpadded batch gets one try."""
+    """Solve from samples with unknown noise width beta <= alpha: one try
+    unpadded (the oracle is deterministic), then n fresh paddings at each
+    width alpha * sqrt(i) / n, i = 1 .. min(n^2, 10^4 - 1), in units of alpha."""
     n = p.n
-    if p.alpha > math.sqrt(sys.float_info.max):
-        raise ParameterError(f"alpha = {p.alpha:.4g} is too large: alpha^2 overflows")
-    step = p.alpha**2 * n ** -2.0
-    if step == 0:
-        raise ParameterError(f"alpha = {p.alpha:.4g} is too small for the padding "
-                             f"grid: alpha^2 / n^2 underflows to 0 at n = {n}")
-    npoints = min(int(math.floor(p.alpha**2 / step)) + 1, 10**4)
-    for idx in range(npoints):
-        gamma = idx * step
-        padded_width = math.sqrt(p.alpha**2 + gamma)
-        for _ in range(n if gamma > 0 else 1):
-            padded = batch if gamma == 0 else SampleBatch(
-                a=batch.a, y=batch.y + psi_sample(math.sqrt(gamma), rng,
-                                                  size=len(batch)))
+    cand = oracle(batch)
+    if verify_solution(batch, cand, p):
+        return np.asarray(cand, dtype=np.int64)
+    for i in range(1, min(n * n, 10**4 - 1) + 1):
+        width = p.alpha * math.sqrt(i) / n
+        for _ in range(n):
+            padded = SampleBatch(a=batch.a, y=batch.y + psi_sample(
+                width, rng, size=len(batch)))
             cand = oracle(padded)
-            if verify_solution(padded, cand, p, noise_width=padded_width):
+            if verify_solution(padded, cand, p,
+                               noise_width=math.hypot(p.alpha, width)):
                 return np.asarray(cand, dtype=np.int64)
     raise SearchFailureError("no padded noise level produced a verified answer")
 
@@ -183,6 +177,8 @@ def bdd_sample_count(p: SystemParams, r: float, sigma: float, d: float) -> int:
     injected channel noise and the cross term from the target's offset.
     """
     rho = math.hypot(p.M * p.alpha / (r * math.sqrt(2)), d / sigma)
+    if not rho < 1e150:  # so that 120 rho^2 is a finite float
+        raise ParameterError(f"noise ratio {rho:.4g} is too large for a sample count")
     return max(256, int(math.ceil(120.0 * rho**2)))
 
 

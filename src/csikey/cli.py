@@ -25,7 +25,7 @@ from .lattice import enumerate_cvp
 from .numerics import make_rng
 from .params import check_secrecy_constraints, design_table
 from .protocols import VALID_CODERS, decrypt, encrypt, run_key_agreement
-from .wiretap import SystemParams, make_instance, sample_A_dist
+from .wiretap import SystemParams, make_instance, random_message, sample_A_dist
 
 # One typed definition per option, for the flags and the --config keys:
 # name -> (type, default, choices).  params-table takes n as a comma list.
@@ -146,7 +146,7 @@ def _run_cipher(cfg: ExperimentConfig) -> list:
     _warn_gate(p)
     seed = int(cfg.options["seed"])
     rng = make_rng(seed)
-    s = rng.integers(0, p.M, size=p.n)  # the shared secret
+    s = random_message(p, rng)  # the shared secret
     trials = int(cfg.options["trials"])
     bit_errors = 0
     for _ in range(trials):
@@ -184,7 +184,7 @@ def _run_decision_to_search(cfg: ExperimentConfig) -> list:
     rng = make_rng(int(cfg.options["seed"]))
     rows = []
     for trial in range(int(cfg.options["trials"])):
-        x = rng.integers(0, p.M, size=p.n)
+        x = random_message(p, rng)
         batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=p.alpha)
         rec = decision_to_search(batch, make_decision_oracle(p), p, rng)
         rows.append({"trial": trial, "recovered": bool(np.array_equal(rec, x))})

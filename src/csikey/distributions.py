@@ -22,8 +22,8 @@ def psi_std(width: float) -> float:
 
 def psi_sample(width: float, rng: np.random.Generator, size=None):
     """Draw from the zero-mean Gaussian of the given width."""
-    if not width > 0:
-        raise ParameterError(f"width must be positive, got {width}")
+    if not 0 < width < math.inf:
+        raise ParameterError(f"width must be positive and finite, got {width}")
     return rng.normal(0.0, psi_std(width), size=size)
 
 
@@ -54,12 +54,18 @@ def sample_discrete_gaussian_int(width: float, center, rng: np.random.Generator)
     width.  Below it, where that proposal accepts too rarely, inversion over
     the integers floor(c - 11 sigma) .. ceil(c + 11 sigma), which include
     floor(c) and ceil(c); the dropped tail weighs below 2^-60.
+
+    Bounds: 0 < width <= 2^46 and |c| <= 2^52.  Every integer formed in
+    floats (the support, the rounded centre, and the proposal's offsets,
+    at most 37 sigma since a nonzero uniform draw is at least 2^-53) then
+    stays below 2^53, where float64 integers are exact.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if not 0 < width < math.inf:
-        raise ParameterError(f"width must be positive and finite, got {width}")
-    if not np.all(np.isfinite(center)):
-        raise ParameterError("center must be finite")
+    if not 0 < width <= 2.0**46:
+        raise ParameterError(f"width must be positive and finite, at most 2^46, "
+                             f"got {width}")
+    if not np.all(np.abs(center) <= 2.0**52):
+        raise ParameterError("center must be finite, with |center| <= 2^52")
     # One sigma per entry: the arithmetic below stays elementwise, since a
     # scalar x**2 goes through pow and can differ from numpy's square.
     sigma = np.full(center.shape, width / SQRT_2PI)

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ParameterError
 from .params import check_secrecy_constraints, secrecy_capacity
 from .wiretap import (Channels, SystemParams, bob_decode, channel_noise,
-                      csi_invert, make_instance, random_message, transmit_to_bob)
+                      csi_invert, make_instance, random_message, symbol_array,
+                      transmit_to_bob)
 
 VALID_CODERS = ("none", "repetition-3")
 
@@ -26,9 +27,9 @@ VALID_CODERS = ("none", "repetition-3")
 def encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
     """Canonical bit encoding: per symbol, ceil(log2 M) bits, little-endian."""
     b = math.ceil(math.log2(M))  # M >= 2, so at least one bit
-    x = np.asarray(x, dtype=np.int64)
-    if ((x < 0) | (x >= M)).any():
-        raise ParameterError("symbols must lie in [0, M)")
+    x = symbol_array(x, M, "symbols must lie in [0, M) as integers")
+    if x.ndim != 1:
+        raise ParameterError("symbols must form a 1-D array")
     bits = (x[:, None] >> np.arange(b)) & 1
     return bits.reshape(-1).astype(np.uint8)
 
@@ -120,11 +121,9 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
 
 def _check_secret(s, p: SystemParams) -> np.ndarray:
     """The shared secret s in Z_M^n (n*ceil(log2 M) key bits), as int64."""
-    s = np.asarray(s, dtype=np.int64)
+    s = symbol_array(s, p.M, "secret entries must lie in [0, M) as integers")
     if s.shape != (p.n,):
         raise ParameterError("secret must have one symbol per antenna")
-    if np.any(s < 0) or np.any(s >= p.M):
-        raise ParameterError("secret entries must lie in [0, M)")
     return s
 
 
@@ -134,8 +133,8 @@ def encrypt(p: SystemParams, s: np.ndarray, m: np.ndarray, ch: Channels,
     s = _check_secret(s, p)
     if p.M % 2 != 0:
         raise ParameterError("cipher requires even M so that M/2 is a symbol")
-    m = np.asarray(m, dtype=np.int64)
-    if m.shape[-1:] != (p.n,) or np.any((m != 0) & (m != 1)):
+    m = symbol_array(m, 2, "message must be a length-n bit vector")
+    if m.shape[-1:] != (p.n,):
         raise ParameterError("message must be a length-n bit vector")
     symbols = (s + (p.M // 2) * m) % p.M
     return transmit_to_bob(ch, symbols, channel_noise(p, rng, ch.A.shape[:-1]))

@@ -96,6 +96,20 @@ def random_message(p: SystemParams, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, p.M, size=p.n)
 
 
+def symbol_array(x, M: int, error: str) -> np.ndarray:
+    """x as int64 if every entry is an integer in [0, M), else
+    ParameterError(error).  Integer and bool arrays pass with one range
+    test; float arrays only with finite integral values."""
+    x = np.asarray(x)
+    if x.dtype.kind in "biu":
+        ok = not ((x < 0) | (x >= M)).any()
+    else:
+        ok = x.dtype.kind == "f" and ((x >= 0) & (x < M) & (x == np.floor(x))).all()
+    if not ok:
+        raise ParameterError(error)
+    return x.astype(np.int64, copy=False)
+
+
 def make_instance(p: SystemParams, rng: np.random.Generator, t: int,
                   eve: bool = False) -> Channels:
     """Draw t channels with i.i.d. width-k entries, each from its own pair of
@@ -173,7 +187,7 @@ def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,
 
 def r_dist_width(p: SystemParams) -> float:
     """Width of the structure-free y marginal, sqrt((kP)^2 + alpha^2)."""
-    return math.sqrt((p.k * p.P) ** 2 + p.alpha**2)
+    return math.hypot(p.k * p.P, p.alpha)
 
 
 def sample_R_dist(p: SystemParams, rng: np.random.Generator,

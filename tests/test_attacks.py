@@ -233,17 +233,23 @@ def test_error_handling_search_fails_after_every_padded_width():
     assert len(calls) == 1 + 2**2 * 2
 
 
-@pytest.mark.parametrize("j", [-400, 400])
-def test_padding_grid_does_not_depend_on_scale(j):
-    # With k and alpha scaled by 2^j, the grid keeps its n^2 + 1 widths.
-    p = _params(n=2, m_rx=2, k=2.0**j, alpha=0.05 * 2.0**j)
+PADDING_POINTS = {f"n{n}-j{j}": (n, 2.0**j, 0.05 * 2.0**j)
+                  for n in (2, 3, 5, 10) for j in (-511, 0, 511)}
+PADDING_POINTS["n10-alpha0.334"] = (10, 1.0, 0.334)
+
+
+@pytest.mark.parametrize("n,k,alpha", PADDING_POINTS.values(), ids=PADDING_POINTS)
+def test_padding_grid_does_not_depend_on_scale(n, k, alpha):
+    # At any scale of k and alpha the grid keeps its n^2 + 1 widths: one
+    # unpadded try, then n paddings at each of the n^2 padded widths.
+    p = _params(n=n, m_rx=n, k=k, alpha=alpha)
     rng = make_rng(21)
     x = rng.integers(0, p.M, size=p.n)
     batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=p.alpha / 2)
     calls = []
     with pytest.raises(SearchFailureError):
         error_handling_search(batch, _wrong_until(calls, x, p.M, None), p, rng)
-    assert len(calls) == 1 + 2**2 * 2
+    assert len(calls) == 1 + n**3
 
 
 def test_decision_to_search_recovers():

@@ -10,21 +10,23 @@ import numpy as np
 import pytest
 
 import csikey
-from csikey.attacks import (BddInstance, ber_experiment, decision_to_search,
-                            error_handling_search, exact_ml_decode,
-                            make_decision_oracle, verify_solution)
+from csikey.attacks import (BddInstance, bdd_sample_count, ber_experiment,
+                            decision_to_search, error_handling_search,
+                            exact_ml_decode, make_decision_oracle,
+                            verify_solution)
 from csikey.distributions import (discrete_gaussian_sample, psi_sample,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
 from csikey.errors import (DegenerateBasisError, DimensionGuardError,
-                           ParameterError)
+                           ParameterError, SearchFailureError)
 from csikey.lattice import LatticeBasis, closest_point, enumerate_cvp, int_rank_det
 from csikey.numerics import gram_schmidt, make_rng
 from csikey.params import secrecy_capacity
 from csikey.protocols import (decrypt, encode_symbols, encrypt, run_key_agreement,
                               universal_hash)
 from csikey.wiretap import (SampleBatch, SystemParams, make_instance,
-                            sample_A_dist, sample_R_dist, transmit_to_bob)
+                            r_dist_width, sample_A_dist, sample_R_dist,
+                            transmit_to_bob)
 
 P = SystemParams(n=4, m_rx=8, M=4, alpha=1.0)
 RNG = make_rng(0)
@@ -45,17 +47,16 @@ CHECKS = {  # name: (error, message pattern, call)
         exact_ml_decode(np.eye(2), np.array([0.3, 0.4]), -3)),
     "ber-zero-trials": (ParameterError, "trials must be >= 1", lambda:
         ber_experiment(P, 0, RNG)),
-    "padding-grid-alpha-underflow": (ParameterError, "underflows", lambda:
-        error_handling_search(EMPTY, None, SystemParams(n=4, m_rx=4, M=4,
-                                                        alpha=1e-170), RNG)),
-    "padding-grid-alpha-overflow": (ParameterError, r"alpha\^2 overflows", lambda:
-        error_handling_search(EMPTY, None, SystemParams(n=4, m_rx=4, M=4,
-                                                        alpha=1e155), RNG)),
+    "bdd-sample-count-alpha-1e300": (ParameterError, "too large for a sample count",
+        lambda: bdd_sample_count(SystemParams(n=4, m_rx=4, M=4, alpha=1e300),
+                                 1.0, 1.0, 0.1)),
     # distributions
     "psi-width-zero": (ParameterError, "width must be positive", lambda:
         psi_sample(0.0, RNG)),
     "psi-width-nan": (ParameterError, "width must be positive", lambda:
         psi_sample(float("nan"), RNG, 2)),
+    "psi-width-inf": (ParameterError, "width must be positive and finite", lambda:
+        psi_sample(float("inf"), RNG, 3)),
     "tvd-width-negative": (ParameterError, "widths must be positive", lambda:
         tvd_gaussians(1.0, -1.0)),
     "tvd-width-inf": (ParameterError, "widths must be positive and finite",
@@ -64,6 +65,16 @@ CHECKS = {  # name: (error, message pattern, call)
         sample_discrete_gaussian_int(0.0, 0.0, RNG)),
     "dgauss-int-width-inf": (ParameterError, "width must be positive and finite",
         lambda: sample_discrete_gaussian_int(float("inf"), 0.0, RNG)),
+    "dgauss-int-width-1e17": (ParameterError, r"at most 2\^46", lambda:
+        sample_discrete_gaussian_int(1e17, 0.0, RNG)),
+    "dgauss-int-width-1e300": (ParameterError, r"at most 2\^46", lambda:
+        sample_discrete_gaussian_int(1e300, 0.0, RNG)),
+    "dgauss-int-center-2^53": (ParameterError, r"\|center\| <= 2\^52", lambda:
+        sample_discrete_gaussian_int(1.0, 2.0**53, RNG)),
+    "dgauss-int-center-2^63": (ParameterError, r"\|center\| <= 2\^52", lambda:
+        sample_discrete_gaussian_int(1.0, 2.0**63, RNG)),
+    "dgauss-int-center-1e300": (ParameterError, r"\|center\| <= 2\^52", lambda:
+        sample_discrete_gaussian_int(1.0, np.array([0.0, 1e300]), RNG)),
     "klein-r-zero": (ParameterError, "width r must be positive", lambda:
         discrete_gaussian_sample(LatticeBasis(np.eye(2)), 0.0, RNG)),
     "smoothing-epsilon-zero": (ParameterError, "epsilon must be positive",
@@ -103,15 +114,29 @@ CHECKS = {  # name: (error, message pattern, call)
                                lambda: encode_symbols(np.array([-1, 3]), 4)),
     "encode-symbol-above-M": (ParameterError, r"symbols must lie in \[0, M\)",
                               lambda: encode_symbols(np.array([5, 3]), 4)),
+    "encode-symbol-fractional": (ParameterError, r"\[0, M\) as integers",
+                                 lambda: encode_symbols([2.7, 1.0], 4)),
+    "encode-symbol-nan": (ParameterError, r"\[0, M\) as integers",
+                          lambda: encode_symbols([float("nan"), 1], 4)),
+    "encode-symbols-2d": (ParameterError, "1-D array",
+                          lambda: encode_symbols([[1, 2]], 4)),
     "key-agreement-eta-zero": (ParameterError, "eta must be >= 1", lambda:
         run_key_agreement(P, 0, "none", RNG)),
     "cipher-secret-shape": (ParameterError, "one symbol per antenna", lambda:
         encrypt(P, np.zeros(3), np.zeros(4), None, RNG)),
     "cipher-secret-range": (ParameterError, r"lie in \[0, M\)", lambda:
         decrypt(P, np.array([0, 1, 2, 4]), np.zeros(8), None)),
+    "cipher-secret-fractional": (ParameterError, r"\[0, M\) as integers", lambda:
+        decrypt(P, [1.5, 2, 0, 1], np.zeros(8), None)),
+    "cipher-secret-nan": (ParameterError, r"\[0, M\) as integers", lambda:
+        decrypt(P, [float("nan"), 1, 0, 0], np.zeros(8), None)),
+    "cipher-secret-1e30": (ParameterError, r"\[0, M\) as integers", lambda:
+        decrypt(P, [1e30, 1, 0, 0], np.zeros(8), None)),
     "encrypt-not-bits": (ParameterError, "bit vector", lambda:
         encrypt(P, np.zeros(4), np.array([0, 1, 2, 0]),
                 make_instance(P, RNG, 1), RNG)),
+    "encrypt-fractional-bits": (ParameterError, "bit vector", lambda:
+        encrypt(P, np.zeros(4), [0.5, 1, 0, 1], make_instance(P, RNG, 1), RNG)),
     # wiretap
     "params-n-zero": (ParameterError, "n must be >= 1", lambda:
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
@@ -144,6 +169,37 @@ CHECKS = {  # name: (error, message pattern, call)
 def test_input_check_raises_typed_error(error, message, call):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("alpha", [1e-170, 1e155])
+def test_padding_grid_reaches_the_oracle_at_extreme_alpha(alpha):
+    # alpha^2 / n^2 underflows at 1e-170 and alpha^2 overflows at 1e155; the
+    # grid, in units of alpha, forms neither.  At 1e155 alpha dwarfs k, so
+    # the verifier cannot tell the hypotheses apart: no answer is asserted.
+    p = SystemParams(n=4, m_rx=4, M=4, alpha=alpha)
+    rng = make_rng(0)
+    x = rng.integers(0, p.M, size=p.n)
+    batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=alpha / 2)
+    calls = []
+
+    def oracle(b):  # wrong on its first two calls, right from the third
+        calls.append(b)
+        return x if len(calls) >= 3 else (x + 1) % p.M
+
+    try:
+        got = error_handling_search(batch, oracle, p, rng)
+    except SearchFailureError:
+        got = None
+    assert calls
+    if alpha < 1:
+        assert np.array_equal(got, x) and len(calls) == 3
+
+
+def test_r_dist_at_k_1e154_returns():
+    # (kP)^2 overflows here; the width is taken without squaring.
+    p = SystemParams(n=4, m_rx=8, M=4, alpha=1.0, k=1e154)
+    assert r_dist_width(p) == pytest.approx(1e154 * p.P)
+    assert np.all(np.isfinite(sample_R_dist(p, RNG, count=3).y))
 
 
 HANGS = {  # name: (message pattern, call); each of these inputs used to hang

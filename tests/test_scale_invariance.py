@@ -12,14 +12,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csikey.attacks import ber_experiment, exact_ml_decode
+from csikey.attacks import (ber_experiment, error_handling_search,
+                            exact_ml_decode)
 from csikey.distributions import discrete_gaussian_sample
+from csikey.errors import SearchFailureError
 from csikey.lattice import (LatticeBasis, enumerate_cvp, lll_reduce,
                             successive_minima)
 from csikey.numerics import make_rng
 from csikey.protocols import run_key_agreement
 from csikey.wiretap import (SystemParams, channel_noise, make_instance,
-                            random_message)
+                            random_message, sample_A_dist)
 
 
 def _attack_point(n, log2m):
@@ -65,6 +67,35 @@ def test_key_agreement_does_not_depend_on_scale(coder):
     assert any(m["alice"] != m["bob"] for m in want[0])  # some messages fail
     for j in (8, -100, 300):
         assert run(_scaled(p, j)) == want, j
+
+
+def _padded_batches(p, seed):
+    """Every batch error_handling_search hands an oracle that is always
+    wrong, on samples of noise width alpha / 2, until it gives up."""
+    rng = make_rng(seed)
+    x = random_message(p, rng)
+    batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=p.alpha / 2)
+    calls = []
+
+    def wrong(b):
+        calls.append((b.a, b.y))
+        return (x + 1) % p.M
+
+    with pytest.raises(SearchFailureError):
+        error_handling_search(batch, wrong, p, rng)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_padding_grid_scales_exactly(n):
+    p = SystemParams(n=n, m_rx=n, M=4, alpha=0.05)
+    want = _padded_batches(p, n)
+    for j in (-511, 511):
+        got = _padded_batches(_scaled(p, j), n)
+        assert len(got) == len(want), j
+        for (a, y), (a0, y0) in zip(got, want):
+            assert np.array_equal(a, a0 * 2.0**j), j
+            assert np.array_equal(y, y0 * 2.0**j), j
 
 
 LATTICE_SCALES = (8, -8, 100, -100, 300, -300)
