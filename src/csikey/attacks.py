@@ -8,6 +8,7 @@ padded width), not the channel's M*alpha; pass noise_width accordingly.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -16,9 +17,9 @@ import numpy as np
 from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
                             smoothing_upper_bound)
 from .errors import DimensionGuardError, ParameterError, SearchFailureError
-from .lattice import (LatticeBasis, ReductionResult, closest_point, dual_basis,
+from .lattice import (LatticeBasis, ReductionResult, closest_point,
                       lattice_bases, lll_reduce, nearest_plane)
-from .numerics import matvec, pseudo_inverse
+from .numerics import matvec, pseudo_inverse, svd
 from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
     channel_noise, transmit_to_bob, bob_decode, eve_receive, hard_decision
 
@@ -196,9 +197,9 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     basis = inst.basis
     bmat = basis.matrix
     n = basis.rank
-    sigma = float(np.linalg.svd(bmat, compute_uv=False)[-1])
+    sigma = float(svd(bmat)[1][-1])
 
-    eta_bound = smoothing_upper_bound(bmat, eps)
+    eta_bound = smoothing_upper_bound(basis, eps)
     if r <= math.sqrt(2) * eta_bound:
         raise ParameterError(
             f"width r={r:.4g} violates r > sqrt(2)*smoothing bound "
@@ -214,19 +215,20 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
             f"iteration-progress inequality fails: {d_cap:.4g} <= "
             f"{math.sqrt(n) / math.sqrt(2):.4g}", stacklevel=2)
 
-    dual = dual_basis(basis)
+    # One pseudo-inverse: the digits below and the dual B (B^T B)^-1 = (B^+)^T.
+    binv = pseudo_inverse(bmat)
+    dual = LatticeBasis(binv.T)
     # Statistical-hiding precondition: the cross-term-plus-noise width must
     # dominate the smoothing width of the scaled dual lattice.
     xi = p.k * inst.bound_d / sigma
     lhs = 1.0 / math.sqrt(1.0 / p.k**2 + (math.sqrt(2) * xi / (p.M * p.alpha)) ** 2)
-    eta_dual_scaled = (r / p.k) * smoothing_upper_bound(dual.matrix, eps)
+    eta_dual_scaled = (r / p.k) * smoothing_upper_bound(dual, eps)
     if not (lhs >= p.k / math.sqrt(2) > eta_dual_scaled):
         raise ParameterError(
             f"statistical-hiding inequality fails: need "
             f"{lhs:.4g} >= {p.k / math.sqrt(2):.4g} > {eta_dual_scaled:.4g}")
 
     samples = bdd_sample_count(p, r, sigma, inst.bound_d)
-    binv = pseudo_inverse(bmat)
     y = inst.target
     # High-order digits come from the target magnitude; the oracle only has
     # to resolve the residual, shifted into [0, M).  Coordinates whose
@@ -237,16 +239,14 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     frac = z - base
     amb_margin = 1.5 * inst.bound_d / (sigma * p.M) + 1e-9
     ambiguous = np.flatnonzero(np.abs(frac) > 0.5 - amb_margin)[:6]
-    offset = np.full(n, p.M // 2, dtype=np.int64)
+    bits = np.arange(len(ambiguous))
+    offset = p.M // 2
 
     for _ in range(3):
         for mask in range(2 ** len(ambiguous)):
             t0 = base.copy()
-            for bit, j in enumerate(ambiguous):
-                if mask >> bit & 1:
-                    t0[j] += math.copysign(1.0, frac[j])
-            t0 = t0.astype(np.int64)
-            coord = binv @ (y - bmat @ (p.M * t0).astype(float)) + offset
+            t0[ambiguous] += np.copysign(1.0, frac[ambiguous]) * (mask >> bits & 1)
+            coord = p.M * (z - t0) + offset
             v, _ = discrete_gaussian_sample(dual, r, rng, size=samples)
             if np.linalg.matrix_rank(v) < n:  # the oracle's channel would be singular
                 raise ParameterError(
@@ -257,7 +257,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
             y_samp = p.k * (v @ coord) / (r * p.M) + p.k * e / r
             batch = SampleBatch(a=a / p.M, y=y_samp)
             guess = np.asarray(mimo_oracle(batch), dtype=np.int64)
-            coeffs = p.M * t0 + (guess - offset)
+            coeffs = p.M * t0.astype(np.int64) + (guess - offset)
             point = bmat @ coeffs.astype(float)
             if np.linalg.norm(y - point) <= inst.bound_d * (1 + 1e-9):
                 return point, coeffs
@@ -297,8 +297,8 @@ def ber_experiment(p: SystemParams, trials: int, rng) -> list[dict]:
     Eve's zero-forcing, LLL+Babai and, where M^n <= BER_ML_SPACE, exact ML.
     A chunk factors its channels in stacked calls, draws each trial's message,
     Bob's noise and Eve's noise in turn, and decodes in stacked products."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ParameterError(f"trials must be >= 1 and an integer, got {trials!r}")
     with_ml = p.M**p.n <= BER_ML_SPACE
     counts = dict.fromkeys(["bob", "zf", "babai"] + ["ml"] * with_ml, 0)
     for start in range(0, trials, BER_CHUNK):

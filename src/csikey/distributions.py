@@ -82,14 +82,13 @@ def sample_discrete_gaussian_int(width: float, center, rng: np.random.Generator)
         return (lo[:, 0] + np.sum(cdf < u[:, None], axis=1)).astype(np.int64)
     out = np.zeros(center.shape, dtype=np.int64)
     c0 = np.round(center)
-    t = np.exp(-1.0 / sigma)
     # exp bound on  -(z-c)^2/(2 s^2) + |z-c0|/s  over integers z.
     log_m = 0.5 + 0.5 / sigma
     pending = np.ones(center.shape, dtype=bool)
     while np.any(pending):
         idx = np.flatnonzero(pending)
         k = idx.size
-        u = np.floor(np.log(rng.random(k)) / np.log(t[idx])).astype(np.int64)
+        u = np.floor(-sigma[idx] * np.log(rng.random(k))).astype(np.int64)
         sign = rng.integers(0, 2, size=k) * 2 - 1
         z = c0[idx] + sign * u
         logp = (
@@ -118,7 +117,7 @@ def discrete_gaussian_sample(b: LatticeBasis, r: float, rng: np.random.Generator
                          sample_discrete_gaussian_int(widths[i], c, rng))
 
 
-def smoothing_upper_bound(basis: np.ndarray, epsilon: float) -> float:
+def smoothing_upper_bound(basis: LatticeBasis, epsilon: float) -> float:
     """Upper bound sqrt(ln(2n(1+1/eps))/pi) * lambda_n on the smoothing width.
 
     lambda_n comes from successive_minima: exact (enumeration) for n <= 8,
@@ -126,6 +125,5 @@ def smoothing_upper_bound(basis: np.ndarray, epsilon: float) -> float:
     """
     if not 0 < epsilon:
         raise ParameterError("epsilon must be positive")
-    basis = LatticeBasis(basis)
     lam_n = float(successive_minima(basis)[-1])
     return math.sqrt(math.log(2 * basis.rank * (1 + 1 / epsilon)) / math.pi) * lam_n

@@ -1,5 +1,5 @@
-"""Lattice core: basis handling, LLL reduction, the nearest-plane walk,
-exact enumeration oracles at small dimension, and dual bases.
+"""Lattice core: basis handling, LLL reduction, the nearest-plane walk and
+exact enumeration oracles at small dimension.
 
 Basis vectors are matrix columns; every routine reads one Gram-Schmidt
 record per basis (LatticeBasis.gso); LLL reduces stacks in lockstep.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateBasisError, DimensionGuardError, NumericalError,
                      ParameterError)
-from .numerics import gram_schmidt, pseudo_inverse
+from .numerics import gram_schmidt
 
 ENUM_DIM_LIMIT = 8
 DEFAULT_DELTA = 0.99
@@ -100,7 +100,7 @@ def int_rank_det(m) -> tuple[int, int]:
         raise ParameterError(f"int_rank_det needs integer entries, got dtype {m.dtype}")
     a = m.tolist()
     rank, sign, prev = 0, 1, 1
-    for col in range(len(a[0])):
+    for col in range(m.shape[1]):
         pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if pivot is None:
             continue
@@ -113,7 +113,7 @@ def int_rank_det(m) -> tuple[int, int]:
             a[r] = [(x * top[col] - f * y) // prev for x, y in zip(a[r], top)]
         prev = top[col]
         rank += 1
-    return rank, sign * prev if rank == len(a) == len(a[0]) else 0
+    return rank, sign * prev if rank == len(a) == m.shape[1] else 0
 
 
 def lll_reduce(b: LatticeBasis) -> ReductionResult:
@@ -212,6 +212,8 @@ def nearest_plane(b: LatticeBasis, targets: np.ndarray, pick):
     level for the whole stack."""
     bstar, _, norms2 = b.gso
     t = np.array(targets, dtype=float)
+    if t.shape[-1:] != (b.ambient_dim,):
+        raise ParameterError(f"targets of shape {t.shape} need length {b.ambient_dim}")
     coeffs = np.zeros(t.shape[:-1] + (b.rank,))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan raise below
         for i in range(b.rank - 1, -1, -1):
@@ -248,8 +250,11 @@ def _search(b: LatticeBasis, target: np.ndarray, radius2: float, box=None,
     becomes each leaf's d2.  A centre or distance that is not finite raises
     NumericalError."""
     bstar, mu, norms2 = b.gso
+    target = np.asarray(target, dtype=float)
+    if target.shape != (b.ambient_dim,):
+        raise ParameterError(f"target shape {target.shape} is not ({b.ambient_dim},)")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        tcoord = (np.asarray(target, dtype=float) @ bstar / norms2).tolist()
+        tcoord = (target @ bstar / norms2).tolist()
     norms2, mu = norms2.tolist(), mu.tolist()
     n = len(norms2)
     lo, hi = box if box is not None else (-math.inf, math.inf)
@@ -321,9 +326,3 @@ def successive_minima(b: LatticeBasis) -> np.ndarray:
             if len(chosen) == n:
                 break
     return np.array(values)
-
-
-def dual_basis(b: LatticeBasis) -> LatticeBasis:
-    """Dual lattice basis B (B^T B)^{-1} (equals (B^T)^{-1} for square B)."""
-    return LatticeBasis(pseudo_inverse(b.matrix.T))
-

@@ -17,6 +17,8 @@ def required_log2M(n: int, m_slack: float = 1.0) -> float:
             f"constellation constraint undefined for n < 4 (got {n}): "
             "log2 log2 n is non-positive"
         )
+    if n > 2**53:  # so that n * log2(log2 n) is a finite float
+        raise ParameterError("n must be at most 2^53")
     return math.log2(m_slack) + n * math.log2(math.log2(n)) / math.log2(n)
 
 

@@ -45,14 +45,16 @@ def universal_hash(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
     of a convolution, mod 2."""
     seed = np.asarray(seed, dtype=np.uint8) & 1
     bits = np.asarray(bits, dtype=np.uint8) & 1
-    if not 0 < bits.shape[0] <= seed.shape[0]:
-        raise ParameterError("need 0 < input length <= seed length")
+    if seed.ndim != 1 or bits.ndim != 1 or not 0 < len(bits) <= len(seed):
+        raise ParameterError("need 1-D arrays with 0 < input length <= seed length")
     return np.convolve(seed.astype(np.int64), bits.astype(np.int64),
                        "valid") % 2
 
 
 def min_message_count(p: SystemParams, eta: int) -> int:
     """Smallest c with c times the secrecy capacity strictly above eta."""
+    if not 1 <= eta <= 2**53:  # so that eta / per is a float
+        raise ParameterError("eta must be >= 1 and at most 2^53")
     per = secrecy_capacity(p.n, math.log2(p.M))
     c = max(1, int(math.ceil(eta / per)))
     while c * per <= eta:
@@ -78,11 +80,9 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
     numerical error (a CSI-key inversion that overflows) raises
     NumericalError.
     """
-    if eta < 1:
-        raise ParameterError("eta must be >= 1")
+    c = min_message_count(p, eta)
     if coder not in VALID_CODERS:
         raise ParameterError(f"unknown coder {coder!r}")
-    c = min_message_count(p, eta)
     gate_ok = all(check_secrecy_constraints(p))
     reps = 3 if coder == "repetition-3" else 1
     alice_bits, bob_bits, messages = [], [], []

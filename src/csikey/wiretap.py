@@ -36,8 +36,8 @@ class SystemParams:
         for name in ("n", "m_rx", "M"):  # numpy integers are Integral too
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ParameterError(f"{name} must be an integer")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= 2**53:  # so that P is a finite float
+            raise ParameterError("n must be >= 1 and at most 2^53")
         if not 2 <= self.M <= 2**53:  # symbols stay exact float64 integers
             big = isinstance(self.M, int) and self.M > 2**64  # too long to print
             got = f"a {self.M.bit_length()}-bit M" if big else self.M
@@ -115,6 +115,8 @@ def make_instance(p: SystemParams, rng: np.random.Generator, t: int,
     """Draw t channels with i.i.d. width-k entries, each from its own pair of
     child streams of rng: A from the first and, if eve, B from the second.
     rng itself takes no draw, so t channels equal t draws of one."""
+    if not isinstance(t, numbers.Integral) or t < 1:
+        raise ParameterError(f"t must be an integer >= 1, got {t!r}")
     if p.m_rx < p.n:
         raise DegenerateBasisError("fewer receive antennas than streams")
     streams = rng.spawn(2 * t)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csikey import attacks, cli
+from csikey import attacks, cli, lattice
 from csikey.attacks import (BddInstance, bdd_sample_count,
                             bdd_via_mimo, ber_experiment, babai_attack,
                             decision_to_search, error_handling_search,
@@ -316,6 +316,31 @@ def test_bdd_via_mimo_matches_enumeration():
         assert np.allclose(point, ref, atol=1e-6)
         assert np.allclose(point, planted, atol=1e-6)
         assert np.allclose(inst.basis.matrix @ coeffs.astype(float), point)
+
+
+def test_bdd_via_mimo_pseudo_inverts_once_and_shares_the_dual_record(monkeypatch):
+    # One pseudo-inverse of B gives the digits and the dual basis; the dual's
+    # smoothing bound and Klein's sampler read one Gram-Schmidt record.  The
+    # five records: B and its LLL reduction, the dual and its LLL reduction,
+    # and the oracle's channel (this instance needs one Klein batch).
+    calls = {"pseudo_inverse": 0, "gram_schmidt": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    pinv = counted("pseudo_inverse", pseudo_inverse)
+    monkeypatch.setattr(attacks, "pseudo_inverse", pinv)
+    monkeypatch.setattr(lattice, "pseudo_inverse", pinv, raising=False)
+    monkeypatch.setattr(lattice, "gram_schmidt",
+                        counted("gram_schmidt", lattice.gram_schmidt))
+    rng = make_rng(5)
+    p, inst, planted, r = toy_bdd_setup(4, rng)
+    point, _ = bdd_via_mimo(inst, r, make_exact_ml_oracle(p), p, rng)
+    assert np.allclose(point, planted, atol=1e-6)
+    assert calls == {"pseudo_inverse": 1, "gram_schmidt": 5}
 
 
 def test_bdd_sample_count_grows_with_noise():

@@ -46,6 +46,29 @@ def sweep_cases(seed: int = SWEEP_SEED, count: int = SWEEP_CASES) -> list:
     return cases
 
 
+# Fixed cases: an n or eta too large for a float (10^400) must end in one
+# ParameterError line naming the 2^53 bound, not an OverflowError traceback.
+HUGE = str(10**400)
+HUGE_CASES = {
+    "ber-n": ["ber", "--n", HUGE, "--trials", "2"],
+    "key-agreement-n": ["key-agreement", "--n", HUGE, "--eta", "8"],
+    "cipher-n": ["cipher", "--n", HUGE, "--trials", "2"],
+    "decision-to-search-n": ["decision-to-search", "--n", HUGE, "--log2m", "2",
+                             "--trials", "1"],
+    "params-table-n": ["params-table", "--n", HUGE],
+    "params-table-n-list": ["params-table", "--n", "8," + HUGE],
+    "key-agreement-eta": ["key-agreement", "--n", "4", "--eta", HUGE],
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_CASES.values(), ids=HUGE_CASES)
+def test_huge_counts_end_in_a_parameter_error(argv, capsys):
+    assert main(argv) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and "at most 2^53" in errors[0]
+
+
 @pytest.mark.parametrize("argv", sweep_cases(), ids=" ".join)
 def test_extreme_values_end_in_a_typed_exit(argv, capsys):
     try:

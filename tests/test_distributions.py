@@ -8,8 +8,8 @@ from csikey.attacks import toy_bdd_setup
 from csikey.distributions import (discrete_gaussian_sample, psi_sample, psi_std,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
-from csikey.lattice import LatticeBasis, dual_basis, lll_reduce, successive_minima
-from csikey.numerics import make_rng
+from csikey.lattice import LatticeBasis, lll_reduce, successive_minima
+from csikey.numerics import make_rng, pseudo_inverse
 from lattice_reference import klein_reference
 
 
@@ -142,6 +142,27 @@ def test_discrete_gaussian_exact_lattice_points():
     assert np.max(np.abs(pts - coeffs @ basis.T)) <= 1e-9
 
 
+class _StubRng:
+    """Uniform draws 0.5, then 1e-300; every sign +1."""
+
+    def __init__(self):
+        self.uniforms = iter([0.5, 1e-300])
+
+    def random(self, size):
+        return np.full(size, next(self.uniforms))
+
+    def integers(self, low, high, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_geometric_offset_is_exact_at_a_wide_width():
+    # The proposal's offset at U = 0.5 is floor(sigma ln 2); a ratio
+    # exp(-1/sigma) would lose its low bits at this width (304,047,665,732).
+    sigma = 2.0**40 / math.sqrt(2 * math.pi)
+    draw = sample_discrete_gaussian_int(2.0**40, 0.0, _StubRng())
+    assert draw.tolist() == [math.floor(sigma * math.log(2))] == [304_043_241_073]
+
+
 def _klein_cases():
     yield np.array([[2.0]]), 3.0
     yield np.eye(2), 5.0
@@ -150,7 +171,7 @@ def _klein_cases():
     rng = make_rng(8)
     for n in (1, 2, 3, 4, 4):
         _, inst, _, r = toy_bdd_setup(n, rng)
-        yield dual_basis(inst.basis).matrix, r
+        yield pseudo_inverse(inst.basis.matrix).T, r
 
 
 def test_klein_sampler_matches_reference_loop():
@@ -164,15 +185,15 @@ def test_klein_sampler_matches_reference_loop():
 
 
 def test_smoothing_upper_bound_z1():
-    val = smoothing_upper_bound(np.array([[1.0]]), 1.0)
+    val = smoothing_upper_bound(LatticeBasis(np.array([[1.0]])), 1.0)
     assert val == pytest.approx(math.sqrt(math.log(4.0) / math.pi), abs=1e-9)
 
 
 def test_smoothing_upper_bound_scaling():
     rng = make_rng(10)
     b = rng.normal(size=(3, 3))
-    base = smoothing_upper_bound(b, 0.1)
-    assert smoothing_upper_bound(2.5 * b, 0.1) == pytest.approx(
+    base = smoothing_upper_bound(LatticeBasis(b), 0.1)
+    assert smoothing_upper_bound(LatticeBasis(2.5 * b), 0.1) == pytest.approx(
         2.5 * base, rel=1e-12)
 
 
@@ -184,10 +205,11 @@ def test_smoothing_upper_bound_takes_exact_lambda_n_at_n7():
     reduced = lll_reduce(LatticeBasis(b)).reduced.matrix
     assert np.max(np.linalg.norm(reduced, axis=0)) > 1.1 * lam7
     factor = math.sqrt(math.log(2 * 7 * (1 + 1 / 0.1)) / math.pi)
-    assert smoothing_upper_bound(b, 0.1) == pytest.approx(factor * lam7, rel=1e-12)
+    assert smoothing_upper_bound(LatticeBasis(b), 0.1) == pytest.approx(
+        factor * lam7, rel=1e-12)
 
 
 def test_smoothing_upper_bound_monotone_in_eps():
-    b = np.eye(2)
+    b = LatticeBasis(np.eye(2))
     vals = [smoothing_upper_bound(b, e) for e in (0.01, 0.1, 0.5, 1.0, 10.0)]
     assert all(x >= y for x, y in zip(vals, vals[1:]))

@@ -10,20 +10,21 @@ import numpy as np
 import pytest
 
 import csikey
-from csikey.attacks import (BddInstance, bdd_sample_count, ber_experiment,
-                            decision_to_search, error_handling_search,
+from csikey.attacks import (BddInstance, bdd_sample_count, bdd_via_mimo,
+                            ber_experiment, decision_to_search, error_handling_search,
                             exact_ml_decode, make_decision_oracle,
                             verify_solution)
 from csikey.distributions import (discrete_gaussian_sample, psi_sample,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
 from csikey.errors import (DegenerateBasisError, DimensionGuardError,
-                           ParameterError, SearchFailureError)
-from csikey.lattice import LatticeBasis, closest_point, enumerate_cvp, int_rank_det
+                           NumericalError, ParameterError, SearchFailureError)
+from csikey.lattice import (LatticeBasis, closest_point, enumerate_cvp,
+                            int_rank_det, nearest_plane)
 from csikey.numerics import gram_schmidt, make_rng
-from csikey.params import secrecy_capacity
-from csikey.protocols import (decrypt, encode_symbols, encrypt, run_key_agreement,
-                              universal_hash)
+from csikey.params import required_log2M, secrecy_capacity
+from csikey.protocols import (decrypt, encode_symbols, encrypt, min_message_count,
+                              run_key_agreement, universal_hash)
 from csikey.wiretap import (SampleBatch, SystemParams, make_instance,
                             r_dist_width, sample_A_dist, sample_R_dist,
                             transmit_to_bob)
@@ -36,6 +37,9 @@ CHECKS = {  # name: (error, message pattern, call)
     # attacks
     "bdd-bound-zero": (ParameterError, "bound_d must be positive", lambda:
         BddInstance(LatticeBasis(np.eye(2)), np.zeros(2), 0.0)),
+    "bdd-basis-nan": (NumericalError, "non-finite entries", lambda: bdd_via_mimo(
+        BddInstance(LatticeBasis([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2), 0.1),
+        2.5, None, P, RNG)),
     "verify-empty-batch": (ParameterError, "empty batch", lambda:
         verify_solution(EMPTY, np.zeros(4), P)),
     "decision-M-above-16": (DimensionGuardError, "M <= 16", lambda:
@@ -47,6 +51,10 @@ CHECKS = {  # name: (error, message pattern, call)
         exact_ml_decode(np.eye(2), np.array([0.3, 0.4]), -3)),
     "ber-zero-trials": (ParameterError, "trials must be >= 1", lambda:
         ber_experiment(P, 0, RNG)),
+    "ber-fractional-trials": (ParameterError, "trials must be >= 1 and an integer",
+                              lambda: ber_experiment(P, 2.5, RNG)),
+    "ml-target-length": (ParameterError, r"target shape \(3,\) is not \(2,\)",
+        lambda: exact_ml_decode(np.eye(2), np.zeros(3), 4)),
     "bdd-sample-count-alpha-1e300": (ParameterError, "too large for a sample count",
         lambda: bdd_sample_count(SystemParams(n=4, m_rx=4, M=4, alpha=1e300),
                                  1.0, 1.0, 0.1)),
@@ -77,8 +85,8 @@ CHECKS = {  # name: (error, message pattern, call)
         sample_discrete_gaussian_int(1.0, np.array([0.0, 1e300]), RNG)),
     "klein-r-zero": (ParameterError, "width r must be positive", lambda:
         discrete_gaussian_sample(LatticeBasis(np.eye(2)), 0.0, RNG)),
-    "smoothing-epsilon-zero": (ParameterError, "epsilon must be positive",
-                               lambda: smoothing_upper_bound(np.eye(2), 0.0)),
+    "smoothing-epsilon-zero": (ParameterError, "epsilon must be positive", lambda:
+        smoothing_upper_bound(LatticeBasis(np.eye(2)), 0.0)),
     # lattice
     "basis-vector": (DegenerateBasisError, ">= 1 column", lambda:
         LatticeBasis(np.ones(3))),
@@ -91,6 +99,10 @@ CHECKS = {  # name: (error, message pattern, call)
                               (0.5, 0.7))),
     "int-rank-det-fractional": (ParameterError, "needs integer entries", lambda:
         int_rank_det([[0.5, 1], [1, 2]])),
+    "closest-point-target-length": (ParameterError, r"target shape \(1,\) is not",
+        lambda: closest_point(LatticeBasis(np.eye(2)), np.zeros(1))),
+    "nearest-plane-target-length": (ParameterError, "need length 2", lambda:
+        nearest_plane(LatticeBasis(np.eye(2)), np.zeros((1, 3)), lambda i, c: c)),
     "cvp-rank-9": (DimensionGuardError, "exact CVP limited", lambda:
         enumerate_cvp(LatticeBasis(np.eye(9)), np.zeros(9))),
     # numerics
@@ -107,9 +119,15 @@ CHECKS = {  # name: (error, message pattern, call)
         secrecy_capacity(4, float("nan"))),
     "capacity-log2M-inf": (ParameterError, "finite log2M > 0", lambda:
         secrecy_capacity(4, float("inf"))),
+    "required-log2M-n-10^400": (ParameterError, r"n must be at most 2\^53", lambda:
+        required_log2M(10**400)),
     # protocols
     "toeplitz-seed-length": (ParameterError, "seed length", lambda:
         universal_hash(np.zeros(5), np.zeros(6))),
+    "toeplitz-2d": (ParameterError, "need 1-D arrays", lambda:
+        universal_hash(np.zeros((2, 5)), np.zeros((2, 3)))),
+    "message-count-eta-10^400": (ParameterError, r"eta must be >= 1 and at most 2\^53",
+        lambda: min_message_count(P, 10**400)),
     "encode-symbol-negative": (ParameterError, r"symbols must lie in \[0, M\)",
                                lambda: encode_symbols(np.array([-1, 3]), 4)),
     "encode-symbol-above-M": (ParameterError, r"symbols must lie in \[0, M\)",
@@ -140,6 +158,8 @@ CHECKS = {  # name: (error, message pattern, call)
     # wiretap
     "params-n-zero": (ParameterError, "n must be >= 1", lambda:
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
+    "params-n-10^400": (ParameterError, r"n must be >= 1 and at most 2\^53", lambda:
+        SystemParams(n=10**400, m_rx=8, M=4, alpha=1.0)),
     "params-n-fractional": (ParameterError, "n must be an integer", lambda:
         SystemParams(n=4.5, m_rx=8, M=16, alpha=1.0)),
     "params-m-rx-fractional": (ParameterError, "m_rx must be an integer", lambda:
@@ -154,6 +174,12 @@ CHECKS = {  # name: (error, message pattern, call)
         SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=float("inf"))),
     "params-noise-scale-nan": (ParameterError, "noise_scale must be", lambda:
         SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=float("nan"))),
+    "make-instance-t-zero": (ParameterError, "t must be an integer >= 1", lambda:
+        make_instance(P, RNG, 0)),
+    "make-instance-t-negative": (ParameterError, "t must be an integer >= 1",
+                                 lambda: make_instance(P, RNG, -1)),
+    "make-instance-t-fractional": (ParameterError, "t must be an integer >= 1",
+                                   lambda: make_instance(P, RNG, 2.5)),
     "precode-dimension": (ParameterError, "message dimension", lambda:
         transmit_to_bob(make_instance(P, RNG, 1), np.zeros(3), 0.0)),
     "A-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
@@ -193,6 +219,11 @@ def test_padding_grid_reaches_the_oracle_at_extreme_alpha(alpha):
     assert calls
     if alpha < 1:
         assert np.array_equal(got, x) and len(calls) == 3
+
+
+def test_int_rank_det_of_a_matrix_with_no_rows():
+    assert int_rank_det(np.zeros((0, 0), dtype=np.int64)) == (0, 1)
+    assert int_rank_det(np.zeros((0, 3), dtype=np.int64)) == (0, 0)
 
 
 def test_r_dist_at_k_1e154_returns():

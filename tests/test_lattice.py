@@ -7,7 +7,7 @@ import pytest
 from csikey.attacks import babai_attack, exact_ml_decode
 from csikey.errors import DimensionGuardError, NumericalError
 from csikey.lattice import (LOCKSTEP_MIN, LatticeBasis, ReductionResult,
-                            _search, dual_basis, enumerate_cvp, int_rank_det,
+                            _search, enumerate_cvp, int_rank_det,
                             lattice_bases, lll_reduce, nearest_plane,
                             successive_minima)
 from csikey.numerics import gram_schmidt, make_rng
@@ -403,12 +403,4 @@ def test_enumeration_does_not_depend_on_scale(scale):
 def test_dimension_guard():
     with pytest.raises(DimensionGuardError):
         enumerate_svp(LatticeBasis(np.eye(9)))
-
-
-def test_dual_basis_roundtrip():
-    rng = make_rng(4)
-    b = _random_int_basis(rng, 4)
-    d = dual_basis(b)
-    assert np.allclose(d.matrix.T @ b.matrix, np.eye(4), atol=1e-9)
-    assert np.allclose(dual_basis(d).matrix, b.matrix, atol=1e-9)
 
