@@ -8,7 +8,6 @@ padded width), not the channel's M*alpha; pass noise_width accordingly.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +15,8 @@ import numpy as np
 
 from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
                             smoothing_upper_bound)
-from .errors import DimensionGuardError, ParameterError, SearchFailureError
+from .errors import (DimensionGuardError, ParameterError, SearchFailureError,
+                     need_int, need_real)
 from .lattice import (LatticeBasis, ReductionResult, closest_point,
                       lattice_bases, lll_reduce, nearest_plane)
 from .numerics import matvec, pseudo_inverse, svd
@@ -41,8 +41,7 @@ class BddInstance:
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=float)
-        if self.bound_d <= 0:
-            raise ParameterError("bound_d must be positive")
+        need_real("bound_d", self.bound_d, 0, math.inf)
 
 
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
@@ -297,8 +296,7 @@ def ber_experiment(p: SystemParams, trials: int, rng) -> list[dict]:
     Eve's zero-forcing, LLL+Babai and, where M^n <= BER_ML_SPACE, exact ML.
     A chunk factors its channels in stacked calls, draws each trial's message,
     Bob's noise and Eve's noise in turn, and decodes in stacked products."""
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise ParameterError(f"trials must be >= 1 and an integer, got {trials!r}")
+    need_int("trials", trials, 1)
     with_ml = p.M**p.n <= BER_ML_SPACE
     counts = dict.fromkeys(["bob", "zf", "babai"] + ["ml"] * with_ml, 0)
     for start in range(0, trials, BER_CHUNK):

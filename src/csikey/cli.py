@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .attacks import (ber_experiment, bdd_via_mimo, make_decision_oracle,
                       make_exact_ml_oracle, decision_to_search, toy_bdd_setup)
-from .errors import CsikeyError, OptionError, ParameterError
+from .errors import CsikeyError, OptionError, ParameterError, need_int, need_real
 from .lattice import enumerate_cvp
 from .numerics import make_rng
 from .params import check_secrecy_constraints, design_table
@@ -28,10 +28,15 @@ from .protocols import VALID_CODERS, decrypt, encrypt, run_key_agreement
 from .wiretap import SystemParams, make_instance, random_message, sample_A_dist
 
 # One typed definition per option, for the flags and the --config keys:
-# name -> (type, default, choices).  params-table takes n as a comma list.
+# name -> (type, default, choices); a default that differs by subcommand is
+# {subcommand: default, None: every other}.  params-table takes n as a
+# comma list, by default the paper's dimensions; the demos run at n <= 4.
 OPTIONS = {
-    "n": (int, 8, None), "m_rx": (int, None, None),
-    "log2m": (int, 4, None), "alpha": (float, 1.0, None),
+    "n": (int, {"params-table": "80,128,196,256", "reduction-demo": 4,
+                "decision-to-search": 4, None: 8}, None),
+    "m_rx": (int, None, None),
+    "log2m": (int, {"decision-to-search": 2, None: 4}, None),
+    "alpha": (float, 1.0, None),
     "k": (float, 1.0, None), "m_slack": (float, 1.0, None),
     "trials": (int, 100, None), "seed": (int, 0, None),
     "out": (str, None, None), "format": (str, "csv", ("csv", "json")),
@@ -52,25 +57,20 @@ class ExperimentConfig:
         if self.subcommand not in _RUNNERS:
             raise ParameterError(f"unknown subcommand {self.subcommand!r}")
         _check_options(self.options, self.subcommand)
-        merged = dict(DEFAULTS)
+        merged = {name: d.get(self.subcommand, d[None]) if isinstance(d, dict) else d
+                  for name, d in DEFAULTS.items()}
         merged.update({k: v for k, v in self.options.items() if v is not None})
-        if self.subcommand == "params-table" and self.options.get("n") is None:
-            merged["n"] = "80,128,196,256"  # the paper's dimensions
-        if merged["trials"] < 1:
-            raise ParameterError("trials must be >= 1")
-        if merged["seed"] < 0:
-            raise ParameterError("seed must be >= 0")
+        need_int("trials", merged["trials"], 1)
+        need_int("seed", merged["seed"], 0, np.inf)
         for name in (o for o, (typ, _, _) in OPTIONS.items() if typ is float):
-            if not abs(merged[name]) <= sys.float_info.max:  # no inf, nan, 10**400
-                raise ParameterError(f"{name} must be a finite float")
+            need_real(name, merged[name], -np.inf, np.inf)
         self.options = merged
 
     def system_params(self) -> SystemParams:
         o = self.options
         n = int(o["n"])
         m_rx = int(o["m_rx"]) if o["m_rx"] is not None else 2 * n
-        if not 1 <= o["log2m"] <= 53:  # before 2 ** log2m, which can exhaust memory
-            raise ParameterError(f"log2m must lie in [1, 53], got {o['log2m']}")
+        need_int("log2m", o["log2m"], 1, 53)  # before 2 ** log2m can exhaust memory
         return SystemParams(n=n, m_rx=m_rx, M=2 ** int(o["log2m"]),
                             alpha=float(o["alpha"]), k=float(o["k"]),
                             m_slack=float(o["m_slack"]),
@@ -161,9 +161,7 @@ def _run_cipher(cfg: ExperimentConfig) -> list:
 
 
 def _run_reduction_demo(cfg: ExperimentConfig) -> list:
-    n = int(cfg.options["n"])
-    if not 1 <= n <= 4:
-        raise ParameterError("reduction-demo supports 1 <= n <= 4")
+    n = need_int("n", cfg.options["n"], 1, 4)
     rng = make_rng(int(cfg.options["seed"]))
     rows = []
     for trial in range(int(cfg.options["trials"])):

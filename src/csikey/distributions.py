@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, need_int, need_real
 from .lattice import LatticeBasis, nearest_plane, successive_minima
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -22,8 +22,7 @@ def psi_std(width: float) -> float:
 
 def psi_sample(width: float, rng: np.random.Generator, size=None):
     """Draw from the zero-mean Gaussian of the given width."""
-    if not 0 < width < math.inf:
-        raise ParameterError(f"width must be positive and finite, got {width}")
+    need_real("width", width, 0, math.inf)
     return rng.normal(0.0, psi_std(width), size=size)
 
 
@@ -32,8 +31,8 @@ def tvd_gaussians(w1: float, w2: float) -> float:
 
     Uses the closed form from the densities' crossing points +-x*.
     """
-    if not (0 < w1 < math.inf and 0 < w2 < math.inf):
-        raise ParameterError("widths must be positive and finite")
+    need_real("w1", w1, 0, math.inf)
+    need_real("w2", w2, 0, math.inf)
     if w1 == w2:
         return 0.0
     s1, s2 = sorted((psi_std(w1), psi_std(w2)))
@@ -55,15 +54,13 @@ def sample_discrete_gaussian_int(width: float, center, rng: np.random.Generator)
     the integers floor(c - 11 sigma) .. ceil(c + 11 sigma), which include
     floor(c) and ceil(c); the dropped tail weighs below 2^-60.
 
-    Bounds: 0 < width <= 2^46 and |c| <= 2^52.  Every integer formed in
+    Bounds: 0 < width < 2^46 and |c| <= 2^52.  Every integer formed in
     floats (the support, the rounded centre, and the proposal's offsets,
     at most 37 sigma since a nonzero uniform draw is at least 2^-53) then
     stays below 2^53, where float64 integers are exact.
     """
+    need_real("width", width, 0, 2**46)
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if not 0 < width <= 2.0**46:
-        raise ParameterError(f"width must be positive and finite, at most 2^46, "
-                             f"got {width}")
     if not np.all(np.abs(center) <= 2.0**52):
         raise ParameterError("center must be finite, with |center| <= 2^52")
     # One sigma per entry: the arithmetic below stays elementwise, since a
@@ -110,8 +107,8 @@ def discrete_gaussian_sample(b: LatticeBasis, r: float, rng: np.random.Generator
     Returns (points, coeffs): points has shape (size, m), coeffs (size, n)
     with points = coeffs @ b.T exactly.
     """
-    if not r > 0:
-        raise ParameterError("width r must be positive")
+    need_real("r", r, 0, math.inf)
+    need_int("size", size, 1)
     widths = r / np.sqrt(b.gso[2])
     return nearest_plane(b, np.zeros((size, b.ambient_dim)), lambda i, c:
                          sample_discrete_gaussian_int(widths[i], c, rng))
@@ -123,7 +120,6 @@ def smoothing_upper_bound(basis: LatticeBasis, epsilon: float) -> float:
     lambda_n comes from successive_minima: exact (enumeration) for n <= 8,
     otherwise bounded by the longest column of an LLL-reduced basis.
     """
-    if not 0 < epsilon:
-        raise ParameterError("epsilon must be positive")
+    need_real("epsilon", epsilon, 0, math.inf)
     lam_n = float(successive_minima(basis)[-1])
     return math.sqrt(math.log(2 * basis.rank * (1 + 1 / epsilon)) / math.pi) * lam_n

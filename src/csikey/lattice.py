@@ -10,13 +10,12 @@ guarded to n <= 8.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DegenerateBasisError, DimensionGuardError, NumericalError,
-                     ParameterError)
+                     ParameterError, need_int)
 from .numerics import gram_schmidt
 
 ENUM_DIM_LIMIT = 8
@@ -290,9 +289,8 @@ def closest_point(b: LatticeBasis, target: np.ndarray, box=None) -> tuple:
     exact, in b's own coordinates (no reduction step): the least leaf of
     the search under a shrinking radius, ties to the lexicographically
     smallest z."""
-    if box is not None and not all(isinstance(v, numbers.Integral) for v in box):
-        raise ParameterError(f"coefficient box {tuple(box)} needs integer bounds")
-    if box is not None and not box[0] <= box[1]:
+    if box is not None and not (need_int("box low", box[0], -math.inf)
+                                <= need_int("box high", box[1], -math.inf)):
         raise ParameterError(f"empty coefficient box {tuple(box)}")
     return min(_search(b, target, math.inf, box, shrink=True))[1]
 

@@ -9,15 +9,15 @@ turn, and the first matrix failing it raises the per-matrix error.
 
 import numpy as np
 
-from .errors import DegenerateBasisError, NumericalError, ParameterError
+from .errors import DegenerateBasisError, NumericalError, need_int
 
 RANK_FLOOR = 1e-12  # least sigma_min / sigma_max of a full-rank matrix
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Reproducible generator: an identical seed gives identical draws."""
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    """Reproducible generator: an identical seed gives identical draws.
+    Any integer seed >= 0 is taken, beyond 2^53 too."""
+    need_int("seed", seed, 0, np.inf)
     # spawn key (0,) is the one every artifact so far was drawn with
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
     return np.random.default_rng(ss)

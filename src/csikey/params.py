@@ -6,19 +6,14 @@ the only base reproducing the published example parameter sets.
 
 import math
 
-from .errors import ParameterError
+from .errors import ParameterError, need_int, need_real
 from .wiretap import SystemParams
 
 
 def required_log2M(n: int, m_slack: float = 1.0) -> float:
-    """Minimum log2 M: log2(m) + n * log2(log2 n) / log2(n)."""
-    if n < 4:
-        raise ParameterError(
-            f"constellation constraint undefined for n < 4 (got {n}): "
-            "log2 log2 n is non-positive"
-        )
-    if n > 2**53:  # so that n * log2(log2 n) is a finite float
-        raise ParameterError("n must be at most 2^53")
+    """Minimum log2 M: log2(m) + n * log2(log2 n) / log2(n), for n from 4,
+    where log2 log2 n turns positive, to 2^53 (a finite float product)."""
+    need_int("n", n, 4)
     return math.log2(m_slack) + n * math.log2(math.log2(n)) / math.log2(n)
 
 
@@ -41,8 +36,8 @@ def max_snr_db(n: int, m_slack: float = 1.0) -> float:
 
 def secrecy_capacity(n: int, log2M: float) -> float:
     """Computational secrecy capacity 2*sqrt(n * log2M * log2(1.01)) bits."""
-    if n < 1 or not 0 < log2M < math.inf:
-        raise ParameterError("need n >= 1 and a finite log2M > 0")
+    need_int("n", n, 1)
+    need_real("log2M", log2M, 0, math.inf)
     return 2.0 * math.sqrt(n * log2M * math.log2(1.01))
 
 
@@ -58,8 +53,7 @@ def check_secrecy_constraints(p: SystemParams) -> tuple[bool, bool]:
 
 def design_table(ns, m_slack: float = 1.0):
     """Rows (n, log2M, snr_db, capacity) at the minimum constellation size."""
-    if not 0 < m_slack < math.inf:
-        raise ParameterError("m_slack must be positive and finite")
+    need_real("m_slack", m_slack, 0, math.inf)
     rows = []
     for n in ns:
         log2m = required_log2M(n, m_slack)

@@ -7,7 +7,6 @@ observations as stacks of vectors that broadcast against them.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -15,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import psi_sample
-from .errors import DegenerateBasisError, NumericalError, ParameterError
+from .errors import (DegenerateBasisError, NumericalError, ParameterError,
+                     need_int, need_real)
 from .numerics import RANK_FLOOR, matvec, svd
 
 
@@ -33,24 +33,15 @@ class SystemParams:
     P: float = field(init=False)  # expected norm of a uniform [0, M)^n vector
 
     def __post_init__(self):
-        for name in ("n", "m_rx", "M"):  # numpy integers are Integral too
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ParameterError(f"{name} must be an integer")
-        if not 1 <= self.n <= 2**53:  # so that P is a finite float
-            raise ParameterError("n must be >= 1 and at most 2^53")
-        if not 2 <= self.M <= 2**53:  # symbols stay exact float64 integers
-            big = isinstance(self.M, int) and self.M > 2**64  # too long to print
-            got = f"a {self.M.bit_length()}-bit M" if big else self.M
-            raise ParameterError(f"M must lie in [2, 2^53], got {got}")
+        need_int("n", self.n, 1)  # at most 2^53, so that P is a finite float
+        need_int("M", self.M, 2)  # symbols stay exact float64 integers
+        need_int("m_rx", self.m_rx, 1, self.n**3)
         for name in ("alpha", "k", "m_slack"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be positive and finite")
-        if not 0 <= self.noise_scale < math.inf:
-            raise ParameterError("noise_scale must be finite and >= 0")
+            need_real(name, getattr(self, name), 0, math.inf)
+        if need_real("noise_scale", self.noise_scale, -math.inf, math.inf) < 0:
+            raise ParameterError(f"noise_scale must be >= 0, got {self.noise_scale!r}")
         if not np.finfo(float).tiny <= self.k * self.k < math.inf:
             raise ParameterError(f"k^2 must be a positive normal float, k = {self.k}")
-        if self.m_rx < 1 or self.m_rx > self.n**3:
-            raise ParameterError(f"m_rx must lie in [1, n^3], got {self.m_rx}")
         if self.m_rx > 16 * self.n:
             warnings.warn(f"m_rx={self.m_rx} above 16*n={16 * self.n}", stacklevel=2)
         self.P = math.sqrt(self.n * (self.M - 1) * (2 * self.M - 1) / 6.0)
@@ -115,8 +106,7 @@ def make_instance(p: SystemParams, rng: np.random.Generator, t: int,
     """Draw t channels with i.i.d. width-k entries, each from its own pair of
     child streams of rng: A from the first and, if eve, B from the second.
     rng itself takes no draw, so t channels equal t draws of one."""
-    if not isinstance(t, numbers.Integral) or t < 1:
-        raise ParameterError(f"t must be an integer >= 1, got {t!r}")
+    need_int("t", t, 1)
     if p.m_rx < p.n:
         raise DegenerateBasisError("fewer receive antennas than streams")
     streams = rng.spawn(2 * t)
@@ -179,8 +169,7 @@ def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,
                   count: int, noise_width: float) -> SampleBatch:
     """Rows (a_i, <a_i, x> + e_i); a_i i.i.d. width-k entries, e_i of width
     noise_width (alpha, or a padded width, in the search reductions)."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
+    need_int("count", count, 1)
     x = np.asarray(x, dtype=float)
     a = psi_sample(p.k, rng, size=(count, p.n))
     e = psi_sample(noise_width, rng, size=count)
@@ -195,8 +184,7 @@ def r_dist_width(p: SystemParams) -> float:
 def sample_R_dist(p: SystemParams, rng: np.random.Generator,
                   count: int) -> SampleBatch:
     """Rows (a_i, psi) with psi independent of a_i."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
+    need_int("count", count, 1)
     a = psi_sample(p.k, rng, size=(count, p.n))
     y = psi_sample(r_dist_width(p), rng, size=count)
     return SampleBatch(a=a, y=y)

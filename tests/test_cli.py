@@ -21,7 +21,8 @@ def test_unknown_subcommand_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError, match="trials must be >= 1"):
+    with pytest.raises(ParameterError,
+                       match=r"trials must be an integer in \[1, 2\^53\], got 0"):
         ExperimentConfig("ber", {"trials": 0})
     with pytest.raises(ParameterError, match="option 'format': invalid value 'xml'"):
         ExperimentConfig("ber", {"format": "xml"})
@@ -96,6 +97,16 @@ def test_decision_to_search_demo(capsys):
                "--alpha", "0.05", "--trials", "2"])
     assert rc == 0
     assert capsys.readouterr().out.count("True") == 2
+
+
+@pytest.mark.parametrize("subcommand", ["reduction-demo", "decision-to-search"])
+def test_demos_run_with_their_default_options(subcommand, capsys):
+    # Both demos default to n = 4, and decision-to-search to log2m = 2,
+    # inside the ranges they support.
+    assert main([subcommand, "--trials", "1"]) == 0
+    config = json.loads(capsys.readouterr().out.splitlines()[0].split(": ", 1)[1])
+    assert (config["n"], config["log2m"]) == (
+        (4, 2) if subcommand == "decision-to-search" else (4, 4))
 
 
 def test_key_agreement_and_cipher_subcommands(tmp_path):
@@ -176,7 +187,8 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     # A config integer beyond the float range, for a float option.
     (tmp_path / "big.json").write_text('{"alpha": 1%s}' % ("0" * 400))
     assert main(["ber", "--n", "4", "--config", str(tmp_path / "big.json")]) == 1
-    assert "error: alpha must be a finite float" in capsys.readouterr().err
+    assert ("error: alpha must be a real in (-inf, inf), got a 1329-bit integer"
+            in capsys.readouterr().err)
     assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2
     assert main(["params-table", "--out", str(tmp_path / "no" / "out.csv")]) == 2
     assert "error: cannot write output" in capsys.readouterr().err

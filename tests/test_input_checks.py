@@ -32,10 +32,12 @@ from csikey.wiretap import (SampleBatch, SystemParams, make_instance,
 P = SystemParams(n=4, m_rx=8, M=4, alpha=1.0)
 RNG = make_rng(0)
 EMPTY = SampleBatch(a=np.zeros((0, 4)), y=np.zeros(0))
+INT = r"must be an integer in \[1, 2\^53\]"  # need_int's default range from 1
+POS = r"must be a real in \(0, inf\)"  # need_real's positive reals
 
 CHECKS = {  # name: (error, message pattern, call)
     # attacks
-    "bdd-bound-zero": (ParameterError, "bound_d must be positive", lambda:
+    "bdd-bound-zero": (ParameterError, rf"bound_d {POS}", lambda:
         BddInstance(LatticeBasis(np.eye(2)), np.zeros(2), 0.0)),
     "bdd-basis-nan": (NumericalError, "non-finite entries", lambda: bdd_via_mimo(
         BddInstance(LatticeBasis([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2), 0.1),
@@ -49,43 +51,51 @@ CHECKS = {  # name: (error, message pattern, call)
         exact_ml_decode(np.eye(2), np.array([0.3, 0.4]), 0)),
     "ml-M-negative": (ParameterError, "empty coefficient box", lambda:
         exact_ml_decode(np.eye(2), np.array([0.3, 0.4]), -3)),
-    "ber-zero-trials": (ParameterError, "trials must be >= 1", lambda:
+    "ber-zero-trials": (ParameterError, rf"trials {INT}", lambda:
         ber_experiment(P, 0, RNG)),
-    "ber-fractional-trials": (ParameterError, "trials must be >= 1 and an integer",
+    "ber-fractional-trials": (ParameterError, rf"trials {INT}, got 2.5",
                               lambda: ber_experiment(P, 2.5, RNG)),
+    "ber-trials-bool": (ParameterError, rf"trials {INT}, got True",
+                        lambda: ber_experiment(P, True, RNG)),
     "ml-target-length": (ParameterError, r"target shape \(3,\) is not \(2,\)",
         lambda: exact_ml_decode(np.eye(2), np.zeros(3), 4)),
     "bdd-sample-count-alpha-1e300": (ParameterError, "too large for a sample count",
         lambda: bdd_sample_count(SystemParams(n=4, m_rx=4, M=4, alpha=1e300),
                                  1.0, 1.0, 0.1)),
     # distributions
-    "psi-width-zero": (ParameterError, "width must be positive", lambda:
+    "psi-width-zero": (ParameterError, rf"width {POS}", lambda:
         psi_sample(0.0, RNG)),
-    "psi-width-nan": (ParameterError, "width must be positive", lambda:
+    "psi-width-nan": (ParameterError, rf"width {POS}, got nan", lambda:
         psi_sample(float("nan"), RNG, 2)),
-    "psi-width-inf": (ParameterError, "width must be positive and finite", lambda:
+    "psi-width-inf": (ParameterError, rf"width {POS}, got inf", lambda:
         psi_sample(float("inf"), RNG, 3)),
-    "tvd-width-negative": (ParameterError, "widths must be positive", lambda:
+    "psi-width-bool": (ParameterError, rf"width {POS}, got True", lambda:
+        psi_sample(True, RNG, 2)),
+    "tvd-width-negative": (ParameterError, rf"w2 {POS}", lambda:
         tvd_gaussians(1.0, -1.0)),
-    "tvd-width-inf": (ParameterError, "widths must be positive and finite",
+    "tvd-width-inf": (ParameterError, rf"w1 {POS}, got inf",
                       lambda: tvd_gaussians(float("inf"), 1.0)),
-    "dgauss-int-width-zero": (ParameterError, "width must be positive", lambda:
-        sample_discrete_gaussian_int(0.0, 0.0, RNG)),
-    "dgauss-int-width-inf": (ParameterError, "width must be positive and finite",
-        lambda: sample_discrete_gaussian_int(float("inf"), 0.0, RNG)),
-    "dgauss-int-width-1e17": (ParameterError, r"at most 2\^46", lambda:
-        sample_discrete_gaussian_int(1e17, 0.0, RNG)),
-    "dgauss-int-width-1e300": (ParameterError, r"at most 2\^46", lambda:
-        sample_discrete_gaussian_int(1e300, 0.0, RNG)),
+    "tvd-width-bool": (ParameterError, rf"w1 {POS}, got True",
+                       lambda: tvd_gaussians(True, 2)),
+    "dgauss-int-width-zero": (ParameterError, r"width must be a real in \(0, 2\^46\)",
+        lambda: sample_discrete_gaussian_int(0.0, 0.0, RNG)),
+    "dgauss-int-width-inf": (ParameterError, r"width must be a real in \(0, 2\^46\), "
+        "got inf", lambda: sample_discrete_gaussian_int(float("inf"), 0.0, RNG)),
+    "dgauss-int-width-1e17": (ParameterError, r"width must be a real in \(0, 2\^46\), "
+        r"got 1e\+17", lambda: sample_discrete_gaussian_int(1e17, 0.0, RNG)),
+    "dgauss-int-width-1e300": (ParameterError, r"width must be a real in \(0, 2\^46\), "
+        r"got 1e\+300", lambda: sample_discrete_gaussian_int(1e300, 0.0, RNG)),
     "dgauss-int-center-2^53": (ParameterError, r"\|center\| <= 2\^52", lambda:
         sample_discrete_gaussian_int(1.0, 2.0**53, RNG)),
     "dgauss-int-center-2^63": (ParameterError, r"\|center\| <= 2\^52", lambda:
         sample_discrete_gaussian_int(1.0, 2.0**63, RNG)),
     "dgauss-int-center-1e300": (ParameterError, r"\|center\| <= 2\^52", lambda:
         sample_discrete_gaussian_int(1.0, np.array([0.0, 1e300]), RNG)),
-    "klein-r-zero": (ParameterError, "width r must be positive", lambda:
+    "klein-r-zero": (ParameterError, rf"r {POS}", lambda:
         discrete_gaussian_sample(LatticeBasis(np.eye(2)), 0.0, RNG)),
-    "smoothing-epsilon-zero": (ParameterError, "epsilon must be positive", lambda:
+    "klein-size-fractional": (ParameterError, rf"size {INT}, got 2.5", lambda:
+        discrete_gaussian_sample(LatticeBasis(np.eye(2)), 2.0, RNG, 2.5)),
+    "smoothing-epsilon-zero": (ParameterError, rf"epsilon {POS}", lambda:
         smoothing_upper_bound(LatticeBasis(np.eye(2)), 0.0)),
     # lattice
     "basis-vector": (DegenerateBasisError, ">= 1 column", lambda:
@@ -94,7 +104,8 @@ CHECKS = {  # name: (error, message pattern, call)
         LatticeBasis(np.zeros((3, 0)))),
     "closest-point-empty-box": (ParameterError, "empty coefficient box",
         lambda: closest_point(LatticeBasis(np.eye(2)), np.zeros(2), (2, 1))),
-    "closest-point-fractional-box": (ParameterError, "needs integer bounds",
+    "closest-point-fractional-box": (ParameterError,
+        r"box low must be an integer in \[-inf, 2\^53\], got 0.5",
         lambda: closest_point(LatticeBasis(np.eye(2)), np.array([0.6, 0.6]),
                               (0.5, 0.7))),
     "int-rank-det-fractional": (ParameterError, "needs integer entries", lambda:
@@ -108,26 +119,42 @@ CHECKS = {  # name: (error, message pattern, call)
     # numerics
     "gso-wide-matrix": (DegenerateBasisError, "3 columns in dimension 2",
                         lambda: gram_schmidt(np.ones((2, 3)))),
-    "rng-seed-negative": (ParameterError, "seed must be >= 0",
+    "rng-seed-negative": (ParameterError, "seed must be an integer >= 0, got -1",
                           lambda: make_rng(-1)),
+    "rng-seed-fractional": (ParameterError, "seed must be an integer >= 0, got 2.5",
+                            lambda: make_rng(2.5)),
+    "rng-seed-bool": (ParameterError, "seed must be an integer >= 0, got True",
+                      lambda: make_rng(True)),
+    "rng-seed-nan": (ParameterError, "seed must be an integer >= 0, got nan",
+                     lambda: make_rng(float("nan"))),
     # params
-    "capacity-n-zero": (ParameterError, "need n >= 1", lambda:
+    "capacity-n-zero": (ParameterError, rf"n {INT}", lambda:
         secrecy_capacity(0, 4.0)),
-    "capacity-log2M-zero": (ParameterError, "log2M > 0", lambda:
+    "capacity-n-fractional": (ParameterError, rf"n {INT}, got 2.5", lambda:
+        secrecy_capacity(2.5, 4)),
+    "capacity-n-bool": (ParameterError, rf"n {INT}, got True", lambda:
+        secrecy_capacity(True, 4)),
+    "capacity-log2M-zero": (ParameterError, rf"log2M {POS}", lambda:
         secrecy_capacity(4, 0.0)),
-    "capacity-log2M-nan": (ParameterError, "finite log2M > 0", lambda:
+    "capacity-log2M-nan": (ParameterError, rf"log2M {POS}, got nan", lambda:
         secrecy_capacity(4, float("nan"))),
-    "capacity-log2M-inf": (ParameterError, "finite log2M > 0", lambda:
+    "capacity-log2M-inf": (ParameterError, rf"log2M {POS}, got inf", lambda:
         secrecy_capacity(4, float("inf"))),
-    "required-log2M-n-10^400": (ParameterError, r"n must be at most 2\^53", lambda:
-        required_log2M(10**400)),
+    "required-log2M-n-10^400": (ParameterError,
+        r"n must be an integer in \[4, 2\^53\], got a 1329-bit integer",
+        lambda: required_log2M(10**400)),
+    "required-log2M-n-fractional": (ParameterError,
+        r"n must be an integer in \[4, 2\^53\], got 4.5",
+        lambda: required_log2M(4.5)),
     # protocols
     "toeplitz-seed-length": (ParameterError, "seed length", lambda:
         universal_hash(np.zeros(5), np.zeros(6))),
     "toeplitz-2d": (ParameterError, "need 1-D arrays", lambda:
         universal_hash(np.zeros((2, 5)), np.zeros((2, 3)))),
-    "message-count-eta-10^400": (ParameterError, r"eta must be >= 1 and at most 2\^53",
+    "message-count-eta-10^400": (ParameterError, rf"eta {INT}, got a 1329-bit integer",
         lambda: min_message_count(P, 10**400)),
+    "message-count-eta-fractional": (ParameterError, rf"eta {INT}, got 2.5",
+        lambda: min_message_count(P, 2.5)),
     "encode-symbol-negative": (ParameterError, r"symbols must lie in \[0, M\)",
                                lambda: encode_symbols(np.array([-1, 3]), 4)),
     "encode-symbol-above-M": (ParameterError, r"symbols must lie in \[0, M\)",
@@ -138,8 +165,10 @@ CHECKS = {  # name: (error, message pattern, call)
                           lambda: encode_symbols([float("nan"), 1], 4)),
     "encode-symbols-2d": (ParameterError, "1-D array",
                           lambda: encode_symbols([[1, 2]], 4)),
-    "key-agreement-eta-zero": (ParameterError, "eta must be >= 1", lambda:
+    "key-agreement-eta-zero": (ParameterError, rf"eta {INT}", lambda:
         run_key_agreement(P, 0, "none", RNG)),
+    "key-agreement-eta-fractional": (ParameterError, rf"eta {INT}, got 2.5", lambda:
+        run_key_agreement(P, 2.5, "none", RNG)),
     "cipher-secret-shape": (ParameterError, "one symbol per antenna", lambda:
         encrypt(P, np.zeros(3), np.zeros(4), None, RNG)),
     "cipher-secret-range": (ParameterError, r"lie in \[0, M\)", lambda:
@@ -156,17 +185,22 @@ CHECKS = {  # name: (error, message pattern, call)
     "encrypt-fractional-bits": (ParameterError, "bit vector", lambda:
         encrypt(P, np.zeros(4), [0.5, 1, 0, 1], make_instance(P, RNG, 1), RNG)),
     # wiretap
-    "params-n-zero": (ParameterError, "n must be >= 1", lambda:
+    "params-n-zero": (ParameterError, rf"n {INT}", lambda:
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
-    "params-n-10^400": (ParameterError, r"n must be >= 1 and at most 2\^53", lambda:
+    "params-n-10^400": (ParameterError, rf"n {INT}, got a 1329-bit integer", lambda:
         SystemParams(n=10**400, m_rx=8, M=4, alpha=1.0)),
+    "params-n-bool": (ParameterError, rf"n {INT}, got True", lambda:
+        SystemParams(n=True, m_rx=1, M=4, alpha=1.0)),
+    "params-alpha-bool": (ParameterError, rf"alpha {POS}, got True", lambda:
+        SystemParams(n=4, m_rx=8, M=4, alpha=True)),
     "params-n-fractional": (ParameterError, "n must be an integer", lambda:
         SystemParams(n=4.5, m_rx=8, M=16, alpha=1.0)),
     "params-m-rx-fractional": (ParameterError, "m_rx must be an integer", lambda:
         SystemParams(n=4, m_rx=8.5, M=16, alpha=1.0)),
     "params-M-fractional": (ParameterError, "M must be an integer", lambda:
         SystemParams(n=4, m_rx=8, M=4.5, alpha=1.0)),
-    "params-M-20001-bits": (ParameterError, r"got a 20001-bit M", lambda:
+    "params-M-20001-bits": (ParameterError,
+        r"M must be an integer in \[2, 2\^53\], got a 20001-bit integer", lambda:
         SystemParams(n=4, m_rx=8, M=2**20000, alpha=1.0)),
     "params-noise-scale-negative": (ParameterError, "noise_scale must be", lambda:
         SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=-1.0)),
@@ -174,20 +208,26 @@ CHECKS = {  # name: (error, message pattern, call)
         SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=float("inf"))),
     "params-noise-scale-nan": (ParameterError, "noise_scale must be", lambda:
         SystemParams(n=4, m_rx=8, M=4, alpha=1.0, noise_scale=float("nan"))),
-    "make-instance-t-zero": (ParameterError, "t must be an integer >= 1", lambda:
+    "make-instance-t-zero": (ParameterError, rf"t {INT}", lambda:
         make_instance(P, RNG, 0)),
-    "make-instance-t-negative": (ParameterError, "t must be an integer >= 1",
+    "make-instance-t-negative": (ParameterError, rf"t {INT}",
                                  lambda: make_instance(P, RNG, -1)),
-    "make-instance-t-fractional": (ParameterError, "t must be an integer >= 1",
+    "make-instance-t-fractional": (ParameterError, rf"t {INT}",
                                    lambda: make_instance(P, RNG, 2.5)),
+    "make-instance-t-bool": (ParameterError, rf"t {INT}, got True",
+                             lambda: make_instance(P, RNG, True)),
     "precode-dimension": (ParameterError, "message dimension", lambda:
         transmit_to_bob(make_instance(P, RNG, 1), np.zeros(3), 0.0)),
-    "A-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
+    "A-dist-count-zero": (ParameterError, rf"count {INT}", lambda:
         sample_A_dist(np.zeros(4), P, RNG, count=0, noise_width=P.alpha)),
-    "A-dist-noise-width-negative": (ParameterError, "width must be positive",
+    "A-dist-count-fractional": (ParameterError, rf"count {INT}, got 2.5", lambda:
+        sample_A_dist(np.zeros(4), P, RNG, count=2.5, noise_width=P.alpha)),
+    "A-dist-noise-width-negative": (ParameterError, rf"width {POS}",
         lambda: sample_A_dist(np.zeros(4), P, RNG, count=3, noise_width=-1.0)),
-    "R-dist-count-zero": (ParameterError, "count must be >= 1", lambda:
+    "R-dist-count-zero": (ParameterError, rf"count {INT}", lambda:
         sample_R_dist(P, RNG, count=0)),
+    "R-dist-count-fractional": (ParameterError, rf"count {INT}, got 2.5", lambda:
+        sample_R_dist(P, RNG, 2.5)),
 }
 
 
@@ -195,6 +235,15 @@ CHECKS = {  # name: (error, message pattern, call)
 def test_input_check_raises_typed_error(error, message, call):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_scalar_rules_live_in_errors_only():
+    # need_int and need_real hold the integer and real rules; a module that
+    # tests numbers.Integral or numbers.Real itself derives them again.
+    src = Path(csikey.__file__).resolve().parent
+    users = [f.name for f in sorted(src.glob("*.py"))
+             if re.search(r"numbers\.(Integral|Real)", f.read_text())]
+    assert users == ["errors.py"]
 
 
 @pytest.mark.parametrize("alpha", [1e-170, 1e155])
@@ -238,9 +287,9 @@ HANGS = {  # name: (message pattern, call); each of these inputs used to hang
                               "sample_discrete_gaussian_int(2.0, nan, rng)"),
     "dgauss-int-center-inf": ("center must be finite",
                               "sample_discrete_gaussian_int(2.0, inf, rng)"),
-    "dgauss-int-width-nan": ("width must be positive and finite",
+    "dgauss-int-width-nan": (r"width must be a real in \(0, 2\^46\), got nan",
                              "sample_discrete_gaussian_int(nan, 0.0, rng)"),
-    "klein-r-nan": ("width r must be positive", "discrete_gaussian_sample("
+    "klein-r-nan": (rf"r {POS}, got nan", "discrete_gaussian_sample("
                     "LatticeBasis(np.eye(2)), nan, rng, 3)"),
 }
 HANG_PROGRAM = """
