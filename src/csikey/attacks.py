@@ -3,8 +3,10 @@ exact maximum-likelihood search, solution verification, noise-padding
 error handling, decision-to-search, and solving bounded-distance decoding
 through a MIMO-search oracle.
 
-Reduction-land sample batches carry per-sample noise of width alpha (or a
-padded width), not the channel's M*alpha; pass noise_width accordingly.
+A sample batch is the pair (a, y) of arrays of shapes (count, n) and
+(count,), checked once where it enters a reduction.  Its per-sample noise
+has width alpha (or a padded width), not the channel's M*alpha; pass
+noise_width accordingly.  A BDD instance is (basis, target, bound_d).
 """
 
 import math
@@ -20,7 +22,7 @@ from .errors import (DimensionGuardError, ParameterError, SearchFailureError,
 from .lattice import (LatticeBasis, ReductionResult, closest_point,
                       lattice_bases, lll_reduce, nearest_plane)
 from .numerics import matvec, pseudo_inverse, svd
-from .wiretap import SampleBatch, SystemParams, make_instance, random_message, \
+from .wiretap import SystemParams, make_instance, random_message, \
     channel_noise, transmit_to_bob, bob_decode, eve_receive, hard_decision
 
 ML_SPACE_GUARD = 10**7
@@ -31,17 +33,6 @@ BER_CHUNK = 64  # ber trials per stacked factoring; bounds the memory held at on
 @dataclass
 class DecoderOutcome:
     estimate: np.ndarray
-
-
-@dataclass
-class BddInstance:
-    basis: LatticeBasis
-    target: np.ndarray
-    bound_d: float
-
-    def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=float)
-        need_real("bound_d", self.bound_d, 0, math.inf)
 
 
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
@@ -75,23 +66,38 @@ def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int,
     tie sets, raises DegenerateBasisError from gram_schmidt instead of
     returning the lexicographically first point of the set.
     """
-    n = np.shape(g)[1]
+    basis = LatticeBasis(g) if basis is None else basis
+    n = basis.rank
     if M**n > ML_SPACE_GUARD:
         raise DimensionGuardError(f"M^n = {M**n} exceeds guard {ML_SPACE_GUARD}")
-    x = closest_point(LatticeBasis(g) if basis is None else basis, y, (0, M - 1))
+    x = closest_point(basis, y, (0, M - 1))
     return DecoderOutcome(np.array(x, dtype=np.int64))
 
 
 def make_exact_ml_oracle(p: SystemParams):
-    """Search-oracle adapter: SampleBatch -> estimated symbol vector."""
+    """Search-oracle adapter: batch (a, y) -> estimated symbol vector."""
 
-    def oracle(batch: SampleBatch) -> np.ndarray:
-        return exact_ml_decode(batch.a, batch.y, p.M).estimate
+    def oracle(batch) -> np.ndarray:
+        return exact_ml_decode(*batch, p.M).estimate
 
     return oracle
 
 
-def verify_solution(batch: SampleBatch, candidate: np.ndarray, p: SystemParams,
+def _batch(batch, n: int) -> tuple:
+    """batch = (a, y) as float arrays of shapes (count, n) and (count,);
+    ParameterError if it is empty, of another shape or not finite."""
+    a, y = (np.asarray(v, dtype=float) for v in batch)
+    if y.size == 0:
+        raise ParameterError("empty batch")
+    if y.ndim != 1 or a.shape != (len(y), n):
+        raise ParameterError(f"batch shapes {a.shape} and {y.shape} are not "
+                             f"(count, {n}) and (count,)")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
+        raise ParameterError("non-finite sample values")
+    return a, y
+
+
+def verify_solution(batch, candidate: np.ndarray, p: SystemParams,
                     noise_width: float | None = None) -> bool:
     """Accept iff the residual sample standard deviation is below the
     midpoint between the two hypothesis values.
@@ -99,10 +105,18 @@ def verify_solution(batch: SampleBatch, candidate: np.ndarray, p: SystemParams,
     Correct candidate: residual width w0 (default alpha).  Any candidate
     off by >= 1 symbol: width at least sqrt(w0^2 + k^2).
     """
-    if len(batch) == 0:
-        raise ParameterError("empty batch")
-    w0 = p.alpha if noise_width is None else noise_width
-    res = batch.y - batch.a @ np.asarray(candidate, dtype=float)
+    return _verified(_batch(batch, p.n), candidate, p, noise_width)
+
+
+def _verified(batch, candidate, p: SystemParams, noise_width=None) -> bool:
+    """verify_solution on a batch that _batch has checked."""
+    w0 = p.alpha if noise_width is None else need_real(
+        "noise_width", noise_width, 0, math.inf)
+    x = np.asarray(candidate, dtype=float)
+    if x.shape != (p.n,):
+        raise ParameterError(f"candidate shape {x.shape} is not ({p.n},)")
+    a, y = batch
+    res = y - a @ x
     # The RMS of the residuals scaled by a power of two (largest below 1)
     # is exact and its squares cannot overflow; hypot does not square.
     e = math.frexp(float(np.max(np.abs(res))))[1]
@@ -111,28 +125,27 @@ def verify_solution(batch: SampleBatch, candidate: np.ndarray, p: SystemParams,
     return res_std < threshold
 
 
-def error_handling_search(batch: SampleBatch, oracle, p: SystemParams,
+def error_handling_search(batch, oracle, p: SystemParams,
                           rng: np.random.Generator) -> np.ndarray:
     """Solve from samples with unknown noise width beta <= alpha: one try
     unpadded (the oracle is deterministic), then n fresh paddings at each
     width alpha * sqrt(i) / n, i = 1 .. min(n^2, 10^4 - 1), in units of alpha."""
     n = p.n
+    a, y = batch = _batch(batch, n)
     cand = oracle(batch)
-    if verify_solution(batch, cand, p):
+    if _verified(batch, cand, p):
         return np.asarray(cand, dtype=np.int64)
     for i in range(1, min(n * n, 10**4 - 1) + 1):
         width = p.alpha * math.sqrt(i) / n
         for _ in range(n):
-            padded = SampleBatch(a=batch.a, y=batch.y + psi_sample(
-                width, rng, size=len(batch)))
+            padded = a, y + psi_sample(width, rng, size=len(y))
             cand = oracle(padded)
-            if verify_solution(padded, cand, p,
-                               noise_width=math.hypot(p.alpha, width)):
+            if _verified(padded, cand, p, math.hypot(p.alpha, width)):
                 return np.asarray(cand, dtype=np.int64)
     raise SearchFailureError("no padded noise level produced a verified answer")
 
 
-def decision_to_search(batch: SampleBatch, decision_oracle, p: SystemParams,
+def decision_to_search(batch, decision_oracle, p: SystemParams,
                        rng: np.random.Generator) -> np.ndarray:
     """Recover x coordinate by coordinate from a decision oracle.
 
@@ -142,19 +155,20 @@ def decision_to_search(batch: SampleBatch, decision_oracle, p: SystemParams,
     """
     if p.M > 16:
         raise DimensionGuardError("decision_to_search budget limited to M <= 16")
+    a, y = batch = _batch(batch, p.n)
     x = np.zeros(p.n, dtype=np.int64)
     for j in range(p.n):
-        a_new = psi_sample(p.k, rng, size=len(batch))
-        shift = a_new - batch.a[:, j]
-        a_mod = batch.a.copy()
+        a_new = psi_sample(p.k, rng, size=len(y))
+        shift = a_new - a[:, j]
+        a_mod = a.copy()
         a_mod[:, j] = a_new
         for m in range(p.M):
-            if decision_oracle(SampleBatch(a=a_mod, y=batch.y + shift * m)):
+            if decision_oracle((a_mod, y + shift * m)):
                 x[j] = m
                 break
         else:
             raise SearchFailureError(f"no guess accepted for coordinate {j}")
-    if not verify_solution(batch, x, p):
+    if not _verified(batch, x, p):
         raise SearchFailureError("recovered vector failed verification")
     return x
 
@@ -164,7 +178,7 @@ def make_decision_oracle(p: SystemParams):
 
     search = make_exact_ml_oracle(p)
 
-    def oracle(batch: SampleBatch) -> bool:
+    def oracle(batch) -> bool:
         return verify_solution(batch, search(batch), p)
 
     return oracle
@@ -176,15 +190,19 @@ def bdd_sample_count(p: SystemParams, r: float, sigma: float, d: float) -> int:
     Per-sample noise relative to a one-symbol signal difference combines the
     injected channel noise and the cross term from the target's offset.
     """
+    need_real("r", r, 0, math.inf)
+    need_real("sigma", sigma, 0, math.inf)
     rho = math.hypot(p.M * p.alpha / (r * math.sqrt(2)), d / sigma)
     if not rho < 1e150:  # so that 120 rho^2 is a finite float
         raise ParameterError(f"noise ratio {rho:.4g} is too large for a sample count")
     return max(256, int(math.ceil(120.0 * rho**2)))
 
 
-def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
+def bdd_via_mimo(basis: LatticeBasis, target: np.ndarray, bound_d: float,
+                 r: float, mimo_oracle, p: SystemParams,
                  rng: np.random.Generator):
-    """Solve bounded-distance decoding with a MIMO-search oracle.
+    """Solve bounded-distance decoding with a MIMO-search oracle: the
+    lattice point of the square basis within bound_d of target.
 
     Draws dual-lattice discrete Gaussians of width r and emits noisy
     inner-product samples whose hidden symbol vector is the coefficient
@@ -192,10 +210,17 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     digits are recovered from the target magnitude and the oracle resolves
     the fine structure.  Returns (closest point, coefficient vector).
     """
-    eps = 0.01  # epsilon of the smoothing bounds
-    basis = inst.basis
+    need_real("bound_d", bound_d, 0, math.inf)
+    need_real("r", r, 0, math.inf)
     bmat = basis.matrix
     n = basis.rank
+    if bmat.shape != (n, n):
+        raise ParameterError(f"basis shape {bmat.shape} is not square")
+    y = np.asarray(target, dtype=float)
+    if y.shape != (n,) or not np.all(np.isfinite(y)):
+        raise ParameterError(f"target must be a finite vector of shape ({n},), "
+                             f"got shape {y.shape}")
+    eps = 0.01  # epsilon of the smoothing bounds
     sigma = float(svd(bmat)[1][-1])
 
     eta_bound = smoothing_upper_bound(basis, eps)
@@ -204,9 +229,9 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
             f"width r={r:.4g} violates r > sqrt(2)*smoothing bound "
             f"({math.sqrt(2) * eta_bound:.4g})")
     d_cap = p.M * sigma * p.alpha / (p.k**2 * r * math.sqrt(2))
-    if inst.bound_d >= d_cap:
+    if bound_d >= d_cap:
         raise ParameterError(
-            f"bound_d={inst.bound_d:.4g} violates d < M*sigma*alpha/(k^2 r sqrt(2)) "
+            f"bound_d={bound_d:.4g} violates d < M*sigma*alpha/(k^2 r sqrt(2)) "
             f"= {d_cap:.4g}")
     claim7_ok = d_cap > math.sqrt(n) / math.sqrt(2)
     if not claim7_ok:
@@ -219,7 +244,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     dual = LatticeBasis(binv.T)
     # Statistical-hiding precondition: the cross-term-plus-noise width must
     # dominate the smoothing width of the scaled dual lattice.
-    xi = p.k * inst.bound_d / sigma
+    xi = p.k * bound_d / sigma
     lhs = 1.0 / math.sqrt(1.0 / p.k**2 + (math.sqrt(2) * xi / (p.M * p.alpha)) ** 2)
     eta_dual_scaled = (r / p.k) * smoothing_upper_bound(dual, eps)
     if not (lhs >= p.k / math.sqrt(2) > eta_dual_scaled):
@@ -227,8 +252,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
             f"statistical-hiding inequality fails: need "
             f"{lhs:.4g} >= {p.k / math.sqrt(2):.4g} > {eta_dual_scaled:.4g}")
 
-    samples = bdd_sample_count(p, r, sigma, inst.bound_d)
-    y = inst.target
+    samples = bdd_sample_count(p, r, sigma, bound_d)
     # High-order digits come from the target magnitude; the oracle only has
     # to resolve the residual, shifted into [0, M).  Coordinates whose
     # coefficient sits near a half-integer multiple of M round ambiguously,
@@ -236,7 +260,7 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
     z = binv @ y / p.M
     base = np.rint(z)
     frac = z - base
-    amb_margin = 1.5 * inst.bound_d / (sigma * p.M) + 1e-9
+    amb_margin = 1.5 * bound_d / (sigma * p.M) + 1e-9
     ambiguous = np.flatnonzero(np.abs(frac) > 0.5 - amb_margin)[:6]
     bits = np.arange(len(ambiguous))
     offset = p.M // 2
@@ -254,11 +278,10 @@ def bdd_via_mimo(inst: BddInstance, r: float, mimo_oracle, p: SystemParams,
             a = p.k * v / r
             e = psi_sample(p.alpha / math.sqrt(2), rng, size=samples)
             y_samp = p.k * (v @ coord) / (r * p.M) + p.k * e / r
-            batch = SampleBatch(a=a / p.M, y=y_samp)
-            guess = np.asarray(mimo_oracle(batch), dtype=np.int64)
+            guess = np.asarray(mimo_oracle((a / p.M, y_samp)), dtype=np.int64)
             coeffs = p.M * t0.astype(np.int64) + (guess - offset)
             point = bmat @ coeffs.astype(float)
-            if np.linalg.norm(y - point) <= inst.bound_d * (1 + 1e-9):
+            if np.linalg.norm(y - point) <= bound_d * (1 + 1e-9):
                 return point, coeffs
     raise SearchFailureError(
         "oracle answers never landed within the bounding distance")
@@ -270,8 +293,9 @@ def toy_bdd_setup(n: int, rng: np.random.Generator):
     All singular values equal 1, so the smoothing, distance-cap, progress and
     statistical-hiding preconditions reduce to scalar inequalities that
     M = 12, alpha = 3, k = r = 2.5 satisfy for n <= 4.  Returns (params,
-    instance, planted closest point, width r).
+    basis, target, bound_d, planted closest point, width r).
     """
+    need_int("n", n, 1, 4)
     M, alpha, k, r = 12, 3.0, 2.5, 2.5
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     basis = LatticeBasis(q)
@@ -282,7 +306,7 @@ def toy_bdd_setup(n: int, rng: np.random.Generator):
     bound_d = 0.45
     target = point + direction * (bound_d * rng.uniform(0.2, 0.9))
     p = SystemParams(n=n, m_rx=n, M=M, alpha=alpha, k=k)
-    return p, BddInstance(basis, target, bound_d), point, r
+    return p, basis, target, bound_d, point, r
 
 
 def _binom_ci(errors: int, total: int):

@@ -161,16 +161,16 @@ def _run_cipher(cfg: ExperimentConfig) -> list:
 
 
 def _run_reduction_demo(cfg: ExperimentConfig) -> list:
-    n = need_int("n", cfg.options["n"], 1, 4)
     rng = make_rng(int(cfg.options["seed"]))
     rows = []
     for trial in range(int(cfg.options["trials"])):
-        p, inst, planted, r = toy_bdd_setup(n, rng)
-        point, _ = bdd_via_mimo(inst, r, make_exact_ml_oracle(p), p, rng)
-        ref, _ = enumerate_cvp(inst.basis, inst.target)
+        p, basis, target, bound_d, _, r = toy_bdd_setup(cfg.options["n"], rng)
+        point, _ = bdd_via_mimo(basis, target, bound_d, r,
+                                make_exact_ml_oracle(p), p, rng)
+        ref, _ = enumerate_cvp(basis, target)
         match = bool(np.allclose(point, ref, atol=1e-6))
-        rows.append({"trial": trial, "n": n,
-                     "distance": float(np.linalg.norm(inst.target - point)),
+        rows.append({"trial": trial, "n": p.n,
+                     "distance": float(np.linalg.norm(target - point)),
                      "matches_enumeration": match})
     return rows
 

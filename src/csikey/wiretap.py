@@ -1,6 +1,6 @@
 """The MIMO wiretap system: channel stacks with their SVD precoding, Bob's
-per-stream decoder, Eve's observation, and the two sample distributions
-that feed the decoding problems.
+per-stream decoder, Eve's observation, and the A-distribution sample
+batches that feed the decoding problems.
 
 Channels travel as stacks of arrays (`Channels`); messages, noise and
 observations as stacks of vectors that broadcast against them.
@@ -62,25 +62,6 @@ class Channels(NamedTuple):
     sigma: np.ndarray
     V: np.ndarray
     G: np.ndarray | None
-
-
-@dataclass
-class SampleBatch:
-    """Rows (a_i, y_i) drawn from the A- or R-distribution."""
-
-    a: np.ndarray  # (count, n)
-    y: np.ndarray  # (count,)
-
-    def __post_init__(self):
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        self.y = np.asarray(self.y, dtype=float)
-        if self.a.shape[0] != self.y.shape[0]:
-            raise ParameterError("a and y row counts differ")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.y))):
-            raise ParameterError("non-finite sample values")
-
-    def __len__(self):
-        return self.y.shape[0]
 
 
 def random_message(p: SystemParams, rng: np.random.Generator) -> np.ndarray:
@@ -166,26 +147,14 @@ def eve_receive(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,
-                  count: int, noise_width: float) -> SampleBatch:
-    """Rows (a_i, <a_i, x> + e_i); a_i i.i.d. width-k entries, e_i of width
-    noise_width (alpha, or a padded width, in the search reductions)."""
+                  count: int, noise_width: float) -> tuple:
+    """The batch (a, y) of rows (a_i, <a_i, x> + e_i); a_i i.i.d. width-k
+    entries, e_i of width noise_width (alpha, or a padded width, in the
+    search reductions)."""
     need_int("count", count, 1)
     x = np.asarray(x, dtype=float)
+    if x.shape != (p.n,):
+        raise ParameterError(f"x shape {x.shape} is not ({p.n},)")
     a = psi_sample(p.k, rng, size=(count, p.n))
     e = psi_sample(noise_width, rng, size=count)
-    return SampleBatch(a=a, y=a @ x + e)
-
-
-def r_dist_width(p: SystemParams) -> float:
-    """Width of the structure-free y marginal, sqrt((kP)^2 + alpha^2)."""
-    return math.hypot(p.k * p.P, p.alpha)
-
-
-def sample_R_dist(p: SystemParams, rng: np.random.Generator,
-                  count: int) -> SampleBatch:
-    """Rows (a_i, psi) with psi independent of a_i."""
-    need_int("count", count, 1)
-    a = psi_sample(p.k, rng, size=(count, p.n))
-    y = psi_sample(r_dist_width(p), rng, size=count)
-    return SampleBatch(a=a, y=y)
-
+    return a, a @ x + e

@@ -248,9 +248,10 @@ def test_acceptance_12_bdd_via_mimo():
     trials = 100
     matches = 0
     for _ in range(trials):
-        p, inst, _, r = toy_bdd_setup(4, rng)
-        point, _ = bdd_via_mimo(inst, r, make_exact_ml_oracle(p), p, rng)
-        ref, _ = enumerate_cvp(inst.basis, inst.target)
+        p, basis, target, bound_d, _, r = toy_bdd_setup(4, rng)
+        point, _ = bdd_via_mimo(basis, target, bound_d, r,
+                                make_exact_ml_oracle(p), p, rng)
+        ref, _ = enumerate_cvp(basis, target)
         matches += bool(np.allclose(point, ref, atol=1e-6))
     elapsed = time.monotonic() - start
     ok = matches == trials and elapsed < 300.0

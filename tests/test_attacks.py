@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from csikey import attacks, cli, lattice
-from csikey.attacks import (BddInstance, bdd_sample_count,
-                            bdd_via_mimo, ber_experiment, babai_attack,
+from csikey.attacks import (bdd_sample_count, bdd_via_mimo, ber_experiment, babai_attack,
                             decision_to_search, error_handling_search,
                             exact_ml_decode, make_decision_oracle,
                             make_exact_ml_oracle, toy_bdd_setup,
@@ -17,9 +16,10 @@ from csikey.errors import (DegenerateBasisError, DimensionGuardError,
 from csikey.lattice import (LatticeBasis, enumerate_cvp, lattice_bases,
                             lll_reduce)
 from csikey.numerics import make_rng, pseudo_inverse
-from csikey.wiretap import SystemParams, sample_A_dist, sample_R_dist
+from csikey.wiretap import SystemParams, sample_A_dist
 from ber_reference import reference_ber_experiment
 from lattice_reference import grid_ml
+from r_dist_reference import sample_R_dist
 
 
 def _params(**kw):
@@ -215,10 +215,12 @@ def test_error_handling_search_pads_when_unpadded_answer_fails():
     calls = []
     got = error_handling_search(batch, _wrong_until(calls, x, p.M, 2), p, rng)
     assert np.array_equal(got, x)
-    assert len(calls) == 2 and calls[0] is batch
-    # The padded batch adds noise to y and keeps the channel rows a.
-    assert np.array_equal(calls[1].a, batch.a)
-    assert not np.array_equal(calls[1].y, batch.y)
+    # The batch is checked once and handed on as it is; the padded batch
+    # adds noise to y and keeps the channel rows a.
+    assert len(calls) == 2
+    assert calls[0][0] is batch[0] and calls[0][1] is batch[1]
+    assert calls[1][0] is batch[0]
+    assert not np.array_equal(calls[1][1], batch[1])
 
 
 def test_error_handling_search_fails_after_every_padded_width():
@@ -274,13 +276,14 @@ def test_decision_to_search_rejects_structure_free():
 
 def test_bdd_precondition_errors():
     rng = make_rng(7)
-    p, inst, _, r = toy_bdd_setup(3, rng)
+    p, basis, target, bound_d, _, r = toy_bdd_setup(3, rng)
     oracle = make_exact_ml_oracle(p)
     with pytest.raises(ParameterError, match="violates r > sqrt"):
-        bdd_via_mimo(inst, 0.5, oracle, p, rng)  # r below smoothing bound
-    wide = BddInstance(inst.basis, inst.target, bound_d=10.0)
+        # r below smoothing bound
+        bdd_via_mimo(basis, target, bound_d, 0.5, oracle, p, rng)
     with pytest.raises(ParameterError, match="bound_d=10 violates d <"):
-        bdd_via_mimo(wide, r, oracle, p, rng)  # bound above the distance cap
+        # bound above the distance cap
+        bdd_via_mimo(basis, target, 10.0, r, oracle, p, rng)
 
 
 def test_bdd_hiding_error_and_progress_warning():
@@ -288,34 +291,33 @@ def test_bdd_hiding_error_and_progress_warning():
     # distance checks; its distance cap falls below sqrt(n / 2) (a warning)
     # and the scaled dual's smoothing width exceeds k / sqrt(2).
     rng = make_rng(7)
-    p, inst, _, _ = toy_bdd_setup(3, rng)
-    small = BddInstance(LatticeBasis(inst.basis.matrix * 0.1),
-                        inst.target * 0.1, inst.bound_d * 0.1)
+    p, basis, target, bound_d, _, _ = toy_bdd_setup(3, rng)
+    small = LatticeBasis(basis.matrix * 0.1), target * 0.1, bound_d * 0.1
     with pytest.warns(UserWarning, match="iteration-progress"), \
             pytest.raises(ParameterError, match="statistical-hiding"):
-        bdd_via_mimo(small, 0.5, make_exact_ml_oracle(p), p, rng)
+        bdd_via_mimo(*small, 0.5, make_exact_ml_oracle(p), p, rng)
 
 
 def test_bdd_width_too_narrow_for_the_dual():
     # The same shrunk lattice with r = 0.3 passes all four precondition
     # checks, but the dual's spacing is 10, so every Klein sample is 0.
     rng = make_rng(7)
-    p, inst, _, _ = toy_bdd_setup(3, rng)
-    small = BddInstance(LatticeBasis(inst.basis.matrix * 0.1),
-                        inst.target * 0.1, inst.bound_d * 0.1)
+    p, basis, target, bound_d, _, _ = toy_bdd_setup(3, rng)
+    small = LatticeBasis(basis.matrix * 0.1), target * 0.1, bound_d * 0.1
     with pytest.raises(ParameterError, match="width r=0.3 is too narrow"):
-        bdd_via_mimo(small, 0.3, make_exact_ml_oracle(p), p, rng)
+        bdd_via_mimo(*small, 0.3, make_exact_ml_oracle(p), p, rng)
 
 
 def test_bdd_via_mimo_matches_enumeration():
     rng = make_rng(8)
     for _ in range(5):
-        p, inst, planted, r = toy_bdd_setup(4, rng)
-        point, coeffs = bdd_via_mimo(inst, r, make_exact_ml_oracle(p), p, rng)
-        ref, _ = enumerate_cvp(inst.basis, inst.target)
+        p, basis, target, bound_d, planted, r = toy_bdd_setup(4, rng)
+        point, coeffs = bdd_via_mimo(basis, target, bound_d, r,
+                                     make_exact_ml_oracle(p), p, rng)
+        ref, _ = enumerate_cvp(basis, target)
         assert np.allclose(point, ref, atol=1e-6)
         assert np.allclose(point, planted, atol=1e-6)
-        assert np.allclose(inst.basis.matrix @ coeffs.astype(float), point)
+        assert np.allclose(basis.matrix @ coeffs.astype(float), point)
 
 
 def test_bdd_via_mimo_pseudo_inverts_once_and_shares_the_dual_record(monkeypatch):
@@ -337,8 +339,9 @@ def test_bdd_via_mimo_pseudo_inverts_once_and_shares_the_dual_record(monkeypatch
     monkeypatch.setattr(lattice, "gram_schmidt",
                         counted("gram_schmidt", lattice.gram_schmidt))
     rng = make_rng(5)
-    p, inst, planted, r = toy_bdd_setup(4, rng)
-    point, _ = bdd_via_mimo(inst, r, make_exact_ml_oracle(p), p, rng)
+    p, basis, target, bound_d, planted, r = toy_bdd_setup(4, rng)
+    point, _ = bdd_via_mimo(basis, target, bound_d, r, make_exact_ml_oracle(p),
+                            p, rng)
     assert np.allclose(point, planted, atol=1e-6)
     assert calls == {"pseudo_inverse": 1, "gram_schmidt": 5}
 

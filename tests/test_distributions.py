@@ -170,8 +170,8 @@ def _klein_cases():
     yield np.array([[2.0, 1.0], [0.0, 3.0]]), 20.0
     rng = make_rng(8)
     for n in (1, 2, 3, 4, 4):
-        _, inst, _, r = toy_bdd_setup(n, rng)
-        yield pseudo_inverse(inst.basis.matrix).T, r
+        _, basis, *_, r = toy_bdd_setup(n, rng)
+        yield pseudo_inverse(basis.matrix).T, r
 
 
 def test_klein_sampler_matches_reference_loop():

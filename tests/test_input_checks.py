@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import csikey
-from csikey.attacks import (BddInstance, bdd_sample_count, bdd_via_mimo,
-                            ber_experiment, decision_to_search, error_handling_search,
+from csikey.attacks import (bdd_sample_count, bdd_via_mimo, ber_experiment,
+                            decision_to_search, error_handling_search,
                             exact_ml_decode, make_decision_oracle,
+                            make_exact_ml_oracle, toy_bdd_setup,
                             verify_solution)
 from csikey.distributions import (discrete_gaussian_sample, psi_sample,
                                   sample_discrete_gaussian_int,
@@ -25,25 +26,75 @@ from csikey.numerics import gram_schmidt, make_rng
 from csikey.params import required_log2M, secrecy_capacity
 from csikey.protocols import (decrypt, encode_symbols, encrypt, min_message_count,
                               run_key_agreement, universal_hash)
-from csikey.wiretap import (SampleBatch, SystemParams, make_instance,
-                            r_dist_width, sample_A_dist, sample_R_dist,
+from csikey.wiretap import (SystemParams, make_instance, sample_A_dist,
                             transmit_to_bob)
+from r_dist_reference import r_dist_width, sample_R_dist
 
 P = SystemParams(n=4, m_rx=8, M=4, alpha=1.0)
 RNG = make_rng(0)
-EMPTY = SampleBatch(a=np.zeros((0, 4)), y=np.zeros(0))
+EMPTY = np.zeros((0, 4)), np.zeros(0)
+BATCH = np.ones((8, 4)), np.ones(8)  # a well-formed batch at P's n = 4
+EYE = LatticeBasis(np.eye(2))
+TOY = SystemParams(n=2, m_rx=2, M=12, alpha=3.0, k=2.5)  # toy_bdd_setup's
+BATCH_SHAPE = r"batch shapes .* are not \(count, 4\) and \(count,\)"
 INT = r"must be an integer in \[1, 2\^53\]"  # need_int's default range from 1
 POS = r"must be a real in \(0, inf\)"  # need_real's positive reals
 
 CHECKS = {  # name: (error, message pattern, call)
     # attacks
     "bdd-bound-zero": (ParameterError, rf"bound_d {POS}", lambda:
-        BddInstance(LatticeBasis(np.eye(2)), np.zeros(2), 0.0)),
+        bdd_via_mimo(EYE, np.zeros(2), 0.0, 2.5, None, P, RNG)),
     "bdd-basis-nan": (NumericalError, "non-finite entries", lambda: bdd_via_mimo(
-        BddInstance(LatticeBasis([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2), 0.1),
+        LatticeBasis([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2), 0.1,
         2.5, None, P, RNG)),
+    "bdd-basis-3x2": (ParameterError, r"basis shape \(3, 2\) is not square",
+        lambda: bdd_via_mimo(LatticeBasis(np.eye(3)[:, :2]), np.zeros(2), 0.1,
+                             2.5, None, TOY, RNG)),
+    "bdd-target-length": (ParameterError, r"shape \(2,\), got shape \(3,\)",
+        lambda: bdd_via_mimo(EYE, np.zeros(3), 0.1, 2.5, None, TOY, RNG)),
+    "bdd-target-2d": (ParameterError, r"shape \(2,\), got shape \(2, 1\)",
+        lambda: bdd_via_mimo(EYE, np.zeros((2, 1)), 0.1, 2.5, None, TOY, RNG)),
+    "bdd-target-inf": (ParameterError, "target must be a finite vector", lambda:
+        bdd_via_mimo(EYE, np.array([np.inf, 0.0]), 0.1, 2.5, None, TOY, RNG)),
+    "bdd-r-bool": (ParameterError, rf"r {POS}, got True", lambda:
+        bdd_via_mimo(EYE, np.zeros(2), 0.1, True, None, TOY, RNG)),
+    "bdd-r-inf": (ParameterError, rf"r {POS}, got inf", lambda:
+        bdd_via_mimo(EYE, np.zeros(2), 0.1, np.inf, None, TOY, RNG)),
+    "toy-bdd-n-fractional": (ParameterError, r"n must be an integer in \[1, 4\], "
+        "got 2.5", lambda: toy_bdd_setup(2.5, RNG)),
+    "toy-bdd-n-5": (ParameterError, r"n must be an integer in \[1, 4\], got 5",
+                    lambda: toy_bdd_setup(5, RNG)),
+    "bdd-sample-count-r-zero": (ParameterError, rf"r {POS}, got 0.0", lambda:
+        bdd_sample_count(P, 0.0, 1.0, 0.1)),
+    "bdd-sample-count-sigma-zero": (ParameterError, rf"sigma {POS}, got 0.0",
+        lambda: bdd_sample_count(P, 1.0, 0.0, 0.1)),
     "verify-empty-batch": (ParameterError, "empty batch", lambda:
         verify_solution(EMPTY, np.zeros(4), P)),
+    "verify-batch-a-1d": (ParameterError, BATCH_SHAPE, lambda:
+        verify_solution((np.zeros(4), np.zeros(1)), np.zeros(4), P)),
+    "verify-batch-a-3d": (ParameterError, BATCH_SHAPE, lambda:
+        verify_solution((np.zeros((2, 2, 4)), np.zeros(2)), np.zeros(4), P)),
+    "verify-batch-y-2d": (ParameterError, BATCH_SHAPE, lambda:
+        verify_solution((np.zeros((2, 4)), np.zeros((2, 1))), np.zeros(4), P)),
+    "verify-batch-row-counts": (ParameterError, BATCH_SHAPE, lambda:
+        verify_solution((np.zeros((3, 4)), np.zeros(2)), np.zeros(4), P)),
+    "verify-batch-nan": (ParameterError, "non-finite sample values", lambda:
+        verify_solution((np.full((2, 4), np.nan), np.zeros(2)), np.zeros(4), P)),
+    "verify-noise-width-nan": (ParameterError, rf"noise_width {POS}, got nan",
+        lambda: verify_solution(BATCH, np.zeros(4), P, np.nan)),
+    "verify-noise-width-negative": (ParameterError, rf"noise_width {POS}, got -1.0",
+        lambda: verify_solution(BATCH, np.zeros(4), P, -1.0)),
+    "verify-candidate-length": (ParameterError,
+        r"candidate shape \(3,\) is not \(4,\)",
+        lambda: verify_solution(BATCH, np.zeros(3), P)),
+    "padding-empty-batch": (ParameterError, "empty batch", lambda:
+        error_handling_search(EMPTY, make_exact_ml_oracle(P), P, RNG)),
+    "padding-batch-columns": (ParameterError, BATCH_SHAPE, lambda:
+        error_handling_search((np.ones((8, 3)), np.ones(8)),
+                              make_exact_ml_oracle(P), P, RNG)),
+    "decision-batch-columns": (ParameterError, BATCH_SHAPE, lambda:
+        decision_to_search((np.ones((8, 3)), np.ones(8)),
+                           make_decision_oracle(P), P, RNG)),
     "decision-M-above-16": (DimensionGuardError, "M <= 16", lambda:
         decision_to_search(EMPTY, make_decision_oracle(P),
                            SystemParams(n=4, m_rx=8, M=32, alpha=1.0), RNG)),
@@ -59,6 +110,8 @@ CHECKS = {  # name: (error, message pattern, call)
                         lambda: ber_experiment(P, True, RNG)),
     "ml-target-length": (ParameterError, r"target shape \(3,\) is not \(2,\)",
         lambda: exact_ml_decode(np.eye(2), np.zeros(3), 4)),
+    "ml-g-vector": (DegenerateBasisError, ">= 1 column", lambda:
+        exact_ml_decode(np.ones(2), np.zeros(2), 4)),
     "bdd-sample-count-alpha-1e300": (ParameterError, "too large for a sample count",
         lambda: bdd_sample_count(SystemParams(n=4, m_rx=4, M=4, alpha=1e300),
                                  1.0, 1.0, 0.1)),
@@ -184,7 +237,7 @@ CHECKS = {  # name: (error, message pattern, call)
                 make_instance(P, RNG, 1), RNG)),
     "encrypt-fractional-bits": (ParameterError, "bit vector", lambda:
         encrypt(P, np.zeros(4), [0.5, 1, 0, 1], make_instance(P, RNG, 1), RNG)),
-    # wiretap
+    # wiretap; the R-distribution is a test helper (tests/r_dist_reference.py)
     "params-n-zero": (ParameterError, rf"n {INT}", lambda:
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
     "params-n-10^400": (ParameterError, rf"n {INT}, got a 1329-bit integer", lambda:
@@ -224,6 +277,10 @@ CHECKS = {  # name: (error, message pattern, call)
         sample_A_dist(np.zeros(4), P, RNG, count=2.5, noise_width=P.alpha)),
     "A-dist-noise-width-negative": (ParameterError, rf"width {POS}",
         lambda: sample_A_dist(np.zeros(4), P, RNG, count=3, noise_width=-1.0)),
+    "A-dist-x-length": (ParameterError, r"x shape \(3,\) is not \(4,\)", lambda:
+        sample_A_dist(np.zeros(3), P, RNG, count=3, noise_width=P.alpha)),
+    "A-dist-x-column": (ParameterError, r"x shape \(4, 1\) is not \(4,\)", lambda:
+        sample_A_dist(np.zeros((4, 1)), P, RNG, count=3, noise_width=P.alpha)),
     "R-dist-count-zero": (ParameterError, rf"count {INT}", lambda:
         sample_R_dist(P, RNG, count=0)),
     "R-dist-count-fractional": (ParameterError, rf"count {INT}, got 2.5", lambda:
@@ -279,7 +336,7 @@ def test_r_dist_at_k_1e154_returns():
     # (kP)^2 overflows here; the width is taken without squaring.
     p = SystemParams(n=4, m_rx=8, M=4, alpha=1.0, k=1e154)
     assert r_dist_width(p) == pytest.approx(1e154 * p.P)
-    assert np.all(np.isfinite(sample_R_dist(p, RNG, count=3).y))
+    assert np.all(np.isfinite(sample_R_dist(p, RNG, count=3)[1]))
 
 
 HANGS = {  # name: (message pattern, call); each of these inputs used to hang

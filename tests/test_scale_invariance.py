@@ -78,7 +78,7 @@ def _padded_batches(p, seed):
     calls = []
 
     def wrong(b):
-        calls.append((b.a, b.y))
+        calls.append(b)
         return (x + 1) % p.M
 
     with pytest.raises(SearchFailureError):
