@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from csikey import attacks, cli, lattice
-from csikey.attacks import (bdd_sample_count, bdd_via_mimo, ber_experiment, babai_attack,
+from csikey.attacks import (bdd_sample_count, bdd_via_mimo, ber_experiment,
+                            babai_attack,
                             decision_to_search, error_handling_search,
                             exact_ml_decode, make_decision_oracle,
                             make_exact_ml_oracle, toy_bdd_setup,
