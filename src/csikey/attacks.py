@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
                             smoothing_upper_bound)
 from .errors import (DimensionGuardError, ParameterError, SearchFailureError,
-                     need_int, need_real)
+                     need_array, need_int, need_real)
 from .lattice import (LatticeBasis, ReductionResult, closest_point,
                       lattice_bases, lll_reduce, nearest_plane)
 from .numerics import matvec, pseudo_inverse, svd
@@ -37,6 +37,7 @@ class DecoderOutcome:
 
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     """Zero-forcing: per-symbol rounding and clamping of g_pinv y."""
+    y = need_array("y", y, (..., np.shape(g_pinv)[-1]), finite=False)
     with np.errstate(over="ignore", invalid="ignore"):  # hard_decision raises
         est = matvec(g_pinv, y)
     return DecoderOutcome(hard_decision(est, M))
@@ -84,17 +85,12 @@ def make_exact_ml_oracle(p: SystemParams):
 
 
 def _batch(batch, n: int) -> tuple:
-    """batch = (a, y) as float arrays of shapes (count, n) and (count,);
-    ParameterError if it is empty, of another shape or not finite."""
-    a, y = (np.asarray(v, dtype=float) for v in batch)
-    if y.size == 0:
+    """batch = (a, y) as finite float arrays of shapes (count, n) and
+    (count,), count >= 1, else ParameterError."""
+    a = need_array("batch a", batch[0], (None, n))
+    if not len(a):
         raise ParameterError("empty batch")
-    if y.ndim != 1 or a.shape != (len(y), n):
-        raise ParameterError(f"batch shapes {a.shape} and {y.shape} are not "
-                             f"(count, {n}) and (count,)")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
-        raise ParameterError("non-finite sample values")
-    return a, y
+    return a, need_array("batch y", batch[1], (len(a),))
 
 
 def verify_solution(batch, candidate: np.ndarray, p: SystemParams,
@@ -112,9 +108,7 @@ def _verified(batch, candidate, p: SystemParams, noise_width=None) -> bool:
     """verify_solution on a batch that _batch has checked."""
     w0 = p.alpha if noise_width is None else need_real(
         "noise_width", noise_width, 0, math.inf)
-    x = np.asarray(candidate, dtype=float)
-    if x.shape != (p.n,):
-        raise ParameterError(f"candidate shape {x.shape} is not ({p.n},)")
+    x = need_array("candidate", candidate, (p.n,))
     a, y = batch
     res = y - a @ x
     # The RMS of the residuals scaled by a power of two (largest below 1)
@@ -212,14 +206,9 @@ def bdd_via_mimo(basis: LatticeBasis, target: np.ndarray, bound_d: float,
     """
     need_real("bound_d", bound_d, 0, math.inf)
     need_real("r", r, 0, math.inf)
-    bmat = basis.matrix
     n = basis.rank
-    if bmat.shape != (n, n):
-        raise ParameterError(f"basis shape {bmat.shape} is not square")
-    y = np.asarray(target, dtype=float)
-    if y.shape != (n,) or not np.all(np.isfinite(y)):
-        raise ParameterError(f"target must be a finite vector of shape ({n},), "
-                             f"got shape {y.shape}")
+    bmat = need_array("basis", basis.matrix, (n, n), finite=False)  # svd raises
+    y = need_array("target", target, (n,))
     eps = 0.01  # epsilon of the smoothing bounds
     sigma = float(svd(bmat)[1][-1])
 

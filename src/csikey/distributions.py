@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, need_int, need_real
+from .errors import ParameterError, need_array, need_int, need_real
 from .lattice import LatticeBasis, nearest_plane, successive_minima
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -60,7 +60,7 @@ def sample_discrete_gaussian_int(width: float, center, rng: np.random.Generator)
     stays below 2^53, where float64 integers are exact.
     """
     need_real("width", width, 0, 2**46)
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = need_array("center", np.atleast_1d(center), (None,))
     if not np.all(np.abs(center) <= 2.0**52):
         raise ParameterError("center must be finite, with |center| <= 2^52")
     # One sigma per entry: the arithmetic below stays elementwise, since a

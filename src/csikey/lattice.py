@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateBasisError, DimensionGuardError, NumericalError,
-                     ParameterError, need_int)
+                     ParameterError, need_array, need_int, need_ints)
 from .numerics import gram_schmidt
 
 ENUM_DIM_LIMIT = 8
@@ -83,7 +83,8 @@ class ReductionResult:
         """transform @ coeffs as int64: coefficients in the original basis,
         exact, or NumericalError where max|transform| * sum|coeffs|, a
         bound on every partial sum, could pass 2^62."""
-        coeffs = np.asarray(coeffs, dtype=np.int64)
+        coeffs = need_ints("coeffs", coeffs, -2**63, 2**63 - 1,
+                           self.transform.shape[1:])
         bound = np.abs(self.transform).max() * np.abs(coeffs).sum(dtype=float)
         if not bound < 2.0**62:
             raise NumericalError("a coefficient in the original basis "
@@ -94,9 +95,7 @@ class ReductionResult:
 def int_rank_det(m) -> tuple[int, int]:
     """Exact (rank, det) of an integer matrix by one fraction-free (Bareiss)
     elimination; det is 0 unless the matrix is square of full rank."""
-    m = np.asarray(m)
-    if m.dtype.kind not in "iu":
-        raise ParameterError(f"int_rank_det needs integer entries, got dtype {m.dtype}")
+    m = need_ints("m", m, -2**63, 2**63 - 1, (None, None))
     a = m.tolist()
     rank, sign, prev = 0, 1, 1
     for col in range(m.shape[1]):
@@ -210,9 +209,7 @@ def nearest_plane(b: LatticeBasis, targets: np.ndarray, pick):
     bases (..., m, n) takes a stack of targets (..., k, m), one matmul per
     level for the whole stack."""
     bstar, _, norms2 = b.gso
-    t = np.array(targets, dtype=float)
-    if t.shape[-1:] != (b.ambient_dim,):
-        raise ParameterError(f"targets of shape {t.shape} need length {b.ambient_dim}")
+    t = need_array("targets", targets, (..., b.ambient_dim), finite=False).copy()
     coeffs = np.zeros(t.shape[:-1] + (b.rank,))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan raise below
         for i in range(b.rank - 1, -1, -1):
@@ -249,9 +246,7 @@ def _search(b: LatticeBasis, target: np.ndarray, radius2: float, box=None,
     becomes each leaf's d2.  A centre or distance that is not finite raises
     NumericalError."""
     bstar, mu, norms2 = b.gso
-    target = np.asarray(target, dtype=float)
-    if target.shape != (b.ambient_dim,):
-        raise ParameterError(f"target shape {target.shape} is not ({b.ambient_dim},)")
+    target = need_array("target", target, (b.ambient_dim,), finite=False)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
         tcoord = (target @ bstar / norms2).tolist()
     norms2, mu = norms2.tolist(), mu.tolist()

@@ -29,6 +29,8 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NumericalError("svd input contains non-finite entries")
+    if a.ndim < 2:
+        raise NumericalError(f"svd input of shape {a.shape} is not a matrix")
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -45,6 +47,8 @@ def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below 1e-13 of its own norm, so the test does not depend on the scale.
     """
     b = np.asarray(b, dtype=float)
+    if b.ndim < 2 or not b.shape[-1]:  # as LatticeBasis
+        raise DegenerateBasisError("basis must be a matrix with >= 1 column")
     m, n = b.shape[-2:]
     if not np.all(np.isfinite(b)):
         raise NumericalError("gram_schmidt input contains non-finite entries")
@@ -63,6 +67,8 @@ def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a full-column-rank matrix, from one thin SVD."""
     u, s, v = svd(a)
+    if not s.shape[-1]:
+        raise DegenerateBasisError(f"a matrix of shape {np.shape(a)} has rank 0")
     for top, low in s.reshape(-1, s.shape[-1])[:, [0, -1]]:
         if not low > RANK_FLOOR * top:
             raise DegenerateBasisError(f"condition number {top / max(low, 1e-300):.3e} "

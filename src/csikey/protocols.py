@@ -15,11 +15,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ParameterError, need_int
+from .errors import ParameterError, need_int, need_ints
 from .params import check_secrecy_constraints, secrecy_capacity
 from .wiretap import (Channels, SystemParams, bob_decode, channel_noise,
-                      csi_invert, make_instance, random_message, symbol_array,
-                      transmit_to_bob)
+                      csi_invert, make_instance, random_message, transmit_to_bob)
 
 VALID_CODERS = ("none", "repetition-3")
 
@@ -27,9 +26,7 @@ VALID_CODERS = ("none", "repetition-3")
 def encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
     """Canonical bit encoding: per symbol, ceil(log2 M) bits, little-endian."""
     b = math.ceil(math.log2(M))  # M >= 2, so at least one bit
-    x = symbol_array(x, M, "symbols must lie in [0, M) as integers")
-    if x.ndim != 1:
-        raise ParameterError("symbols must form a 1-D array")
+    x = need_ints("x", x, 0, M - 1, (None,))
     bits = (x[:, None] >> np.arange(b)) & 1
     return bits.reshape(-1).astype(np.uint8)
 
@@ -43,10 +40,9 @@ def universal_hash(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """GF(2) Toeplitz product T @ bits, T[i, j] = seed[len(bits)-1+i-j],
     condensing the input to len(seed) - len(bits) + 1 bits: the valid part
     of a convolution, mod 2."""
-    seed = np.asarray(seed, dtype=np.uint8) & 1
-    bits = np.asarray(bits, dtype=np.uint8) & 1
-    if seed.ndim != 1 or bits.ndim != 1 or not 0 < len(bits) <= len(seed):
-        raise ParameterError("need 1-D arrays with 0 < input length <= seed length")
+    seed = need_ints("seed", seed, 0, 1, (None,))
+    bits = need_ints("bits", bits, 0, 1, (None,))
+    need_int("len(bits)", len(bits), 1, len(seed))
     # In float64 every partial sum is an integer of at most len(bits) < 2^53,
     # so the float convolution is exact, and faster than numpy's int64 one.
     return (np.convolve(seed.astype(float), bits.astype(float), "valid")
@@ -120,23 +116,13 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
     }
 
 
-def _check_secret(s, p: SystemParams) -> np.ndarray:
-    """The shared secret s in Z_M^n (n*ceil(log2 M) key bits), as int64."""
-    s = symbol_array(s, p.M, "secret entries must lie in [0, M) as integers")
-    if s.shape != (p.n,):
-        raise ParameterError("secret must have one symbol per antenna")
-    return s
-
-
 def encrypt(p: SystemParams, s: np.ndarray, m: np.ndarray, ch: Channels,
             rng: np.random.Generator) -> np.ndarray:
     """Channel outputs of V((s + (M/2) m) mod M), one row per fresh channel."""
-    s = _check_secret(s, p)
+    s = need_ints("s", s, 0, p.M - 1, (p.n,))
     if p.M % 2 != 0:
         raise ParameterError("cipher requires even M so that M/2 is a symbol")
-    m = symbol_array(m, 2, "message must be a length-n bit vector")
-    if m.shape[-1:] != (p.n,):
-        raise ParameterError("message must be a length-n bit vector")
+    m = need_ints("m", m, 0, 1, (..., p.n))
     symbols = (s + (p.M // 2) * m) % p.M
     return transmit_to_bob(ch, symbols, channel_noise(p, rng, ch.A.shape[:-1]))
 
@@ -145,6 +131,6 @@ def decrypt(p: SystemParams, s: np.ndarray, y: np.ndarray,
             ch: Channels) -> np.ndarray:
     """Invert the channel with the CSI-key, strip s modulo M, round each
     entry of (2/M)*((Sigma^-1 U^T y - s) mod M) to a bit (2 wraps to 0)."""
-    s = _check_secret(s, p)
+    s = need_ints("s", s, 0, p.M - 1, (p.n,))
     scaled = 2.0 / p.M * np.mod(csi_invert(ch, y) - s, p.M)
     return (np.rint(scaled).astype(np.int64) % 2).astype(np.int64)

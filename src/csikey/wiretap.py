@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import psi_sample
 from .errors import (DegenerateBasisError, NumericalError, ParameterError,
-                     need_int, need_real)
+                     need_array, need_int, need_real)
 from .numerics import RANK_FLOOR, matvec, svd
 
 
@@ -68,20 +68,6 @@ def random_message(p: SystemParams, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, p.M, size=p.n)
 
 
-def symbol_array(x, M: int, error: str) -> np.ndarray:
-    """x as int64 if every entry is an integer in [0, M), else
-    ParameterError(error).  Integer and bool arrays pass with one range
-    test; float arrays only with finite integral values."""
-    x = np.asarray(x)
-    if x.dtype.kind in "biu":
-        ok = not ((x < 0) | (x >= M)).any()
-    else:
-        ok = x.dtype.kind == "f" and ((x >= 0) & (x < M) & (x == np.floor(x))).all()
-    if not ok:
-        raise ParameterError(error)
-    return x.astype(np.int64, copy=False)
-
-
 def make_instance(p: SystemParams, rng: np.random.Generator, t: int,
                   eve: bool = False) -> Channels:
     """Draw t channels with i.i.d. width-k entries, each from its own pair of
@@ -110,8 +96,8 @@ def channel_noise(p: SystemParams, rng: np.random.Generator, shape) -> np.ndarra
 
 def transmit_to_bob(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """y = A V x + e: Alice sends V x (the SVD precoding) through A."""
-    if np.shape(x)[-1] != ch.A.shape[-1]:
-        raise ParameterError("message dimension does not match the channel")
+    x = need_array("x", x, (..., ch.A.shape[-1]), finite=False)
+    e = need_array("e", e, (..., ch.A.shape[-2]), finite=False)
     return matvec(ch.A, matvec(ch.V, x)) + e
 
 
@@ -127,6 +113,7 @@ def csi_invert(ch: Channels, y: np.ndarray) -> np.ndarray:
     """Sigma^-1 U^T y, the CSI-key inversion with ch's U and sigma; the
     rank test is relative.  An estimate that overflows (noise that dwarfs
     the channel) raises NumericalError."""
+    y = need_array("y", y, (..., ch.U.shape[-2]), finite=False)
     if not np.all(ch.sigma[..., -1] > RANK_FLOOR * ch.sigma[..., 0]):
         raise DegenerateBasisError("channel matrix numerically rank deficient")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
@@ -143,6 +130,8 @@ def bob_decode(ch: Channels, y: np.ndarray, p: SystemParams) -> np.ndarray:
 
 def eve_receive(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Eve's observation y = G x + e through her effective channel G = B V."""
+    x = need_array("x", x, (..., ch.G.shape[-1]), finite=False)
+    e = need_array("e", e, (..., ch.G.shape[-2]), finite=False)
     return matvec(ch.G, x) + e
 
 
@@ -152,9 +141,7 @@ def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,
     entries, e_i of width noise_width (alpha, or a padded width, in the
     search reductions)."""
     need_int("count", count, 1)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,):
-        raise ParameterError(f"x shape {x.shape} is not ({p.n},)")
+    x = need_array("x", x, (p.n,))
     a = psi_sample(p.k, rng, size=(count, p.n))
     e = psi_sample(noise_width, rng, size=count)
     return a, a @ x + e

@@ -93,7 +93,7 @@ def test_acceptance_04_unitary_invariance():
     for _ in range(1000):
         ch = make_instance(p, rng, 1)
         x = random_message(p, rng)
-        clean = transmit_to_bob(ch, x, 0.0)[0]
+        clean = transmit_to_bob(ch, x, np.zeros(p.m_rx))[0]
         y = transmit_to_bob(ch, x, channel_noise(p, rng, p.m_rx))[0]
         e = y - clean
         shaped_noise = ch.U[0].T @ y - ch.sigma[0] * x

@@ -14,20 +14,20 @@ from csikey.attacks import (bdd_sample_count, bdd_via_mimo, ber_experiment,
                             decision_to_search, error_handling_search,
                             exact_ml_decode, make_decision_oracle,
                             make_exact_ml_oracle, toy_bdd_setup,
-                            verify_solution)
+                            verify_solution, zf_decode)
 from csikey.distributions import (discrete_gaussian_sample, psi_sample,
                                   sample_discrete_gaussian_int,
                                   smoothing_upper_bound, tvd_gaussians)
 from csikey.errors import (DegenerateBasisError, DimensionGuardError,
                            NumericalError, ParameterError, SearchFailureError)
-from csikey.lattice import (LatticeBasis, closest_point, enumerate_cvp,
-                            int_rank_det, nearest_plane)
-from csikey.numerics import gram_schmidt, make_rng
+from csikey.lattice import (LatticeBasis, ReductionResult, closest_point,
+                            enumerate_cvp, int_rank_det, nearest_plane)
+from csikey.numerics import gram_schmidt, make_rng, pseudo_inverse, svd
 from csikey.params import required_log2M, secrecy_capacity
 from csikey.protocols import (decrypt, encode_symbols, encrypt, min_message_count,
                               run_key_agreement, universal_hash)
-from csikey.wiretap import (SystemParams, make_instance, sample_A_dist,
-                            transmit_to_bob)
+from csikey.wiretap import (SystemParams, bob_decode, csi_invert, eve_receive,
+                            make_instance, sample_A_dist, transmit_to_bob)
 from r_dist_reference import r_dist_width, sample_R_dist
 
 P = SystemParams(n=4, m_rx=8, M=4, alpha=1.0)
@@ -36,7 +36,13 @@ EMPTY = np.zeros((0, 4)), np.zeros(0)
 BATCH = np.ones((8, 4)), np.ones(8)  # a well-formed batch at P's n = 4
 EYE = LatticeBasis(np.eye(2))
 TOY = SystemParams(n=2, m_rx=2, M=12, alpha=3.0, k=2.5)  # toy_bdd_setup's
-BATCH_SHAPE = r"batch shapes .* are not \(count, 4\) and \(count,\)"
+CH = make_instance(P, make_rng(1), 1, eve=True)  # one channel at P: 8 x 4
+RED = ReductionResult(LatticeBasis(np.eye(3)), np.eye(3, dtype=np.int64), 0, 0.99)
+BATCH_A = r"batch a must have shape \(\*, 4\), got"
+INT64 = r"must be integers in \[-2\^63, 2\^63 - 1\], got"  # need_ints' int64 range
+SYMBOL = r"must be integers in \[0, 3\], got"  # symbols at P's M = 4
+BIT = r"must be integers in \[0, 1\], got"
+RX = r"must have shape \(\.\.\., 8\), got \(3,\)"  # a length-3 vector at P's m_rx = 8
 INT = r"must be an integer in \[1, 2\^53\]"  # need_int's default range from 1
 POS = r"must be a real in \(0, inf\)"  # need_real's positive reals
 
@@ -47,14 +53,14 @@ CHECKS = {  # name: (error, message pattern, call)
     "bdd-basis-nan": (NumericalError, "non-finite entries", lambda: bdd_via_mimo(
         LatticeBasis([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2), 0.1,
         2.5, None, P, RNG)),
-    "bdd-basis-3x2": (ParameterError, r"basis shape \(3, 2\) is not square",
+    "bdd-basis-3x2": (ParameterError, r"basis must have shape \(2, 2\), got \(3, 2\)",
         lambda: bdd_via_mimo(LatticeBasis(np.eye(3)[:, :2]), np.zeros(2), 0.1,
                              2.5, None, TOY, RNG)),
-    "bdd-target-length": (ParameterError, r"shape \(2,\), got shape \(3,\)",
+    "bdd-target-length": (ParameterError, r"target must have shape \(2,\), got \(3,\)",
         lambda: bdd_via_mimo(EYE, np.zeros(3), 0.1, 2.5, None, TOY, RNG)),
-    "bdd-target-2d": (ParameterError, r"shape \(2,\), got shape \(2, 1\)",
+    "bdd-target-2d": (ParameterError, r"target must have shape \(2,\), got \(2, 1\)",
         lambda: bdd_via_mimo(EYE, np.zeros((2, 1)), 0.1, 2.5, None, TOY, RNG)),
-    "bdd-target-inf": (ParameterError, "target must be a finite vector", lambda:
+    "bdd-target-inf": (ParameterError, "target must be finite, got inf", lambda:
         bdd_via_mimo(EYE, np.array([np.inf, 0.0]), 0.1, 2.5, None, TOY, RNG)),
     "bdd-r-bool": (ParameterError, rf"r {POS}, got True", lambda:
         bdd_via_mimo(EYE, np.zeros(2), 0.1, True, None, TOY, RNG)),
@@ -70,29 +76,33 @@ CHECKS = {  # name: (error, message pattern, call)
         lambda: bdd_sample_count(P, 1.0, 0.0, 0.1)),
     "verify-empty-batch": (ParameterError, "empty batch", lambda:
         verify_solution(EMPTY, np.zeros(4), P)),
-    "verify-batch-a-1d": (ParameterError, BATCH_SHAPE, lambda:
+    "verify-batch-a-1d": (ParameterError, rf"{BATCH_A} \(4,\)", lambda:
         verify_solution((np.zeros(4), np.zeros(1)), np.zeros(4), P)),
-    "verify-batch-a-3d": (ParameterError, BATCH_SHAPE, lambda:
+    "verify-batch-a-3d": (ParameterError, rf"{BATCH_A} \(2, 2, 4\)", lambda:
         verify_solution((np.zeros((2, 2, 4)), np.zeros(2)), np.zeros(4), P)),
-    "verify-batch-y-2d": (ParameterError, BATCH_SHAPE, lambda:
+    "verify-batch-y-2d": (ParameterError,
+        r"batch y must have shape \(2,\), got \(2, 1\)", lambda:
         verify_solution((np.zeros((2, 4)), np.zeros((2, 1))), np.zeros(4), P)),
-    "verify-batch-row-counts": (ParameterError, BATCH_SHAPE, lambda:
+    "verify-batch-row-counts": (ParameterError,
+        r"batch y must have shape \(3,\), got \(2,\)", lambda:
         verify_solution((np.zeros((3, 4)), np.zeros(2)), np.zeros(4), P)),
-    "verify-batch-nan": (ParameterError, "non-finite sample values", lambda:
+    "verify-batch-nan": (ParameterError, "batch a must be finite, got nan", lambda:
         verify_solution((np.full((2, 4), np.nan), np.zeros(2)), np.zeros(4), P)),
     "verify-noise-width-nan": (ParameterError, rf"noise_width {POS}, got nan",
         lambda: verify_solution(BATCH, np.zeros(4), P, np.nan)),
     "verify-noise-width-negative": (ParameterError, rf"noise_width {POS}, got -1.0",
         lambda: verify_solution(BATCH, np.zeros(4), P, -1.0)),
     "verify-candidate-length": (ParameterError,
-        r"candidate shape \(3,\) is not \(4,\)",
+        r"candidate must have shape \(4,\), got \(3,\)",
         lambda: verify_solution(BATCH, np.zeros(3), P)),
+    "verify-candidate-nan": (ParameterError, "candidate must be finite, got nan",
+        lambda: verify_solution(BATCH, [np.nan, 0, 0, 0], P)),
     "padding-empty-batch": (ParameterError, "empty batch", lambda:
         error_handling_search(EMPTY, make_exact_ml_oracle(P), P, RNG)),
-    "padding-batch-columns": (ParameterError, BATCH_SHAPE, lambda:
+    "padding-batch-columns": (ParameterError, rf"{BATCH_A} \(8, 3\)", lambda:
         error_handling_search((np.ones((8, 3)), np.ones(8)),
                               make_exact_ml_oracle(P), P, RNG)),
-    "decision-batch-columns": (ParameterError, BATCH_SHAPE, lambda:
+    "decision-batch-columns": (ParameterError, rf"{BATCH_A} \(8, 3\)", lambda:
         decision_to_search((np.ones((8, 3)), np.ones(8)),
                            make_decision_oracle(P), P, RNG)),
     "decision-M-above-16": (DimensionGuardError, "M <= 16", lambda:
@@ -108,10 +118,12 @@ CHECKS = {  # name: (error, message pattern, call)
                               lambda: ber_experiment(P, 2.5, RNG)),
     "ber-trials-bool": (ParameterError, rf"trials {INT}, got True",
                         lambda: ber_experiment(P, True, RNG)),
-    "ml-target-length": (ParameterError, r"target shape \(3,\) is not \(2,\)",
+    "ml-target-length": (ParameterError, r"target must have shape \(2,\), got \(3,\)",
         lambda: exact_ml_decode(np.eye(2), np.zeros(3), 4)),
     "ml-g-vector": (DegenerateBasisError, ">= 1 column", lambda:
         exact_ml_decode(np.ones(2), np.zeros(2), 4)),
+    "zf-y-length": (ParameterError, r"y must have shape \(\.\.\., 4\), got \(3,\)",
+                    lambda: zf_decode(np.eye(4), np.zeros(3), 4)),
     "bdd-sample-count-alpha-1e300": (ParameterError, "too large for a sample count",
         lambda: bdd_sample_count(SystemParams(n=4, m_rx=4, M=4, alpha=1e300),
                                  1.0, 1.0, 0.1)),
@@ -144,6 +156,9 @@ CHECKS = {  # name: (error, message pattern, call)
         sample_discrete_gaussian_int(1.0, 2.0**63, RNG)),
     "dgauss-int-center-1e300": (ParameterError, r"\|center\| <= 2\^52", lambda:
         sample_discrete_gaussian_int(1.0, np.array([0.0, 1e300]), RNG)),
+    "dgauss-int-center-2d": (ParameterError,
+        r"center must have shape \(\*,\), got \(2, 2\)",
+        lambda: sample_discrete_gaussian_int(2.5, np.zeros((2, 2)), RNG)),
     "klein-r-zero": (ParameterError, rf"r {POS}", lambda:
         discrete_gaussian_sample(LatticeBasis(np.eye(2)), 0.0, RNG)),
     "klein-size-fractional": (ParameterError, rf"size {INT}, got 2.5", lambda:
@@ -161,17 +176,37 @@ CHECKS = {  # name: (error, message pattern, call)
         r"box low must be an integer in \[-inf, 2\^53\], got 0.5",
         lambda: closest_point(LatticeBasis(np.eye(2)), np.array([0.6, 0.6]),
                               (0.5, 0.7))),
-    "int-rank-det-fractional": (ParameterError, "needs integer entries", lambda:
+    "int-rank-det-fractional": (ParameterError, rf"m {INT64} 0.5", lambda:
         int_rank_det([[0.5, 1], [1, 2]])),
-    "closest-point-target-length": (ParameterError, r"target shape \(1,\) is not",
+    "int-rank-det-vector": (ParameterError, r"m must have shape \(\*, \*\), got \(3,\)",
+        lambda: int_rank_det(np.array([1, 2, 3]))),
+    "coeffs-fractional": (ParameterError, rf"coeffs {INT64} 1.5", lambda:
+        RED.original_coeffs([1.5, 2, 3])),
+    "coeffs-nan": (ParameterError, rf"coeffs {INT64} nan", lambda:
+        RED.original_coeffs([np.nan, 2, 3])),
+    "coeffs-length": (ParameterError, r"coeffs must have shape \(3,\), got \(2,\)",
+        lambda: RED.original_coeffs([1, 2])),
+    "closest-point-target-length": (ParameterError,
+        r"target must have shape \(2,\), got \(1,\)",
         lambda: closest_point(LatticeBasis(np.eye(2)), np.zeros(1))),
-    "nearest-plane-target-length": (ParameterError, "need length 2", lambda:
+    "nearest-plane-target-length": (ParameterError,
+        r"targets must have shape \(\.\.\., 2\), got \(1, 3\)", lambda:
         nearest_plane(LatticeBasis(np.eye(2)), np.zeros((1, 3)), lambda i, c: c)),
     "cvp-rank-9": (DimensionGuardError, "exact CVP limited", lambda:
         enumerate_cvp(LatticeBasis(np.eye(9)), np.zeros(9))),
     # numerics
     "gso-wide-matrix": (DegenerateBasisError, "3 columns in dimension 2",
                         lambda: gram_schmidt(np.ones((2, 3)))),
+    "gso-vector": (DegenerateBasisError, ">= 1 column", lambda:
+        gram_schmidt(np.ones(3))),
+    "gso-no-columns": (DegenerateBasisError, ">= 1 column", lambda:
+        gram_schmidt(np.zeros((3, 0)))),
+    "pinv-0x3": (DegenerateBasisError, r"shape \(0, 3\) has rank 0", lambda:
+        pseudo_inverse(np.zeros((0, 3)))),
+    "pinv-3x0": (DegenerateBasisError, r"shape \(3, 0\) has rank 0", lambda:
+        pseudo_inverse(np.zeros((3, 0)))),
+    "svd-vector": (NumericalError, r"shape \(3,\) is not a matrix", lambda:
+        svd(np.ones(3))),
     "rng-seed-negative": (ParameterError, "seed must be an integer >= 0, got -1",
                           lambda: make_rng(-1)),
     "rng-seed-fractional": (ParameterError, "seed must be an integer >= 0, got 2.5",
@@ -200,43 +235,52 @@ CHECKS = {  # name: (error, message pattern, call)
         r"n must be an integer in \[4, 2\^53\], got 4.5",
         lambda: required_log2M(4.5)),
     # protocols
-    "toeplitz-seed-length": (ParameterError, "seed length", lambda:
+    "toeplitz-seed-length": (ParameterError,
+        r"len\(bits\) must be an integer in \[1, 5\], got 6", lambda:
         universal_hash(np.zeros(5), np.zeros(6))),
-    "toeplitz-2d": (ParameterError, "need 1-D arrays", lambda:
-        universal_hash(np.zeros((2, 5)), np.zeros((2, 3)))),
+    "toeplitz-2d": (ParameterError, r"seed must have shape \(\*,\), got \(2, 5\)",
+        lambda: universal_hash(np.zeros((2, 5)), np.zeros((2, 3)))),
+    "toeplitz-seed-fractional": (ParameterError, rf"seed {BIT} 2.7", lambda:
+        universal_hash([2.7, 0, 1, 0], [1, 0])),
+    "toeplitz-bits-3": (ParameterError, rf"bits {BIT} 3", lambda:
+        universal_hash(np.zeros(4), [3, 0])),
+    "toeplitz-seed-nan": (ParameterError, rf"seed {BIT} nan", lambda:
+        universal_hash([np.nan, 0, 1], [1])),
     "message-count-eta-10^400": (ParameterError, rf"eta {INT}, got a 1329-bit integer",
         lambda: min_message_count(P, 10**400)),
     "message-count-eta-fractional": (ParameterError, rf"eta {INT}, got 2.5",
         lambda: min_message_count(P, 2.5)),
-    "encode-symbol-negative": (ParameterError, r"symbols must lie in \[0, M\)",
+    "encode-symbol-negative": (ParameterError, rf"x {SYMBOL} -1",
                                lambda: encode_symbols(np.array([-1, 3]), 4)),
-    "encode-symbol-above-M": (ParameterError, r"symbols must lie in \[0, M\)",
+    "encode-symbol-above-M": (ParameterError, rf"x {SYMBOL} 5",
                               lambda: encode_symbols(np.array([5, 3]), 4)),
-    "encode-symbol-fractional": (ParameterError, r"\[0, M\) as integers",
+    "encode-symbol-fractional": (ParameterError, rf"x {SYMBOL} 2.7",
                                  lambda: encode_symbols([2.7, 1.0], 4)),
-    "encode-symbol-nan": (ParameterError, r"\[0, M\) as integers",
+    "encode-symbol-nan": (ParameterError, rf"x {SYMBOL} nan",
                           lambda: encode_symbols([float("nan"), 1], 4)),
-    "encode-symbols-2d": (ParameterError, "1-D array",
+    "encode-symbols-2d": (ParameterError, r"x must have shape \(\*,\), got \(1, 2\)",
                           lambda: encode_symbols([[1, 2]], 4)),
     "key-agreement-eta-zero": (ParameterError, rf"eta {INT}", lambda:
         run_key_agreement(P, 0, "none", RNG)),
     "key-agreement-eta-fractional": (ParameterError, rf"eta {INT}, got 2.5", lambda:
         run_key_agreement(P, 2.5, "none", RNG)),
-    "cipher-secret-shape": (ParameterError, "one symbol per antenna", lambda:
-        encrypt(P, np.zeros(3), np.zeros(4), None, RNG)),
-    "cipher-secret-range": (ParameterError, r"lie in \[0, M\)", lambda:
+    "cipher-secret-shape": (ParameterError, r"s must have shape \(4,\), got \(3,\)",
+        lambda: encrypt(P, np.zeros(3), np.zeros(4), None, RNG)),
+    "cipher-secret-range": (ParameterError, rf"s {SYMBOL} 4", lambda:
         decrypt(P, np.array([0, 1, 2, 4]), np.zeros(8), None)),
-    "cipher-secret-fractional": (ParameterError, r"\[0, M\) as integers", lambda:
+    "cipher-secret-fractional": (ParameterError, rf"s {SYMBOL} 1.5", lambda:
         decrypt(P, [1.5, 2, 0, 1], np.zeros(8), None)),
-    "cipher-secret-nan": (ParameterError, r"\[0, M\) as integers", lambda:
+    "cipher-secret-nan": (ParameterError, rf"s {SYMBOL} nan", lambda:
         decrypt(P, [float("nan"), 1, 0, 0], np.zeros(8), None)),
-    "cipher-secret-1e30": (ParameterError, r"\[0, M\) as integers", lambda:
+    "cipher-secret-1e30": (ParameterError, rf"s {SYMBOL} 1e\+30", lambda:
         decrypt(P, [1e30, 1, 0, 0], np.zeros(8), None)),
-    "encrypt-not-bits": (ParameterError, "bit vector", lambda:
+    "encrypt-not-bits": (ParameterError, rf"m {BIT} 2", lambda:
         encrypt(P, np.zeros(4), np.array([0, 1, 2, 0]),
                 make_instance(P, RNG, 1), RNG)),
-    "encrypt-fractional-bits": (ParameterError, "bit vector", lambda:
+    "encrypt-fractional-bits": (ParameterError, rf"m {BIT} 0.5", lambda:
         encrypt(P, np.zeros(4), [0.5, 1, 0, 1], make_instance(P, RNG, 1), RNG)),
+    "decrypt-y-length": (ParameterError, rf"y {RX}",
+        lambda: decrypt(P, np.zeros(4), np.zeros(3), CH)),
     # wiretap; the R-distribution is a test helper (tests/r_dist_reference.py)
     "params-n-zero": (ParameterError, rf"n {INT}", lambda:
         SystemParams(n=0, m_rx=1, M=4, alpha=1.0)),
@@ -269,18 +313,31 @@ CHECKS = {  # name: (error, message pattern, call)
                                    lambda: make_instance(P, RNG, 2.5)),
     "make-instance-t-bool": (ParameterError, rf"t {INT}, got True",
                              lambda: make_instance(P, RNG, True)),
-    "precode-dimension": (ParameterError, "message dimension", lambda:
-        transmit_to_bob(make_instance(P, RNG, 1), np.zeros(3), 0.0)),
+    "precode-dimension": (ParameterError,
+        r"x must have shape \(\.\.\., 4\), got \(3,\)",
+        lambda: transmit_to_bob(make_instance(P, RNG, 1), np.zeros(3), 0.0)),
+    "transmit-e-length": (ParameterError, rf"e {RX}",
+        lambda: transmit_to_bob(CH, np.zeros(4), np.zeros(3))),
+    "bob-decode-y-length": (ParameterError, rf"y {RX}",
+        lambda: bob_decode(CH, np.zeros(3), P)),
+    "csi-invert-y-length": (ParameterError, rf"y {RX}",
+        lambda: csi_invert(CH, np.zeros(3))),
+    "eve-x-length": (ParameterError, r"x must have shape \(\.\.\., 4\), got \(3,\)",
+        lambda: eve_receive(CH, np.zeros(3), np.zeros(8))),
+    "eve-e-length": (ParameterError, rf"e {RX}",
+        lambda: eve_receive(CH, np.zeros(4), np.zeros(3))),
     "A-dist-count-zero": (ParameterError, rf"count {INT}", lambda:
         sample_A_dist(np.zeros(4), P, RNG, count=0, noise_width=P.alpha)),
     "A-dist-count-fractional": (ParameterError, rf"count {INT}, got 2.5", lambda:
         sample_A_dist(np.zeros(4), P, RNG, count=2.5, noise_width=P.alpha)),
     "A-dist-noise-width-negative": (ParameterError, rf"width {POS}",
         lambda: sample_A_dist(np.zeros(4), P, RNG, count=3, noise_width=-1.0)),
-    "A-dist-x-length": (ParameterError, r"x shape \(3,\) is not \(4,\)", lambda:
+    "A-dist-x-length": (ParameterError, r"x must have shape \(4,\), got \(3,\)", lambda:
         sample_A_dist(np.zeros(3), P, RNG, count=3, noise_width=P.alpha)),
-    "A-dist-x-column": (ParameterError, r"x shape \(4, 1\) is not \(4,\)", lambda:
-        sample_A_dist(np.zeros((4, 1)), P, RNG, count=3, noise_width=P.alpha)),
+    "A-dist-x-column": (ParameterError, r"x must have shape \(4,\), got \(4, 1\)",
+        lambda: sample_A_dist(np.zeros((4, 1)), P, RNG, count=3, noise_width=P.alpha)),
+    "A-dist-x-nan": (ParameterError, "x must be finite, got nan", lambda:
+        sample_A_dist([np.nan, 0, 0, 0], P, RNG, count=3, noise_width=P.alpha)),
     "R-dist-count-zero": (ParameterError, rf"count {INT}", lambda:
         sample_R_dist(P, RNG, count=0)),
     "R-dist-count-fractional": (ParameterError, rf"count {INT}, got 2.5", lambda:
@@ -301,6 +358,15 @@ def test_scalar_rules_live_in_errors_only():
     users = [f.name for f in sorted(src.glob("*.py"))
              if re.search(r"numbers\.(Integral|Real)", f.read_text())]
     assert users == ["errors.py"]
+
+
+def test_array_rules_live_in_errors_only():
+    # need_array and need_ints hold the shape, finiteness and integer-range
+    # rules for arrays; a module that compares a shape itself derives them again.
+    src = Path(csikey.__file__).resolve().parent
+    users = [f.name for f in sorted(src.glob("*.py")) if f.name != "errors.py"
+             and re.search(r"\.(shape|ndim) *!=|symbol_array", f.read_text())]
+    assert users == []
 
 
 @pytest.mark.parametrize("alpha", [1e-170, 1e155])

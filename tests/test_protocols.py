@@ -83,7 +83,8 @@ def test_hash_seed_shorter_than_input_raises(length):
     # length - 13 + 1 bits, as if eta were 0 or negative; an empty input
     # has no hash either.
     seed = _hash_seed(10, 4, make_rng(1))
-    with pytest.raises(ParameterError, match="seed length"):
+    with pytest.raises(ParameterError,
+                       match=r"len\(bits\) must be an integer in \[1, 13\]"):
         universal_hash(seed, np.ones(length, dtype=np.uint8))
 
 

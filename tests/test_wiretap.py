@@ -177,7 +177,7 @@ def test_channel_noise_variance():
     rng = make_rng(4)
     ch = make_instance(p, rng, 1)
     x = random_message(p, rng)
-    clean = transmit_to_bob(ch, x, 0.0)
+    clean = transmit_to_bob(ch, x, np.zeros(p.m_rx))
     res = transmit_to_bob(ch, x, channel_noise(p, rng, (2000, p.m_rx))) - clean
     assert res.shape == (2000, p.m_rx)
     assert np.var(res) == pytest.approx(p.noise_width**2 / (2 * math.pi),
