@@ -36,13 +36,12 @@ class SearchFailureError(CsikeyError):
 
 
 def _show(x) -> str:
-    """x in a message: an integer beyond 2^64 by its bit length, and one of
-    size above 2^20 that is 2^k, -2^k or 2^k - 1 in that form."""
+    """x in a message: an integer beyond 2^64 by its bit length, a power of
+    two above 2^20 as 2^k."""
     if type(x) is int and abs(x) > 2**64:
         return f"a {abs(x).bit_length()}-bit integer"
-    k = abs(x).bit_length() - 1 if type(x) is int and abs(x) > 2**20 else 0
-    forms = {2**k: f"2^{k}", -2**k: f"-2^{k}", 2 ** (k + 1) - 1: f"2^{k + 1} - 1"}
-    return forms.get(x, repr(x)) if k else repr(x)
+    pow2 = type(x) is int and x > 2**20 and not x & (x - 1)
+    return f"2^{x.bit_length() - 1}" if pow2 else repr(x)
 
 
 def need_int(name: str, v, lo, hi=2**53):
@@ -68,22 +67,27 @@ def need_real(name: str, v, lo, hi):
                          f"got {_show(v)}")
 
 
-def _fit(name: str, x: np.ndarray, shape) -> np.ndarray:
-    """x if its shape matches shape (see need_array), else ParameterError."""
+def _fit(name: str, x, shape, dtype=None) -> np.ndarray:
+    """x as an array of dtype if its shape matches shape (see need_array),
+    else ParameterError."""
+    try:
+        arr = np.asarray(x, dtype=dtype)
+    except (ValueError, TypeError):  # a string, a ragged list, a dict
+        raise ParameterError(f"{name} must be a numeric array, got {x!r:.40}") from None
     want = shape[1:] if shape[:1] == (...,) else shape  # a stack: the last axes
-    got = x.shape[x.ndim - len(want):] if want is not shape else x.shape
-    if got != want and (len(got) != len(want) or any(
+    got = arr.shape[arr.ndim - len(want):] if want is not shape else arr.shape
+    if got != want and (len(got) != len(want) or any(  # equal: no per-axis test
             w not in (None, g) for w, g in zip(want, got))):
         spec = str(shape).replace("None", "*").replace("Ellipsis", "...")
-        raise ParameterError(f"{name} must have shape {spec}, got {x.shape}")
-    return x
+        raise ParameterError(f"{name} must have shape {spec}, got {arr.shape}")
+    return arr
 
 
 def need_array(name: str, x, shape, finite=True) -> np.ndarray:
     """x as a float array of the given shape, else ParameterError.  In shape,
     None marks a free axis and a leading ... a stack of any depth; with
     finite, every entry must be finite."""
-    x = _fit(name, np.asarray(x, dtype=float), shape)
+    x = _fit(name, x, shape, float)
     if finite and not np.isfinite(x).all():
         raise ParameterError(f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
     return x
@@ -92,18 +96,16 @@ def need_array(name: str, x, shape, finite=True) -> np.ndarray:
 def need_ints(name: str, x, lo, hi, shape) -> np.ndarray:
     """x as int64 if it has the shape (as in need_array) and every entry is
     an integer in [lo, hi], else ParameterError.  Integer and bool arrays
-    pass with one range test, int64 arrays none where [lo, hi] holds the
-    int64 range; float arrays only with finite integral values."""
-    x = _fit(name, np.asarray(x), shape)
+    pass with one range test; float arrays only with finite integral values."""
+    x = _fit(name, x, shape)
     kind = x.dtype.kind
-    if lo <= -2**63 and 2**63 - 1 <= hi and x.dtype == np.int64:
-        return x
     if kind in "biu":
-        bad = (x < lo) | (x > hi)
-    else:  # floats below hi + 1, so that the int64 cast is exact; no other dtype
-        bad = ~((x >= lo) & (x < hi + 1) & (x == np.floor(x))) if kind == "f" \
-            else np.ones(x.shape, dtype=bool)
-    if bad.any():
+        ok = (x >= lo) & (x <= hi)
+    elif kind == "f":  # below hi + 1, so that the int64 cast is exact
+        ok = (x >= lo) & (x < hi + 1) & (x == np.floor(x))
+    else:  # no other dtype
+        ok = np.zeros(x.shape, dtype=bool)
+    if not ok.all():
         raise ParameterError(f"{name} must be integers in [{_show(lo)}, {_show(hi)}], "
-                             f"got {_show(x[bad].tolist()[0])}")
+                             f"got {_show(x[~ok].tolist()[0])}")
     return x.astype(np.int64, copy=False)

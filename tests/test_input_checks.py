@@ -39,7 +39,7 @@ TOY = SystemParams(n=2, m_rx=2, M=12, alpha=3.0, k=2.5)  # toy_bdd_setup's
 CH = make_instance(P, make_rng(1), 1, eve=True)  # one channel at P: 8 x 4
 RED = ReductionResult(LatticeBasis(np.eye(3)), np.eye(3, dtype=np.int64), 0, 0.99)
 BATCH_A = r"batch a must have shape \(\*, 4\), got"
-INT64 = r"must be integers in \[-2\^63, 2\^63 - 1\], got"  # need_ints' int64 range
+INT64 = r"must be integers in \[-9223372036854775808, 9223372036854775807\], got"
 SYMBOL = r"must be integers in \[0, 3\], got"  # symbols at P's M = 4
 BIT = r"must be integers in \[0, 1\], got"
 RX = r"must have shape \(\.\.\., 8\), got \(3,\)"  # a length-3 vector at P's m_rx = 8
@@ -260,6 +260,8 @@ CHECKS = {  # name: (error, message pattern, call)
                           lambda: encode_symbols([float("nan"), 1], 4)),
     "encode-symbols-2d": (ParameterError, r"x must have shape \(\*,\), got \(1, 2\)",
                           lambda: encode_symbols([[1, 2]], 4)),
+    "encode-symbols-ragged": (ParameterError, "x must be a numeric array, got",
+                              lambda: encode_symbols([[1, 2], [3]], 4)),
     "key-agreement-eta-zero": (ParameterError, rf"eta {INT}", lambda:
         run_key_agreement(P, 0, "none", RNG)),
     "key-agreement-eta-fractional": (ParameterError, rf"eta {INT}, got 2.5", lambda:
@@ -338,6 +340,10 @@ CHECKS = {  # name: (error, message pattern, call)
         lambda: sample_A_dist(np.zeros((4, 1)), P, RNG, count=3, noise_width=P.alpha)),
     "A-dist-x-nan": (ParameterError, "x must be finite, got nan", lambda:
         sample_A_dist([np.nan, 0, 0, 0], P, RNG, count=3, noise_width=P.alpha)),
+    "A-dist-x-string": (ParameterError, "x must be a numeric array, got 'abcd'", lambda:
+        sample_A_dist("abcd", P, RNG, count=3, noise_width=P.alpha)),
+    "A-dist-x-ragged": (ParameterError, r"x must be a numeric array, got \[\[1, 2\], \[3\]\]",
+        lambda: sample_A_dist([[1, 2], [3]], P, RNG, count=3, noise_width=P.alpha)),
     "R-dist-count-zero": (ParameterError, rf"count {INT}", lambda:
         sample_R_dist(P, RNG, count=0)),
     "R-dist-count-fractional": (ParameterError, rf"count {INT}, got 2.5", lambda:
