@@ -76,8 +76,7 @@ def _fit(name: str, x, shape, dtype=None) -> np.ndarray:
         raise ParameterError(f"{name} must be a numeric array, got {x!r:.40}") from None
     want = shape[1:] if shape[:1] == (...,) else shape  # a stack: the last axes
     got = arr.shape[arr.ndim - len(want):] if want is not shape else arr.shape
-    if got != want and (len(got) != len(want) or any(  # equal: no per-axis test
-            w not in (None, g) for w, g in zip(want, got))):
+    if len(got) != len(want) or any(w not in (None, g) for w, g in zip(want, got)):
         spec = str(shape).replace("None", "*").replace("Ellipsis", "...")
         raise ParameterError(f"{name} must have shape {spec}, got {arr.shape}")
     return arr
