@@ -18,9 +18,9 @@ import numpy as np
 from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
                             smoothing_upper_bound)
 from .errors import (DimensionGuardError, ParameterError, SearchFailureError,
-                     need_array, need_int, need_real)
-from .lattice import (LatticeBasis, ReductionResult, closest_point,
-                      lattice_bases, lll_reduce, nearest_plane)
+                     need_array, need_int, need_ints, need_real)
+from .lattice import (LatticeBasis, ReductionResult, closest_point, lattice_bases,
+                      lll_reduce, nearest_plane, original_coeffs)
 from .numerics import matvec, pseudo_inverse, svd
 from .wiretap import SystemParams, make_instance, random_message, \
     channel_noise, transmit_to_bob, bob_decode, eve_receive, hard_decision
@@ -47,12 +47,12 @@ def babai_attack(reds: list[ReductionResult], y: np.ndarray,
                  M: int) -> DecoderOutcome:
     """Babai-decode each y[t] in reds[t].reduced, the LLL-reduced lattice of
     a channel's columns, in one nearest-plane walk over the stacked bases,
-    and map each trial's coefficients back through its unimodular transform.
-    The estimate has one row per trial."""
+    and map the coefficients back through the stacked unimodular transforms
+    in one product.  The estimate has one row per trial."""
     stack = LatticeBasis(np.stack([r.reduced.matrix for r in reds]))
-    _, coeffs = nearest_plane(stack, np.asarray(y, dtype=float)[:, None],
-                              lambda i, c: np.rint(c))
-    est = [r.original_coeffs(z) for r, z in zip(reds, coeffs[:, 0])]
+    y = need_array("y", y, (len(reds), stack.ambient_dim), finite=False)
+    _, coeffs = nearest_plane(stack, y[:, None], lambda i, c: np.rint(c))
+    est = original_coeffs(np.stack([r.transform for r in reds]), coeffs[:, 0])
     return DecoderOutcome(hard_decision(est, M))
 
 
@@ -128,14 +128,14 @@ def error_handling_search(batch, oracle, p: SystemParams,
     a, y = batch = _batch(batch, n)
     cand = oracle(batch)
     if _verified(batch, cand, p):
-        return np.asarray(cand, dtype=np.int64)
+        return need_ints("oracle answer", cand, 0, p.M - 1, (n,))
     for i in range(1, min(n * n, 10**4 - 1) + 1):
         width = p.alpha * math.sqrt(i) / n
         for _ in range(n):
             padded = a, y + psi_sample(width, rng, size=len(y))
             cand = oracle(padded)
             if _verified(padded, cand, p, math.hypot(p.alpha, width)):
-                return np.asarray(cand, dtype=np.int64)
+                return need_ints("oracle answer", cand, 0, p.M - 1, (n,))
     raise SearchFailureError("no padded noise level produced a verified answer")
 
 
@@ -247,17 +247,19 @@ def bdd_via_mimo(basis: LatticeBasis, target: np.ndarray, bound_d: float,
     # coefficient sits near a half-integer multiple of M round ambiguously,
     # so both roundings are tried there (verification certifies the answer).
     z = binv @ y / p.M
-    base = np.rint(z)
+    lim = 2**53 // p.M - 2  # so that every coefficient is an exact float
+    base = need_ints("target digits", np.rint(z), -lim, lim, (n,))
     frac = z - base
     amb_margin = 1.5 * bound_d / (sigma * p.M) + 1e-9
     ambiguous = np.flatnonzero(np.abs(frac) > 0.5 - amb_margin)[:6]
+    step = np.where(np.signbit(frac[ambiguous]), -1, 1)
     bits = np.arange(len(ambiguous))
     offset = p.M // 2
 
     for _ in range(3):
         for mask in range(2 ** len(ambiguous)):
             t0 = base.copy()
-            t0[ambiguous] += np.copysign(1.0, frac[ambiguous]) * (mask >> bits & 1)
+            t0[ambiguous] += step * (mask >> bits & 1)
             coord = p.M * (z - t0) + offset
             v, _ = discrete_gaussian_sample(dual, r, rng, size=samples)
             if np.linalg.matrix_rank(v) < n:  # the oracle's channel would be singular
@@ -267,8 +269,8 @@ def bdd_via_mimo(basis: LatticeBasis, target: np.ndarray, bound_d: float,
             a = p.k * v / r
             e = psi_sample(p.alpha / math.sqrt(2), rng, size=samples)
             y_samp = p.k * (v @ coord) / (r * p.M) + p.k * e / r
-            guess = np.asarray(mimo_oracle((a / p.M, y_samp)), dtype=np.int64)
-            coeffs = p.M * t0.astype(np.int64) + (guess - offset)
+            coeffs = p.M * t0 - offset + need_ints(
+                "oracle answer", mimo_oracle((a / p.M, y_samp)), 0, p.M - 1, (n,))
             point = bmat @ coeffs.astype(float)
             if np.linalg.norm(y - point) <= bound_d * (1 + 1e-9):
                 return point, coeffs

@@ -79,17 +79,17 @@ class ReductionResult:
     swaps: int
     delta: float
 
-    def original_coeffs(self, coeffs) -> np.ndarray:
-        """transform @ coeffs as int64: coefficients in the original basis,
-        exact, or NumericalError where max|transform| * sum|coeffs|, a
-        bound on every partial sum, could pass 2^62."""
-        coeffs = need_ints("coeffs", coeffs, -2**63, 2**63 - 1,
-                           self.transform.shape[1:])
-        bound = np.abs(self.transform).max() * np.abs(coeffs).sum(dtype=float)
-        if not bound < 2.0**62:
-            raise NumericalError("a coefficient in the original basis "
-                                 "overflows int64")
-        return self.transform @ coeffs
+
+def original_coeffs(transform: np.ndarray, coeffs) -> np.ndarray:
+    """transform @ coeffs as int64 for one transform (n, n) or a stack
+    (T, n, n), coeffs of shape transform.shape[:-1]: coefficients in the
+    original basis, exact, or NumericalError where max|transform| *
+    sum|coeffs| of a slice, a bound on its every partial sum, could pass 2^62."""
+    coeffs = need_ints("coeffs", coeffs, -2**63, 2**63 - 1, transform.shape[:-1])
+    bound = np.abs(transform).max((-2, -1)) * np.abs(coeffs).sum(-1, dtype=float)
+    if not np.all(bound < 2.0**62):
+        raise NumericalError("a coefficient in the original basis overflows int64")
+    return (transform @ coeffs[..., None])[..., 0]
 
 
 def int_rank_det(m) -> tuple[int, int]:
@@ -296,7 +296,7 @@ def enumerate_cvp(b: LatticeBasis, target: np.ndarray):
     if b.rank > ENUM_DIM_LIMIT:
         raise DimensionGuardError(f"exact CVP limited to n <= {ENUM_DIM_LIMIT}")
     red = lll_reduce(b)
-    coeffs = red.original_coeffs(closest_point(red.reduced, target))
+    coeffs = original_coeffs(red.transform, closest_point(red.reduced, target))
     return b.matrix @ coeffs, coeffs
 
 

@@ -9,7 +9,7 @@ turn, and the first matrix failing it raises the per-matrix error.
 
 import numpy as np
 
-from .errors import DegenerateBasisError, NumericalError, need_int
+from .errors import DegenerateBasisError, NumericalError, ParameterError, need_int
 
 RANK_FLOOR = 1e-12  # least sigma_min / sigma_max of a full-rank matrix
 
@@ -77,6 +77,11 @@ def pseudo_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def matvec(a: np.ndarray, x) -> np.ndarray:
-    """a @ x for each matrix of the stack a and vector of the stack x (the
-    two broadcast); a stacked matmul, since np.einsum is not bit-equal."""
-    return (a @ np.asarray(x, dtype=float)[..., None])[..., 0]
+    """a @ x for each matrix of the stack a and vector of the stack x, which
+    must broadcast; a stacked matmul, since np.einsum is not bit-equal."""
+    x = np.asarray(x, dtype=float)
+    try:
+        return (a @ x[..., None])[..., 0]
+    except ValueError:
+        raise ParameterError(f"a stack of matrices {a.shape} and one of vectors "
+                             f"{x.shape} do not broadcast") from None

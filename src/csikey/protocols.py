@@ -32,7 +32,7 @@ def encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
-    return np.packbits(np.asarray(bits, dtype=np.uint8),
+    return np.packbits(need_ints("bits", bits, 0, 1, (None,)),
                        bitorder="little").tobytes().hex()
 
 

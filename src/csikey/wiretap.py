@@ -130,6 +130,8 @@ def bob_decode(ch: Channels, y: np.ndarray, p: SystemParams) -> np.ndarray:
 
 def eve_receive(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Eve's observation y = G x + e through her effective channel G = B V."""
+    if ch.G is None:
+        raise ParameterError("these channels have no G: draw them with eve=True")
     x = need_array("x", x, (..., ch.G.shape[-1]), finite=False)
     e = need_array("e", e, (..., ch.G.shape[-2]), finite=False)
     return matvec(ch.G, x) + e

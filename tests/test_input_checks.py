@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import csikey
-from csikey.attacks import (bdd_sample_count, bdd_via_mimo, ber_experiment,
-                            decision_to_search, error_handling_search,
+from csikey.attacks import (babai_attack, bdd_sample_count, bdd_via_mimo,
+                            ber_experiment, decision_to_search, error_handling_search,
                             exact_ml_decode, make_decision_oracle,
                             make_exact_ml_oracle, toy_bdd_setup,
                             verify_solution, zf_decode)
@@ -20,12 +20,13 @@ from csikey.distributions import (discrete_gaussian_sample, psi_sample,
                                   smoothing_upper_bound, tvd_gaussians)
 from csikey.errors import (DegenerateBasisError, DimensionGuardError,
                            NumericalError, ParameterError, SearchFailureError)
-from csikey.lattice import (LatticeBasis, ReductionResult, closest_point,
-                            enumerate_cvp, int_rank_det, nearest_plane)
+from csikey.lattice import (LatticeBasis, closest_point, enumerate_cvp,
+                            int_rank_det, lattice_bases, lll_reduce, nearest_plane,
+                            original_coeffs)
 from csikey.numerics import gram_schmidt, make_rng, pseudo_inverse, svd
 from csikey.params import required_log2M, secrecy_capacity
-from csikey.protocols import (decrypt, encode_symbols, encrypt, min_message_count,
-                              run_key_agreement, universal_hash)
+from csikey.protocols import (bits_to_hex, decrypt, encode_symbols, encrypt,
+                              min_message_count, run_key_agreement, universal_hash)
 from csikey.wiretap import (SystemParams, bob_decode, csi_invert, eve_receive,
                             make_instance, sample_A_dist, transmit_to_bob)
 from r_dist_reference import r_dist_width, sample_R_dist
@@ -37,7 +38,8 @@ BATCH = np.ones((8, 4)), np.ones(8)  # a well-formed batch at P's n = 4
 EYE = LatticeBasis(np.eye(2))
 TOY = SystemParams(n=2, m_rx=2, M=12, alpha=3.0, k=2.5)  # toy_bdd_setup's
 CH = make_instance(P, make_rng(1), 1, eve=True)  # one channel at P: 8 x 4
-RED = ReductionResult(LatticeBasis(np.eye(3)), np.eye(3, dtype=np.int64), 0, 0.99)
+CH2 = make_instance(P, make_rng(2), 2, eve=True)  # two channels at P
+T3 = np.eye(3, dtype=np.int64)  # an identity LLL transform at n = 3
 BATCH_A = r"batch a must have shape \(\*, 4\), got"
 INT64 = r"must be integers in \[-9223372036854775808, 9223372036854775807\], got"
 SYMBOL = r"must be integers in \[0, 3\], got"  # symbols at P's M = 4
@@ -45,6 +47,32 @@ BIT = r"must be integers in \[0, 1\], got"
 RX = r"must have shape \(\.\.\., 8\), got \(3,\)"  # a length-3 vector at P's m_rx = 8
 INT = r"must be an integer in \[1, 2\^53\]"  # need_int's default range from 1
 POS = r"must be a real in \(0, inf\)"  # need_real's positive reals
+STACKS = r"a stack of matrices \(2, \d, \d\) and one of vectors \(3, \d\) do not broadcast"
+
+
+def _padding_answer(right_from):
+    """error_handling_search at n = 3 whose oracle answers x - 0.02 for
+    x = [0, 1, 1] from call right_from on, and a wrong vector before: the
+    answer passes verification, but it is not a symbol vector."""
+    p = SystemParams(n=3, m_rx=3, M=4, alpha=0.1)
+    rng = make_rng(0)
+    x = np.array([0, 1, 1])
+    batch = sample_A_dist(x, p, rng, count=64 * p.n, noise_width=p.alpha / 2)
+    calls = []
+
+    def oracle(b):
+        calls.append(b)
+        return x - 0.02 if len(calls) >= right_from else (x + 1) % p.M
+
+    return error_handling_search(batch, oracle, p, rng)
+
+
+def _toy_bdd(n, oracle=None, scale=1.0):
+    """bdd_via_mimo on a toy_bdd_setup(n) instance, its target scaled by
+    scale; exact ML's oracle unless another is given."""
+    p, basis, target, bound_d, _, r = toy_bdd_setup(n, make_rng(0))
+    return bdd_via_mimo(basis, target * scale, bound_d, r,
+                        oracle or make_exact_ml_oracle(p), p, make_rng(1))
 
 CHECKS = {  # name: (error, message pattern, call)
     # attacks
@@ -127,6 +155,25 @@ CHECKS = {  # name: (error, message pattern, call)
     "bdd-sample-count-alpha-1e300": (ParameterError, "too large for a sample count",
         lambda: bdd_sample_count(SystemParams(n=4, m_rx=4, M=4, alpha=1e300),
                                  1.0, 1.0, 0.1)),
+    "padding-answer-fractional": (ParameterError,
+        r"oracle answer must be integers in \[0, 3\], got -0.02",
+        lambda: _padding_answer(1)),
+    "padded-answer-fractional": (ParameterError,
+        r"oracle answer must be integers in \[0, 3\], got -0.02",
+        lambda: _padding_answer(2)),
+    "bdd-oracle-answer-fractional": (ParameterError,
+        r"oracle answer must be integers in \[0, 11\], got 0.5",
+        lambda: _toy_bdd(2, lambda batch: np.full(2, 0.5))),
+    "bdd-target-digits-1e25": (ParameterError,
+        r"target digits must be integers in \[-750599937895080, 750599937895080\]",
+        lambda: _toy_bdd(3, scale=1e25)),
+    "zf-stacks-broadcast": (ParameterError, STACKS, lambda:
+        zf_decode(pseudo_inverse(CH2.G), np.zeros((3, 8)), 4)),
+    "babai-y-stack": (ParameterError, r"y must have shape \(2, 8\), got \(3, 8\)",
+        lambda: babai_attack([lll_reduce(b) for b in lattice_bases(CH2.G)],
+                             np.zeros((3, 8)), 4)),
+    "babai-y-1d": (ParameterError, r"y must have shape \(1, 8\), got \(8,\)",
+        lambda: babai_attack([lll_reduce(LatticeBasis(CH2.G[0]))], np.zeros(8), 4)),
     # distributions
     "psi-width-zero": (ParameterError, rf"width {POS}", lambda:
         psi_sample(0.0, RNG)),
@@ -181,11 +228,14 @@ CHECKS = {  # name: (error, message pattern, call)
     "int-rank-det-vector": (ParameterError, r"m must have shape \(\*, \*\), got \(3,\)",
         lambda: int_rank_det(np.array([1, 2, 3]))),
     "coeffs-fractional": (ParameterError, rf"coeffs {INT64} 1.5", lambda:
-        RED.original_coeffs([1.5, 2, 3])),
+        original_coeffs(T3, [1.5, 2, 3])),
     "coeffs-nan": (ParameterError, rf"coeffs {INT64} nan", lambda:
-        RED.original_coeffs([np.nan, 2, 3])),
+        original_coeffs(T3, [np.nan, 2, 3])),
     "coeffs-length": (ParameterError, r"coeffs must have shape \(3,\), got \(2,\)",
-        lambda: RED.original_coeffs([1, 2])),
+        lambda: original_coeffs(T3, [1, 2])),
+    "coeffs-stack-rows": (ParameterError,
+        r"coeffs must have shape \(2, 3\), got \(3, 3\)",
+        lambda: original_coeffs(np.stack([T3, T3]), np.zeros((3, 3)))),
     "closest-point-target-length": (ParameterError,
         r"target must have shape \(2,\), got \(1,\)",
         lambda: closest_point(LatticeBasis(np.eye(2)), np.zeros(1))),
@@ -246,6 +296,10 @@ CHECKS = {  # name: (error, message pattern, call)
         universal_hash(np.zeros(4), [3, 0])),
     "toeplitz-seed-nan": (ParameterError, rf"seed {BIT} nan", lambda:
         universal_hash([np.nan, 0, 1], [1])),
+    "hex-bits-2": (ParameterError, rf"bits {BIT} 2", lambda: bits_to_hex([2, 3])),
+    "hex-bits-fractional": (ParameterError, rf"bits {BIT} 1.7",
+                            lambda: bits_to_hex([1.7, 0])),
+    "hex-bits-256": (ParameterError, rf"bits {BIT} 256", lambda: bits_to_hex([256, 1])),
     "message-count-eta-10^400": (ParameterError, rf"eta {INT}, got a 1329-bit integer",
         lambda: min_message_count(P, 10**400)),
     "message-count-eta-fractional": (ParameterError, rf"eta {INT}, got 2.5",
@@ -328,6 +382,14 @@ CHECKS = {  # name: (error, message pattern, call)
         lambda: eve_receive(CH, np.zeros(3), np.zeros(8))),
     "eve-e-length": (ParameterError, rf"e {RX}",
         lambda: eve_receive(CH, np.zeros(4), np.zeros(3))),
+    "eve-no-G": (ParameterError, "these channels have no G", lambda:
+        eve_receive(make_instance(P, RNG, 1), np.zeros(4), np.zeros(8))),
+    "transmit-stacks-broadcast": (ParameterError, STACKS, lambda:
+        transmit_to_bob(CH2, np.zeros((3, 4)), np.zeros(8))),
+    "eve-stacks-broadcast": (ParameterError, STACKS, lambda:
+        eve_receive(CH2, np.zeros((3, 4)), np.zeros(8))),
+    "bob-decode-stacks-broadcast": (ParameterError, STACKS, lambda:
+        bob_decode(CH2, np.zeros((3, 8)), P)),
     "A-dist-count-zero": (ParameterError, rf"count {INT}", lambda:
         sample_A_dist(np.zeros(4), P, RNG, count=0, noise_width=P.alpha)),
     "A-dist-count-fractional": (ParameterError, rf"count {INT}, got 2.5", lambda:
@@ -364,6 +426,14 @@ def test_scalar_rules_live_in_errors_only():
     users = [f.name for f in sorted(src.glob("*.py"))
              if re.search(r"numbers\.(Integral|Real)", f.read_text())]
     assert users == ["errors.py"]
+
+
+def test_attacks_cast_to_int64_through_need_ints():
+    # Oracle answers and BDD digits become int64 through need_ints, which
+    # rejects what a bare cast would truncate or wrap.
+    src = Path(csikey.__file__).resolve().parent / "attacks.py"
+    casts = re.findall(r"asarray\([^)]*int64|astype\(np\.int64\)", src.read_text())
+    assert casts == []
 
 
 def test_array_rules_live_in_errors_only():

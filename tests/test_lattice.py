@@ -6,10 +6,9 @@ import pytest
 
 from csikey.attacks import babai_attack, exact_ml_decode
 from csikey.errors import DimensionGuardError, NumericalError
-from csikey.lattice import (LOCKSTEP_MIN, LatticeBasis, ReductionResult,
-                            _search, enumerate_cvp, int_rank_det,
-                            lattice_bases, lll_reduce, nearest_plane,
-                            successive_minima)
+from csikey.lattice import (LOCKSTEP_MIN, LatticeBasis, _search, enumerate_cvp,
+                            int_rank_det, lattice_bases, lll_reduce,
+                            nearest_plane, original_coeffs, successive_minima)
 from csikey.numerics import gram_schmidt, make_rng
 from csikey.wiretap import (SystemParams, channel_noise, eve_receive,
                             make_instance, random_message)
@@ -159,11 +158,40 @@ def test_lll_transform_beyond_2_53_raises():
 
 
 def test_original_coeffs_exact_or_raise():
-    red = ReductionResult(LatticeBasis(np.eye(2)),
-                          np.array([[2**52, 1], [0, 1]]), 0, 0.99)
-    assert red.original_coeffs([2**8, 3]).tolist() == [2**60 + 3, 3]
+    t = np.array([[2**52, 1], [0, 1]])
+    assert original_coeffs(t, [2**8, 3]).tolist() == [2**60 + 3, 3]
     with pytest.raises(NumericalError):
-        red.original_coeffs([2**12, 0])
+        original_coeffs(t, [2**12, 0])
+    stack = np.stack([np.eye(2, dtype=np.int64), t])
+    got = original_coeffs(stack, [[5, -7], [2**8, 3]])
+    assert got.tolist() == [[5, -7], [2**60 + 3, 3]]
+
+
+ATTACK_CHUNKS = {  # the ber chunks of the attack-n4-ml and attack-n16 workloads
+    "n4-T40": (SystemParams(n=4, m_rx=4, M=16, alpha=8.4e-06, k=0.002), 40),
+    "n16-T2": (SystemParams(n=16, m_rx=16, M=256, alpha=1.68e-05, k=0.002), 2),
+}
+
+
+@pytest.mark.parametrize("p,t", ATTACK_CHUNKS.values(), ids=ATTACK_CHUNKS)
+def test_stacked_map_back_matches_per_basis_products(p, t):
+    # Babai's coefficients of 200 chunks map back through the stacked
+    # transforms to each basis's own int64 product transform @ z; one slice
+    # past the 2^62 bound on the partial sums raises for the whole stack.
+    rng = make_rng(30)
+    for _ in range(200):
+        ch = make_instance(p, rng, t, eve=True)
+        reds = [lll_reduce(b) for b in lattice_bases(ch.G)]
+        x = rng.integers(0, p.M, size=(t, p.n))
+        y = eve_receive(ch, x, channel_noise(p, rng, (t, p.m_rx)))
+        stack = LatticeBasis(np.stack([r.reduced.matrix for r in reds]))
+        _, z = nearest_plane(stack, y[:, None], lambda i, c: np.rint(c))
+        got = original_coeffs(np.stack([r.transform for r in reds]), z[:, 0])
+        want = [r.transform @ zt for r, zt in zip(reds, z[:, 0], strict=True)]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    z[t // 2, 0] = 2**61  # a sum of n >= 2 entries of 2^61 reaches 2^62
+    with pytest.raises(NumericalError):
+        original_coeffs(np.stack([r.transform for r in reds]), z[:, 0])
 
 
 def test_nearest_plane_coefficient_beyond_2_53_raises():
