@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
-                            smoothing_upper_bound)
+from .distributions import (_psi_sample, discrete_gaussian_sample, psi_sample,
+                            psi_std, smoothing_upper_bound)
 from .errors import (DimensionGuardError, ParameterError, SearchFailureError,
                      need_array, need_int, need_ints, need_real)
-from .lattice import (LatticeBasis, ReductionResult, closest_point, lattice_bases,
-                      lll_reduce, nearest_plane, original_coeffs)
-from .numerics import matvec, pseudo_inverse, svd
-from .wiretap import SystemParams, make_instance, random_message, \
-    channel_noise, transmit_to_bob, bob_decode, eve_receive, hard_decision
+from .lattice import (LatticeBasis, ReductionResult, _closest_point, closest_point,
+                      lattice_bases, lll_reduce, nearest_plane, original_coeffs)
+from .numerics import _matvec, pseudo_inverse, svd
+from .wiretap import (SystemParams, _hard_decision, bob_decode, eve_receive,
+                      make_instance, random_message, transmit_to_bob)
 
 ML_SPACE_GUARD = 10**7
 BER_ML_SPACE = 10**5  # ber_experiment adds exact ML where M^n is at most this
@@ -38,9 +38,9 @@ class DecoderOutcome:
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     """Zero-forcing: per-symbol rounding and clamping of g_pinv y."""
     y = need_array("y", y, (..., np.shape(g_pinv)[-1]), finite=False)
-    with np.errstate(over="ignore", invalid="ignore"):  # hard_decision raises
-        est = matvec(g_pinv, y)
-    return DecoderOutcome(hard_decision(est, M))
+    with np.errstate(over="ignore", invalid="ignore"):  # _hard_decision raises
+        est = _matvec(g_pinv, y)
+    return DecoderOutcome(_hard_decision(est, M))
 
 
 def babai_attack(reds: list[ReductionResult], y: np.ndarray,
@@ -49,11 +49,13 @@ def babai_attack(reds: list[ReductionResult], y: np.ndarray,
     a channel's columns, in one nearest-plane walk over the stacked bases,
     and map the coefficients back through the stacked unimodular transforms
     in one product.  The estimate has one row per trial."""
+    if not reds:
+        raise ParameterError("babai_attack needs at least one reduction")
     stack = LatticeBasis(np.stack([r.reduced.matrix for r in reds]))
     y = need_array("y", y, (len(reds), stack.ambient_dim), finite=False)
     _, coeffs = nearest_plane(stack, y[:, None], lambda i, c: np.rint(c))
     est = original_coeffs(np.stack([r.transform for r in reds]), coeffs[:, 0])
-    return DecoderOutcome(hard_decision(est, M))
+    return DecoderOutcome(_hard_decision(est, M))
 
 
 def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int,
@@ -62,16 +64,17 @@ def exact_ml_decode(g: np.ndarray, y: np.ndarray, M: int,
 
     A Schnorr-Euchner sphere search over the columns of g in the box
     [0, M-1]^n, with no reduction step (the box is in g's own coordinates).
-    basis, if given, is LatticeBasis(g) with its Gram-Schmidt record
-    already computed.  A rank-deficient g, whose ML decisions all lie in
-    tie sets, raises DegenerateBasisError from gram_schmidt instead of
-    returning the lexicographically first point of the set.
+    basis, if given, is lattice_bases' record of g, and y and M are then
+    taken as checked (ber_experiment's rows).  A rank-deficient g, whose ML
+    decisions all lie in tie sets, raises DegenerateBasisError from
+    gram_schmidt instead of returning the lexicographically first point.
     """
+    search = closest_point if basis is None else _closest_point
     basis = LatticeBasis(g) if basis is None else basis
     n = basis.rank
     if M**n > ML_SPACE_GUARD:
         raise DimensionGuardError(f"M^n = {M**n} exceeds guard {ML_SPACE_GUARD}")
-    x = closest_point(basis, y, (0, M - 1))
+    x = search(basis, y, (0, M - 1))
     return DecoderOutcome(np.array(x, dtype=np.int64))
 
 
@@ -312,6 +315,7 @@ def ber_experiment(p: SystemParams, trials: int, rng) -> list[dict]:
     A chunk factors its channels in stacked calls, draws each trial's message,
     Bob's noise and Eve's noise in turn, and decodes in stacked products."""
     need_int("trials", trials, 1)
+    width = p.noise_width  # checked once; each trial draws at it unchecked
     with_ml = p.M**p.n <= BER_ML_SPACE
     counts = dict.fromkeys(["bob", "zf", "babai"] + ["ml"] * with_ml, 0)
     for start in range(0, trials, BER_CHUNK):
@@ -320,8 +324,8 @@ def ber_experiment(p: SystemParams, trials: int, rng) -> list[dict]:
         g_pinv = pseudo_inverse(ch.G)
         bases = lattice_bases(ch.G)
         reds = [lll_reduce(b) for b in bases]
-        draws = [(random_message(p, rng), channel_noise(p, rng, p.m_rx),
-                  channel_noise(p, rng, p.m_rx)) for _ in range(t)]
+        draws = [(random_message(p, rng), _psi_sample(width, rng, p.m_rx),
+                  _psi_sample(width, rng, p.m_rx)) for _ in range(t)]
         x, e_b, e_e = map(np.stack, zip(*draws))
         counts["bob"] += int(np.sum(bob_decode(ch, transmit_to_bob(ch, x, e_b), p) != x))
         y_e = eve_receive(ch, x, e_e)

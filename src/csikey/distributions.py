@@ -22,8 +22,12 @@ def psi_std(width: float) -> float:
 
 def psi_sample(width: float, rng: np.random.Generator, size=None):
     """Draw from the zero-mean Gaussian of the given width."""
-    need_real("width", width, 0, math.inf)
-    return rng.normal(0.0, psi_std(width), size=size)
+    return _psi_sample(need_real("width", width, 0, math.inf), rng, size)
+
+
+def _psi_sample(width: float, rng: np.random.Generator, size=None):
+    """psi_sample at a checked width; at width 0, zeros and no draw."""
+    return rng.normal(0.0, psi_std(width), size=size) if width else np.zeros(size)
 
 
 def tvd_gaussians(w1: float, w2: float) -> float:

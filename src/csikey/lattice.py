@@ -243,10 +243,9 @@ def _search(b: LatticeBasis, target: np.ndarray, radius2: float, box=None,
     given.  Each level tries coefficients nearest its centre first, so the
     first leaf is the Babai point (clamped into the box), and a level ends
     at its first coefficient beyond the radius.  With shrink, the radius
-    becomes each leaf's d2.  A centre or distance that is not finite raises
-    NumericalError."""
+    becomes each leaf's d2.  target is a float m-vector and box integers
+    lo <= hi.  A centre or distance that is not finite raises NumericalError."""
     bstar, mu, norms2 = b.gso
-    target = need_array("target", target, (b.ambient_dim,), finite=False)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
         tcoord = (target @ bstar / norms2).tolist()
     norms2, mu = norms2.tolist(), mu.tolist()
@@ -287,6 +286,12 @@ def closest_point(b: LatticeBasis, target: np.ndarray, box=None) -> tuple:
     if box is not None and not (need_int("box low", box[0], -math.inf)
                                 <= need_int("box high", box[1], -math.inf)):
         raise ParameterError(f"empty coefficient box {tuple(box)}")
+    target = need_array("target", target, (b.ambient_dim,), finite=False)
+    return _closest_point(b, target, box)
+
+
+def _closest_point(b: LatticeBasis, target: np.ndarray, box=None) -> tuple:
+    """closest_point of a target and box as _search takes them."""
     return min(_search(b, target, math.inf, box, shrink=True))[1]
 
 

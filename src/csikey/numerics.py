@@ -2,7 +2,7 @@
 
 Matrices are plain float64 numpy arrays.  Basis vectors are stored as
 matrix *columns* throughout the package.  svd, gram_schmidt,
-pseudo_inverse and matvec also take a stack (..., m, n), slice by slice
+pseudo_inverse and _matvec also take a stack (..., m, n), slice by slice
 bit-equal to per-matrix calls; each check runs over the whole stack in
 turn, and the first matrix failing it raises the per-matrix error.
 """
@@ -76,12 +76,18 @@ def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     return v @ ((1 / s)[..., :, None] * np.swapaxes(u, -1, -2))
 
 
-def matvec(a: np.ndarray, x) -> np.ndarray:
-    """a @ x for each matrix of the stack a and vector of the stack x, which
-    must broadcast; a stacked matmul, since np.einsum is not bit-equal."""
+def _matvec(a: np.ndarray, x, e=None) -> np.ndarray:
+    """a @ x, plus the noise e if given, for each matrix of the stack a and
+    vector of the stacks x and e; a stacked matmul, since np.einsum is not
+    bit-equal.  Stacks that do not broadcast raise ParameterError."""
     x = np.asarray(x, dtype=float)
     try:
-        return (a @ x[..., None])[..., 0]
+        y = (a @ x[..., None])[..., 0]
     except ValueError:
         raise ParameterError(f"a stack of matrices {a.shape} and one of vectors "
                              f"{x.shape} do not broadcast") from None
+    try:
+        return y if e is None else y + e
+    except ValueError:
+        raise ParameterError(f"noise of shape {e.shape} does not broadcast against "
+                             f"the channel output {y.shape}") from None

@@ -15,25 +15,34 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .distributions import _psi_sample
 from .errors import ParameterError, need_int, need_ints
 from .params import check_secrecy_constraints, secrecy_capacity
-from .wiretap import (Channels, SystemParams, bob_decode, channel_noise,
-                      csi_invert, make_instance, random_message, transmit_to_bob)
+from .wiretap import (Channels, SystemParams, _csi_invert, _hard_decision,
+                      _make_instance, _transmit, channel_noise, csi_invert,
+                      random_message, transmit_to_bob)
 
 VALID_CODERS = ("none", "repetition-3")
 
 
 def encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
     """Canonical bit encoding: per symbol, ceil(log2 M) bits, little-endian."""
+    return _encode_symbols(need_ints("x", x, 0, M - 1, (None,)), M)
+
+
+def _encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
+    """encode_symbols of an integer vector x in [0, M)."""
     b = math.ceil(math.log2(M))  # M >= 2, so at least one bit
-    x = need_ints("x", x, 0, M - 1, (None,))
-    bits = (x[:, None] >> np.arange(b)) & 1
-    return bits.reshape(-1).astype(np.uint8)
+    return ((x[:, None] >> np.arange(b)) & 1).reshape(-1).astype(np.uint8)
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
-    return np.packbits(need_ints("bits", bits, 0, 1, (None,)),
-                       bitorder="little").tobytes().hex()
+    return _bits_to_hex(need_ints("bits", bits, 0, 1, (None,)))
+
+
+def _bits_to_hex(bits: np.ndarray) -> str:
+    """bits_to_hex of an integer vector of bits."""
+    return np.packbits(bits, bitorder="little").tobytes().hex()
 
 
 def universal_hash(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -75,26 +84,27 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
 
     Decode failures are recorded in the transcript, never raised; a
     numerical error (a CSI-key inversion that overflows) raises
-    NumericalError.
+    NumericalError.  Each message goes through the unchecked _private forms.
     """
     c = min_message_count(p, eta)
     if coder not in VALID_CODERS:
         raise ParameterError(f"unknown coder {coder!r}")
     gate_ok = all(check_secrecy_constraints(p))
     reps = 3 if coder == "repetition-3" else 1
+    width = p.noise_width
     alice_bits, bob_bits, messages = [], [], []
     errors = 0
     for _ in range(c):
-        ch = make_instance(p, rng, 1)
+        ch = _make_instance(p, rng, 1)
         x = random_message(p, rng)
-        y = transmit_to_bob(ch, x, channel_noise(p, rng, (reps, p.m_rx)))
-        votes = bob_decode(ch, y, p)
+        y = _transmit(ch, x, _psi_sample(width, rng, (reps, p.m_rx)))
+        votes = _hard_decision(_csi_invert(ch, y), p.M)
         x_hat = votes[0] if reps == 1 else _majority_vote(votes)
         errors += int(np.any(x_hat != x))
-        alice_bits.append(encode_symbols(x, p.M))
-        bob_bits.append(encode_symbols(x_hat, p.M))
-        messages.append({"alice": bits_to_hex(alice_bits[-1]),
-                         "bob": bits_to_hex(bob_bits[-1])})
+        alice_bits.append(_encode_symbols(x, p.M))
+        bob_bits.append(_encode_symbols(x_hat, p.M))
+        messages.append({"alice": _bits_to_hex(alice_bits[-1]),
+                         "bob": _bits_to_hex(bob_bits[-1])})
     alice_bits = np.concatenate(alice_bits)
     bob_bits = np.concatenate(bob_bits)
     seed = rng.integers(0, 2, size=len(alice_bits) + eta - 1, dtype=np.uint8)
@@ -109,9 +119,9 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
         "constraint_gate_ok": gate_ok,
         "messages": messages,
         "message_errors": errors,
-        "hash_seed": bits_to_hex(seed),
-        "alice_key": bits_to_hex(alice_key),
-        "bob_key": bits_to_hex(bob_key),
+        "hash_seed": _bits_to_hex(seed),
+        "alice_key": _bits_to_hex(alice_key),
+        "bob_key": _bits_to_hex(bob_key),
         "success": bool(np.array_equal(alice_key, bob_key)),
     }
 

@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import psi_sample
+from .distributions import _psi_sample, psi_sample
 from .errors import (DegenerateBasisError, NumericalError, ParameterError,
                      need_array, need_int, need_real)
-from .numerics import RANK_FLOOR, matvec, svd
+from .numerics import RANK_FLOOR, _matvec, svd
 
 
 @dataclass
@@ -48,8 +48,10 @@ class SystemParams:
 
     @property
     def noise_width(self) -> float:
-        """Channel noise width M * alpha (unscaled inner-product form)."""
-        return self.M * self.alpha
+        """Channel noise width M * alpha * noise_scale, 0 at scale 0; the
+        ParameterError of psi_sample unless it is a positive float."""
+        return self.noise_scale and need_real(
+            "width", self.M * self.alpha * self.noise_scale, 0, math.inf)
 
 
 class Channels(NamedTuple):
@@ -73,13 +75,17 @@ def make_instance(p: SystemParams, rng: np.random.Generator, t: int,
     """Draw t channels with i.i.d. width-k entries, each from its own pair of
     child streams of rng: A from the first and, if eve, B from the second.
     rng itself takes no draw, so t channels equal t draws of one."""
-    need_int("t", t, 1)
+    return _make_instance(p, rng, need_int("t", t, 1), eve)
+
+
+def _make_instance(p: SystemParams, rng, t: int, eve: bool = False) -> Channels:
+    """make_instance for an integer t >= 1."""
     if p.m_rx < p.n:
         raise DegenerateBasisError("fewer receive antennas than streams")
     streams = rng.spawn(2 * t)
 
     def draw(kids):  # one width-k matrix from each child stream
-        return np.stack([psi_sample(p.k, c, size=(p.m_rx, p.n)) for c in kids])
+        return np.stack([_psi_sample(p.k, c, size=(p.m_rx, p.n)) for c in kids])
 
     A = draw(streams[::2])
     U, sigma, V = svd(A)
@@ -87,21 +93,23 @@ def make_instance(p: SystemParams, rng: np.random.Generator, t: int,
 
 
 def channel_noise(p: SystemParams, rng: np.random.Generator, shape) -> np.ndarray:
-    """Bob's or Eve's channel noise, i.i.d. width M*alpha scaled by
-    p.noise_scale; at scale 0, zeros and no draw."""
-    if p.noise_scale == 0:
-        return np.zeros(shape)
-    return psi_sample(p.noise_width * p.noise_scale, rng, size=shape)
+    """Bob's or Eve's channel noise, i.i.d. of width p.noise_width; at
+    scale 0, zeros and no draw."""
+    return _psi_sample(p.noise_width, rng, shape)
 
 
 def transmit_to_bob(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """y = A V x + e: Alice sends V x (the SVD precoding) through A."""
     x = need_array("x", x, (..., ch.A.shape[-1]), finite=False)
-    e = need_array("e", e, (..., ch.A.shape[-2]), finite=False)
-    return matvec(ch.A, matvec(ch.V, x)) + e
+    return _transmit(ch, x, need_array("e", e, (..., ch.A.shape[-2]), finite=False))
 
 
-def hard_decision(est, M: int) -> np.ndarray:
+def _transmit(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """transmit_to_bob of a stack of symbol vectors x and one of noise e."""
+    return _matvec(ch.A, _matvec(ch.V, x), e)
+
+
+def _hard_decision(est, M: int) -> np.ndarray:
     """Nearest symbols in [0, M) as int64; NumericalError if one is not finite."""
     est = np.rint(est)
     if not np.all(np.isfinite(est)):
@@ -113,11 +121,15 @@ def csi_invert(ch: Channels, y: np.ndarray) -> np.ndarray:
     """Sigma^-1 U^T y, the CSI-key inversion with ch's U and sigma; the
     rank test is relative.  An estimate that overflows (noise that dwarfs
     the channel) raises NumericalError."""
-    y = need_array("y", y, (..., ch.U.shape[-2]), finite=False)
+    return _csi_invert(ch, need_array("y", y, (..., ch.U.shape[-2]), finite=False))
+
+
+def _csi_invert(ch: Channels, y: np.ndarray) -> np.ndarray:
+    """csi_invert of a float stack of observations y (..., m_rx)."""
     if not np.all(ch.sigma[..., -1] > RANK_FLOOR * ch.sigma[..., 0]):
         raise DegenerateBasisError("channel matrix numerically rank deficient")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        est = matvec(np.swapaxes(ch.U, -1, -2), y) / ch.sigma
+        est = _matvec(np.swapaxes(ch.U, -1, -2), y) / ch.sigma
     if not np.all(np.isfinite(est)):
         raise NumericalError("the CSI-key inversion is not finite")
     return est
@@ -125,7 +137,7 @@ def csi_invert(ch: Channels, y: np.ndarray) -> np.ndarray:
 
 def bob_decode(ch: Channels, y: np.ndarray, p: SystemParams) -> np.ndarray:
     """Receiver shaping U^T y then per-stream rounding by 1/sigma_i."""
-    return hard_decision(csi_invert(ch, y), p.M)
+    return _hard_decision(csi_invert(ch, y), p.M)
 
 
 def eve_receive(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -134,7 +146,7 @@ def eve_receive(ch: Channels, x: np.ndarray, e: np.ndarray) -> np.ndarray:
         raise ParameterError("these channels have no G: draw them with eve=True")
     x = need_array("x", x, (..., ch.G.shape[-1]), finite=False)
     e = need_array("e", e, (..., ch.G.shape[-2]), finite=False)
-    return matvec(ch.G, x) + e
+    return _matvec(ch.G, x, e)
 
 
 def sample_A_dist(x: np.ndarray, p: SystemParams, rng: np.random.Generator,

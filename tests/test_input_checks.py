@@ -48,6 +48,7 @@ RX = r"must have shape \(\.\.\., 8\), got \(3,\)"  # a length-3 vector at P's m_
 INT = r"must be an integer in \[1, 2\^53\]"  # need_int's default range from 1
 POS = r"must be a real in \(0, inf\)"  # need_real's positive reals
 STACKS = r"a stack of matrices \(2, \d, \d\) and one of vectors \(3, \d\) do not broadcast"
+NOISE = r"noise of shape \(3, 8\) does not broadcast against the channel output \(2, 8\)"
 
 
 def _padding_answer(right_from):
@@ -174,6 +175,10 @@ CHECKS = {  # name: (error, message pattern, call)
                              np.zeros((3, 8)), 4)),
     "babai-y-1d": (ParameterError, r"y must have shape \(1, 8\), got \(8,\)",
         lambda: babai_attack([lll_reduce(LatticeBasis(CH2.G[0]))], np.zeros(8), 4)),
+    "babai-no-reductions": (ParameterError, "at least one reduction",
+                            lambda: babai_attack([], np.zeros((0, 8)), 4)),
+    "ber-noise-width-inf": (ParameterError, rf"width {POS}, got inf", lambda:
+        ber_experiment(SystemParams(n=2, m_rx=2, M=4, alpha=1e308), 1, RNG)),
     # distributions
     "psi-width-zero": (ParameterError, rf"width {POS}", lambda:
         psi_sample(0.0, RNG)),
@@ -320,6 +325,8 @@ CHECKS = {  # name: (error, message pattern, call)
         run_key_agreement(P, 0, "none", RNG)),
     "key-agreement-eta-fractional": (ParameterError, rf"eta {INT}, got 2.5", lambda:
         run_key_agreement(P, 2.5, "none", RNG)),
+    "key-agreement-noise-width-inf": (ParameterError, rf"width {POS}, got inf", lambda:
+        run_key_agreement(SystemParams(n=2, m_rx=2, M=4, alpha=1e308), 4, "none", RNG)),
     "cipher-secret-shape": (ParameterError, r"s must have shape \(4,\), got \(3,\)",
         lambda: encrypt(P, np.zeros(3), np.zeros(4), None, RNG)),
     "cipher-secret-range": (ParameterError, rf"s {SYMBOL} 4", lambda:
@@ -390,6 +397,10 @@ CHECKS = {  # name: (error, message pattern, call)
         eve_receive(CH2, np.zeros((3, 4)), np.zeros(8))),
     "bob-decode-stacks-broadcast": (ParameterError, STACKS, lambda:
         bob_decode(CH2, np.zeros((3, 8)), P)),
+    "transmit-noise-broadcast": (ParameterError, NOISE, lambda:
+        transmit_to_bob(CH2, np.zeros((2, 4)), np.zeros((3, 8)))),
+    "eve-noise-broadcast": (ParameterError, NOISE, lambda:
+        eve_receive(CH2, np.zeros((2, 4)), np.zeros((3, 8)))),
     "A-dist-count-zero": (ParameterError, rf"count {INT}", lambda:
         sample_A_dist(np.zeros(4), P, RNG, count=0, noise_width=P.alpha)),
     "A-dist-count-fractional": (ParameterError, rf"count {INT}, got 2.5", lambda:

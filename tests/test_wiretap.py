@@ -73,7 +73,7 @@ def test_eve_channel_drawn_only_when_asked(eve, monkeypatch):
         draws.append(size)
         return psi_sample(width, rng, size=size)
 
-    monkeypatch.setattr(wiretap, "psi_sample", recording)
+    monkeypatch.setattr(wiretap, "_psi_sample", recording)  # the unchecked draw
     ch = make_instance(_params(), make_rng(11), 3, eve=eve)
     assert len(draws) == (6 if eve else 3)
     assert (ch.G is None) is not eve
