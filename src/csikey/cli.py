@@ -24,8 +24,8 @@ from .errors import CsikeyError, OptionError, ParameterError, need_int, need_rea
 from .lattice import enumerate_cvp
 from .numerics import make_rng
 from .params import check_secrecy_constraints, design_table
-from .protocols import VALID_CODERS, decrypt, encrypt, run_key_agreement
-from .wiretap import SystemParams, make_instance, random_message, sample_A_dist
+from .protocols import VALID_CODERS, run_cipher, run_key_agreement
+from .wiretap import SystemParams, random_message, sample_A_dist
 
 # One typed definition per option, for the flags and the --config keys:
 # name -> (type, default, choices); a default that differs by subcommand is
@@ -144,20 +144,11 @@ def _run_key_agreement(cfg: ExperimentConfig) -> list:
 def _run_cipher(cfg: ExperimentConfig) -> list:
     p = cfg.system_params()
     _warn_gate(p)
-    seed = int(cfg.options["seed"])
-    rng = make_rng(seed)
-    s = random_message(p, rng)  # the shared secret
-    trials = int(cfg.options["trials"])
-    bit_errors = 0
-    for _ in range(trials):
-        ch = make_instance(p, rng, 1)
-        m = rng.integers(0, 2, size=p.n)
-        y = encrypt(p, s, m, ch, rng)
-        bit_errors += int(np.sum(decrypt(p, s, y, ch) != m))
-    total = trials * p.n
+    seed, trials = int(cfg.options["seed"]), int(cfg.options["trials"])
+    bit_errors = run_cipher(p, trials, make_rng(seed))
     return [{"n": p.n, "M": p.M, "alpha": p.alpha, "k": p.k, "trials": trials,
-             "bits": total, "bit_errors": bit_errors,
-             "ber": bit_errors / total, "seed": seed}]
+             "bits": trials * p.n, "bit_errors": bit_errors,
+             "ber": bit_errors / (trials * p.n), "seed": seed}]
 
 
 def _run_reduction_demo(cfg: ExperimentConfig) -> list:

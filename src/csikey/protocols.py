@@ -7,7 +7,7 @@ eta-bit key with a Toeplitz universal hash, whose seed is a bit array
 eta - 1 longer than the input.  The cipher hides a one-bit-per-antenna
 message inside a shared secret s (an int64 array in Z_M^n), sent with SVD
 precoding through the channel, one message per coherence interval (a fresh
-channel each time).
+channel each time); run_cipher sends them in ber_experiment's chunks.
 """
 
 import math
@@ -15,11 +15,12 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .attacks import BER_CHUNK
 from .distributions import _psi_sample
 from .errors import ParameterError, need_int, need_ints
 from .params import check_secrecy_constraints, secrecy_capacity
 from .wiretap import (Channels, SystemParams, _csi_invert, _hard_decision,
-                      _make_instance, _transmit, channel_noise, csi_invert,
+                      _make_instance, _transmit, csi_invert, make_instance,
                       random_message, transmit_to_bob)
 
 VALID_CODERS = ("none", "repetition-3")
@@ -27,22 +28,18 @@ VALID_CODERS = ("none", "repetition-3")
 
 def encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
     """Canonical bit encoding: per symbol, ceil(log2 M) bits, little-endian."""
-    return _encode_symbols(need_ints("x", x, 0, M - 1, (None,)), M)
-
-
-def _encode_symbols(x: np.ndarray, M: int) -> np.ndarray:
-    """encode_symbols of an integer vector x in [0, M)."""
+    x = need_ints("x", x, 0, M - 1, (None,))
     b = math.ceil(math.log2(M))  # M >= 2, so at least one bit
     return ((x[:, None] >> np.arange(b)) & 1).reshape(-1).astype(np.uint8)
 
 
-def bits_to_hex(bits: np.ndarray) -> str:
-    return _bits_to_hex(need_ints("bits", bits, 0, 1, (None,)))
-
-
-def _bits_to_hex(bits: np.ndarray) -> str:
-    """bits_to_hex of an integer vector of bits."""
-    return np.packbits(bits, bitorder="little").tobytes().hex()
+def bits_to_hex(bits: np.ndarray) -> str | list[str]:
+    """Bits as hex, little-endian; a stack (r, b) of bit rows gives r strings."""
+    bits = need_ints("bits", bits, 0, 1, (..., None))
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    if bits.ndim > 1:
+        return [row.tobytes().hex() for row in packed]
+    return packed.tobytes().hex()
 
 
 def universal_hash(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -92,24 +89,19 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
     gate_ok = all(check_secrecy_constraints(p))
     reps = 3 if coder == "repetition-3" else 1
     width = p.noise_width
-    alice_bits, bob_bits, messages = [], [], []
-    errors = 0
+    sent, decoded = [], []
     for _ in range(c):
         ch = _make_instance(p, rng, 1)
-        x = random_message(p, rng)
-        y = _transmit(ch, x, _psi_sample(width, rng, (reps, p.m_rx)))
+        sent.append(random_message(p, rng))
+        y = _transmit(ch, sent[-1], _psi_sample(width, rng, (reps, p.m_rx)))
         votes = _hard_decision(_csi_invert(ch, y), p.M)
-        x_hat = votes[0] if reps == 1 else _majority_vote(votes)
-        errors += int(np.any(x_hat != x))
-        alice_bits.append(_encode_symbols(x, p.M))
-        bob_bits.append(_encode_symbols(x_hat, p.M))
-        messages.append({"alice": _bits_to_hex(alice_bits[-1]),
-                         "bob": _bits_to_hex(bob_bits[-1])})
-    alice_bits = np.concatenate(alice_bits)
-    bob_bits = np.concatenate(bob_bits)
+        decoded.append(votes[0] if reps == 1 else _majority_vote(votes))
+    sent, decoded = np.stack(sent), np.stack(decoded)
+    alice_bits, bob_bits = (encode_symbols(v.reshape(-1), p.M) for v in (sent, decoded))
     seed = rng.integers(0, 2, size=len(alice_bits) + eta - 1, dtype=np.uint8)
     alice_key = universal_hash(seed, alice_bits)
     bob_key = universal_hash(seed, bob_bits)
+    messages = zip(*(bits_to_hex(b.reshape(c, -1)) for b in (alice_bits, bob_bits)))
     return {
         "params": asdict(p),
         "eta": eta,
@@ -117,24 +109,23 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
         "coder": coder,
         "encoding": "per-symbol little-endian, ceil(log2 M) bits",
         "constraint_gate_ok": gate_ok,
-        "messages": messages,
-        "message_errors": errors,
-        "hash_seed": _bits_to_hex(seed),
-        "alice_key": _bits_to_hex(alice_key),
-        "bob_key": _bits_to_hex(bob_key),
+        "messages": [{"alice": a, "bob": b} for a, b in messages],
+        "message_errors": int(np.sum(np.any(sent != decoded, axis=1))),
+        "hash_seed": bits_to_hex(seed),
+        "alice_key": bits_to_hex(alice_key),
+        "bob_key": bits_to_hex(bob_key),
         "success": bool(np.array_equal(alice_key, bob_key)),
     }
 
 
 def encrypt(p: SystemParams, s: np.ndarray, m: np.ndarray, ch: Channels,
-            rng: np.random.Generator) -> np.ndarray:
-    """Channel outputs of V((s + (M/2) m) mod M), one row per fresh channel."""
+            e: np.ndarray) -> np.ndarray:
+    """Channel outputs of V((s + (M/2) m) mod M) plus e, one row per channel."""
     s = need_ints("s", s, 0, p.M - 1, (p.n,))
     if p.M % 2 != 0:
         raise ParameterError("cipher requires even M so that M/2 is a symbol")
     m = need_ints("m", m, 0, 1, (..., p.n))
-    symbols = (s + (p.M // 2) * m) % p.M
-    return transmit_to_bob(ch, symbols, channel_noise(p, rng, ch.A.shape[:-1]))
+    return transmit_to_bob(ch, (s + (p.M // 2) * m) % p.M, e)
 
 
 def decrypt(p: SystemParams, s: np.ndarray, y: np.ndarray,
@@ -144,3 +135,20 @@ def decrypt(p: SystemParams, s: np.ndarray, y: np.ndarray,
     s = need_ints("s", s, 0, p.M - 1, (p.n,))
     scaled = 2.0 / p.M * np.mod(csi_invert(ch, y) - s, p.M)
     return (np.rint(scaled).astype(np.int64) % 2).astype(np.int64)
+
+
+def run_cipher(p: SystemParams, trials: int, rng: np.random.Generator) -> int:
+    """Bit errors over trials random bit vectors under a secret s drawn first.
+    Per chunk: the channels, each message's bits and noise, one stack."""
+    need_int("trials", trials, 1)
+    s = random_message(p, rng)  # the shared secret
+    width = p.noise_width  # checked once; each message draws at it unchecked
+    bit_errors = 0
+    for start in range(0, trials, BER_CHUNK):
+        t = min(BER_CHUNK, trials - start)
+        ch = make_instance(p, rng, t)
+        draws = [(rng.integers(0, 2, size=p.n), _psi_sample(width, rng, p.m_rx))
+                 for _ in range(t)]
+        m, e = map(np.stack, zip(*draws))
+        bit_errors += int(np.sum(decrypt(p, s, encrypt(p, s, m, ch, e), ch) != m))
+    return bit_errors

@@ -1,7 +1,8 @@
-"""Slow reference implementations that the key-agreement path is tested
-against: the dense Toeplitz matrix and its matrix-vector hash, the
-per-symbol np.unique majority vote, and a key agreement that precodes and
-decodes each repetition on its own with a full-matrices SVD of the channel.
+"""Slow reference implementations that the protocols are tested against:
+the dense Toeplitz matrix and its matrix-vector hash, the per-symbol
+np.unique majority vote, a key agreement that precodes and decodes each
+repetition on its own with a full-matrices SVD of the channel and encodes
+each message on its own, and a cipher run one message at a time.
 """
 
 from dataclasses import asdict
@@ -10,7 +11,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from csikey.params import check_secrecy_constraints
-from csikey.protocols import bits_to_hex, encode_symbols, min_message_count
+from csikey.protocols import (bits_to_hex, decrypt, encode_symbols, encrypt,
+                              min_message_count)
 from csikey.wiretap import channel_noise, make_instance, random_message
 
 
@@ -83,3 +85,17 @@ def reference_key_agreement(p, eta, coder, rng):
         "bob_key": bits_to_hex(bob_key),
         "success": bool(np.array_equal(alice_key, bob_key)),
     }
+
+
+def reference_cipher(p, trials, rng):
+    """run_cipher one message at a time: a fresh channel, the message's bits
+    and its noise, then encrypt and decrypt; it draws from rng in the same
+    order."""
+    s = random_message(p, rng)
+    bit_errors = 0
+    for _ in range(trials):
+        ch = make_instance(p, rng, 1)
+        m = rng.integers(0, 2, size=p.n)
+        y = encrypt(p, s, m, ch, channel_noise(p, rng, p.m_rx))
+        bit_errors += int(np.sum(decrypt(p, s, y, ch) != m))
+    return bit_errors

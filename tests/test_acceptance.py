@@ -77,7 +77,7 @@ def test_acceptance_03_noiseless_correctness():
             bob_exact += np.array_equal(bob_decode(ch, y, p), [x])
             s = rng.integers(0, p.M, size=n)
             m = rng.integers(0, 2, size=n)
-            y = encrypt(p, s, m, ch, rng)
+            y = encrypt(p, s, m, ch, channel_noise(p, rng, p.m_rx))
             cipher_exact += np.array_equal(decrypt(p, s, y, ch), [m])
             trials += 1
     elapsed = time.monotonic() - start
@@ -295,7 +295,7 @@ def test_acceptance_14_protocol_correctness():
     while bits < 10**4:
         ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(noiseless, s, m, ch, rng)
+        y = encrypt(noiseless, s, m, ch, channel_noise(noiseless, rng, p.m_rx))
         wrong = rng.integers(0, p.M, size=p.n)
         errs += int(np.sum(decrypt(p, wrong, y, ch) != m))
         bits += p.n

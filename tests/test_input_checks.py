@@ -26,7 +26,8 @@ from csikey.lattice import (LatticeBasis, closest_point, enumerate_cvp,
 from csikey.numerics import gram_schmidt, make_rng, pseudo_inverse, svd
 from csikey.params import required_log2M, secrecy_capacity
 from csikey.protocols import (bits_to_hex, decrypt, encode_symbols, encrypt,
-                              min_message_count, run_key_agreement, universal_hash)
+                              min_message_count, run_cipher, run_key_agreement,
+                              universal_hash)
 from csikey.wiretap import (SystemParams, bob_decode, csi_invert, eve_receive,
                             make_instance, sample_A_dist, transmit_to_bob)
 from r_dist_reference import r_dist_width, sample_R_dist
@@ -328,7 +329,7 @@ CHECKS = {  # name: (error, message pattern, call)
     "key-agreement-noise-width-inf": (ParameterError, rf"width {POS}, got inf", lambda:
         run_key_agreement(SystemParams(n=2, m_rx=2, M=4, alpha=1e308), 4, "none", RNG)),
     "cipher-secret-shape": (ParameterError, r"s must have shape \(4,\), got \(3,\)",
-        lambda: encrypt(P, np.zeros(3), np.zeros(4), None, RNG)),
+        lambda: encrypt(P, np.zeros(3), np.zeros(4), None, np.zeros(8))),
     "cipher-secret-range": (ParameterError, rf"s {SYMBOL} 4", lambda:
         decrypt(P, np.array([0, 1, 2, 4]), np.zeros(8), None)),
     "cipher-secret-fractional": (ParameterError, rf"s {SYMBOL} 1.5", lambda:
@@ -338,10 +339,13 @@ CHECKS = {  # name: (error, message pattern, call)
     "cipher-secret-1e30": (ParameterError, rf"s {SYMBOL} 1e\+30", lambda:
         decrypt(P, [1e30, 1, 0, 0], np.zeros(8), None)),
     "encrypt-not-bits": (ParameterError, rf"m {BIT} 2", lambda:
-        encrypt(P, np.zeros(4), np.array([0, 1, 2, 0]),
-                make_instance(P, RNG, 1), RNG)),
+        encrypt(P, np.zeros(4), np.array([0, 1, 2, 0]), CH, np.zeros(8))),
     "encrypt-fractional-bits": (ParameterError, rf"m {BIT} 0.5", lambda:
-        encrypt(P, np.zeros(4), [0.5, 1, 0, 1], make_instance(P, RNG, 1), RNG)),
+        encrypt(P, np.zeros(4), [0.5, 1, 0, 1], CH, np.zeros(8))),
+    "encrypt-noise-length": (ParameterError, rf"e {RX}", lambda:
+        encrypt(P, np.zeros(4), np.zeros(4), CH, np.zeros(3))),
+    "cipher-trials-zero": (ParameterError, rf"trials {INT}, got 0",
+        lambda: run_cipher(P, 0, RNG)),
     "decrypt-y-length": (ParameterError, rf"y {RX}",
         lambda: decrypt(P, np.zeros(4), np.zeros(3), CH)),
     # wiretap; the R-distribution is a test helper (tests/r_dist_reference.py)

@@ -1,10 +1,12 @@
-"""Seeded differential sweep of the two pipelines against their slow
+"""Seeded differential sweep of the three pipelines against their slow
 references: `ber_experiment` against `reference_ber_experiment` (trial by
-trial, per-matrix calls) and `run_key_agreement` against
-`reference_key_agreement` (full SVD, loop vote, dense hash), at points drawn
-from random.Random(2013).  The references call the checked public functions
-that the pipelines' hot loops bypass, so a change to an unchecked path that
-alters one result fails here.
+trial, per-matrix calls), `run_key_agreement` against
+`reference_key_agreement` (full SVD, loop vote, dense hash, encoding per
+message) and `run_cipher` against `reference_cipher` (one message at a time),
+at points drawn from random.Random(2013).  The references call the checked
+public functions that the pipelines' hot loops bypass, and run message by
+message where the pipelines stack, so a change to an unchecked or stacked
+path that alters one result fails here.
 
 A point whose parameters or run raise a typed CsikeyError is skipped (the
 reference must raise the same error); more than a quarter of the points
@@ -17,9 +19,9 @@ from csikey.attacks import ber_experiment
 from csikey.errors import CsikeyError
 from csikey.numerics import make_rng
 from csikey.params import min_alpha
-from csikey.protocols import VALID_CODERS, run_key_agreement
+from csikey.protocols import VALID_CODERS, run_cipher, run_key_agreement
 from csikey.wiretap import SystemParams
-from protocol_reference import reference_key_agreement
+from protocol_reference import reference_cipher, reference_key_agreement
 
 SWEEP_SEED = 2013
 BER_POINTS = 60
@@ -28,6 +30,9 @@ BER_NS = (1, 2, 3, 4, 5, 6, 8, 16)
 MS = (2, 4, 8, 10, 11, 16)
 TRIALS = (1, 2, 15, 16, 17, 63, 64, 65)  # around the chunk of 64
 N16_TRIALS = (1, 2)  # the reference's per-basis LLL is slow at n = 16
+CIPHER_POINTS = 20
+CIPHER_NS = (1, 2, 3, 4, 8, 16)
+CIPHER_TRIALS = (1, 63, 64, 65, 130)  # around one and two chunks of 64
 
 
 def _point(rng: random.Random, n: int) -> dict:
@@ -52,6 +57,20 @@ def key_points(seed: int = SWEEP_SEED + 1, count: int = KEY_POINTS) -> list:
     rng = random.Random(seed)
     return [(_point(rng, rng.randint(1, 32)), rng.choice((4, 16, 64)),
              rng.choice(VALID_CODERS), rng.randrange(2**32)) for _ in range(count)]
+
+
+def cipher_points(seed: int = SWEEP_SEED + 2, count: int = CIPHER_POINTS) -> list:
+    """m_rx in [n, 2n], even M in [2, 64], k in 2^[-12, 4], alpha in
+    k 2^[-6, 0] (where a noisy run has bit errors) and noise_scale 0 or 1."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        n, k = rng.choice(CIPHER_NS), 2.0 ** rng.uniform(-12, 4)
+        params = dict(n=n, m_rx=rng.randint(n, 2 * n), M=2 * rng.randint(1, 32), k=k,
+                      alpha=k * 2.0 ** rng.uniform(-6, 0),
+                      noise_scale=rng.choice((0.0, 1.0)))
+        points.append((params, rng.choice(CIPHER_TRIALS), rng.randrange(2**32)))
+    return points
 
 
 def _outcome(run, *args):
@@ -96,3 +115,9 @@ def test_key_agreement_matches_reference_across_the_sweep():
                          coder, seed) for params, eta, coder, seed in points)
     _assert_few_skips(skips, len(points))
 
+
+def test_cipher_matches_reference_across_the_sweep():
+    points = cipher_points()
+    skips = sum(_compare(run_cipher, reference_cipher, params, trials, seed)
+                for params, trials, seed in points)
+    _assert_few_skips(skips, len(points))

@@ -9,7 +9,7 @@ from csikey.params import secrecy_capacity
 from csikey.protocols import (_majority_vote, bits_to_hex, decrypt,
                               encode_symbols, encrypt, min_message_count,
                               run_key_agreement, universal_hash)
-from csikey.wiretap import SystemParams, bob_decode, make_instance
+from csikey.wiretap import SystemParams, bob_decode, channel_noise, make_instance
 from protocol_reference import (dense_hash, reference_key_agreement,
                                 toeplitz_matrix, unique_vote)
 
@@ -174,14 +174,14 @@ def test_cipher_round_trip_and_wrong_key():
     for _ in range(50):
         ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(p, s, m, ch, rng)
+        y = encrypt(p, s, m, ch, channel_noise(p, rng, p.m_rx))
         assert np.array_equal(decrypt(p, s, y, ch), [m])
     # wrong-key scrambling
     bits = errs = 0
     for _ in range(100):
         ch = make_instance(p, rng, 1)
         m = rng.integers(0, 2, size=p.n)
-        y = encrypt(p, s, m, ch, rng)
+        y = encrypt(p, s, m, ch, channel_noise(p, rng, p.m_rx))
         wrong = rng.integers(0, p.M, size=p.n)
         errs += int(np.sum(decrypt(p, wrong, y, ch) != m))
         bits += p.n
@@ -193,9 +193,10 @@ def test_cipher_symbol_identities():
     rng = make_rng(5)
     ch = make_instance(p, rng, 1)
     s = np.array([1, 5, 9, 13])
-    zero = encrypt(p, s, np.zeros(4, dtype=int), ch, rng)
+    zero = encrypt(p, s, np.zeros(4, dtype=int), ch, np.zeros(p.m_rx))
     assert np.array_equal(bob_decode(ch, zero, p), [s])
-    ones = encrypt(p, np.zeros(4, dtype=int), np.ones(4, dtype=int), ch, rng)
+    ones = encrypt(p, np.zeros(4, dtype=int), np.ones(4, dtype=int), ch,
+                   np.zeros(p.m_rx))
     assert np.all(bob_decode(ch, ones, p) == p.M // 2)
 
 
@@ -204,8 +205,8 @@ def test_cipher_fresh_channel_randomizes_ciphertext():
     rng = make_rng(6)
     s = rng.integers(0, p.M, size=p.n)
     m = np.array([1, 0, 1, 0])
-    e1 = encrypt(p, s, m, make_instance(p, rng, 1), rng)
-    e2 = encrypt(p, s, m, make_instance(p, rng, 1), rng)
+    e1 = encrypt(p, s, m, make_instance(p, rng, 1), channel_noise(p, rng, p.m_rx))
+    e2 = encrypt(p, s, m, make_instance(p, rng, 1), channel_noise(p, rng, p.m_rx))
     assert not np.allclose(e1, e2)
 
 
@@ -214,7 +215,8 @@ def test_cipher_odd_m_rejected():
     rng = make_rng(7)
     s = rng.integers(0, p.M, size=p.n)
     with pytest.raises(ParameterError, match="cipher requires even M"):
-        encrypt(p, s, np.zeros(p.n, dtype=int), make_instance(p, rng, 1), rng)
+        encrypt(p, s, np.zeros(p.n, dtype=int), make_instance(p, rng, 1),
+                np.zeros(p.m_rx))
 
 
 def test_successive_instances_uncorrelated():
@@ -228,3 +230,9 @@ def test_successive_instances_uncorrelated():
         prev = cur
     se = 1.0 / np.sqrt(prev.A.size)
     assert abs(np.mean(corrs)) < 3 * se / np.sqrt(len(corrs))
+
+
+@pytest.mark.parametrize("width", [12, 256])
+def test_stacked_bits_to_hex_equals_per_row_calls(width):
+    rows = make_rng(9).integers(0, 2, size=(5, width))
+    assert bits_to_hex(rows) == [bits_to_hex(row) for row in rows]
