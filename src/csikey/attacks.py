@@ -15,19 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_psi_sample, discrete_gaussian_sample, psi_sample,
-                            psi_std, smoothing_upper_bound)
+from .distributions import (discrete_gaussian_sample, psi_sample, psi_std,
+                            smoothing_upper_bound)
 from .errors import (DimensionGuardError, ParameterError, SearchFailureError,
                      need_array, need_int, need_ints, need_real)
 from .lattice import (LatticeBasis, ReductionResult, _closest_point, closest_point,
                       lattice_bases, lll_reduce, nearest_plane, original_coeffs)
 from .numerics import _matvec, pseudo_inverse, svd
-from .wiretap import (SystemParams, _hard_decision, bob_decode, eve_receive,
-                      make_instance, random_message, transmit_to_bob)
+from .wiretap import (CHUNK, SystemParams, _hard_decision, bob_decode,
+                      channel_noise, eve_receive, make_instance, random_message,
+                      transmit_to_bob)
 
 ML_SPACE_GUARD = 10**7
 BER_ML_SPACE = 10**5  # ber_experiment adds exact ML where M^n is at most this
-BER_CHUNK = 64  # ber trials per stacked factoring; bounds the memory held at once
 
 
 @dataclass
@@ -37,6 +37,7 @@ class DecoderOutcome:
 
 def zf_decode(g_pinv: np.ndarray, y: np.ndarray, M: int) -> DecoderOutcome:
     """Zero-forcing: per-symbol rounding and clamping of g_pinv y."""
+    need_int("M", M, 2)
     y = need_array("y", y, (..., np.shape(g_pinv)[-1]), finite=False)
     with np.errstate(over="ignore", invalid="ignore"):  # _hard_decision raises
         est = _matvec(g_pinv, y)
@@ -49,6 +50,7 @@ def babai_attack(reds: list[ReductionResult], y: np.ndarray,
     a channel's columns, in one nearest-plane walk over the stacked bases,
     and map the coefficients back through the stacked unimodular transforms
     in one product.  The estimate has one row per trial."""
+    need_int("M", M, 2)
     if not reds:
         raise ParameterError("babai_attack needs at least one reduction")
     stack = LatticeBasis(np.stack([r.reduced.matrix for r in reds]))
@@ -315,17 +317,16 @@ def ber_experiment(p: SystemParams, trials: int, rng) -> list[dict]:
     A chunk factors its channels in stacked calls, draws each trial's message,
     Bob's noise and Eve's noise in turn, and decodes in stacked products."""
     need_int("trials", trials, 1)
-    width = p.noise_width  # checked once; each trial draws at it unchecked
     with_ml = p.M**p.n <= BER_ML_SPACE
     counts = dict.fromkeys(["bob", "zf", "babai"] + ["ml"] * with_ml, 0)
-    for start in range(0, trials, BER_CHUNK):
-        t = min(BER_CHUNK, trials - start)
+    for start in range(0, trials, CHUNK):
+        t = min(CHUNK, trials - start)
         ch = make_instance(p, rng, t, eve=True)
         g_pinv = pseudo_inverse(ch.G)
         bases = lattice_bases(ch.G)
         reds = [lll_reduce(b) for b in bases]
-        draws = [(random_message(p, rng), _psi_sample(width, rng, p.m_rx),
-                  _psi_sample(width, rng, p.m_rx)) for _ in range(t)]
+        draws = [(random_message(p, rng), channel_noise(p, rng, p.m_rx),
+                  channel_noise(p, rng, p.m_rx)) for _ in range(t)]
         x, e_b, e_e = map(np.stack, zip(*draws))
         counts["bob"] += int(np.sum(bob_decode(ch, transmit_to_bob(ch, x, e_b), p) != x))
         y_e = eve_receive(ch, x, e_e)

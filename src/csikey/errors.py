@@ -47,8 +47,7 @@ def _show(x) -> str:
 def need_int(name: str, v, lo, hi=2**53):
     """v if it is an integer in [lo, hi], else ParameterError.  Python and
     numpy integers pass; bool and floats, integral ones too, do not."""
-    if (isinstance(v, (int, np.integer)) or isinstance(v, numbers.Integral)) \
-            and not isinstance(v, bool) and lo <= v <= hi:
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool) and lo <= v <= hi:
         return v
     span = f">= {lo}" if hi == np.inf else f"in [{_show(lo)}, {_show(hi)}]"
     raise ParameterError(f"{name} must be an integer {span}, got {_show(v)}")
@@ -58,10 +57,8 @@ def need_real(name: str, v, lo, hi):
     """v if it is a real in the open range (lo, hi), else ParameterError.
     Python and numpy integers and floats pass; bool, NaN and an integer
     beyond the float range do not."""
-    if isinstance(v, (float, np.floating)) and lo < float(v) < hi:  # open: finite
-        return v
-    if (isinstance(v, (int, np.integer)) or isinstance(v, numbers.Real)) \
-            and not isinstance(v, bool) and lo < v < hi and abs(v) <= sys.float_info.max:
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and lo < v < hi \
+            and abs(v) <= sys.float_info.max:  # open and finite
         return v
     raise ParameterError(f"{name} must be a real in ({_show(lo)}, {_show(hi)}), "
                          f"got {_show(v)}")

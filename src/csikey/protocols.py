@@ -15,13 +15,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .attacks import BER_CHUNK
-from .distributions import _psi_sample
 from .errors import ParameterError, need_int, need_ints
 from .params import check_secrecy_constraints, secrecy_capacity
-from .wiretap import (Channels, SystemParams, _csi_invert, _hard_decision,
-                      _make_instance, _transmit, csi_invert, make_instance,
-                      random_message, transmit_to_bob)
+from .wiretap import (CHUNK, Channels, SystemParams, _csi_invert, _hard_decision,
+                      _make_instance, _transmit, channel_noise, csi_invert,
+                      make_instance, random_message, transmit_to_bob)
 
 VALID_CODERS = ("none", "repetition-3")
 
@@ -81,19 +79,18 @@ def run_key_agreement(p: SystemParams, eta: int, coder: str,
 
     Decode failures are recorded in the transcript, never raised; a
     numerical error (a CSI-key inversion that overflows) raises
-    NumericalError.  Each message goes through the unchecked _private forms.
+    NumericalError.  Each message's channel work takes the unchecked _private forms.
     """
     c = min_message_count(p, eta)
     if coder not in VALID_CODERS:
         raise ParameterError(f"unknown coder {coder!r}")
     gate_ok = all(check_secrecy_constraints(p))
     reps = 3 if coder == "repetition-3" else 1
-    width = p.noise_width
     sent, decoded = [], []
     for _ in range(c):
         ch = _make_instance(p, rng, 1)
         sent.append(random_message(p, rng))
-        y = _transmit(ch, sent[-1], _psi_sample(width, rng, (reps, p.m_rx)))
+        y = _transmit(ch, sent[-1], channel_noise(p, rng, (reps, p.m_rx)))
         votes = _hard_decision(_csi_invert(ch, y), p.M)
         decoded.append(votes[0] if reps == 1 else _majority_vote(votes))
     sent, decoded = np.stack(sent), np.stack(decoded)
@@ -142,12 +139,11 @@ def run_cipher(p: SystemParams, trials: int, rng: np.random.Generator) -> int:
     Per chunk: the channels, each message's bits and noise, one stack."""
     need_int("trials", trials, 1)
     s = random_message(p, rng)  # the shared secret
-    width = p.noise_width  # checked once; each message draws at it unchecked
     bit_errors = 0
-    for start in range(0, trials, BER_CHUNK):
-        t = min(BER_CHUNK, trials - start)
+    for start in range(0, trials, CHUNK):
+        t = min(CHUNK, trials - start)
         ch = make_instance(p, rng, t)
-        draws = [(rng.integers(0, 2, size=p.n), _psi_sample(width, rng, p.m_rx))
+        draws = [(rng.integers(0, 2, size=p.n), channel_noise(p, rng, p.m_rx))
                  for _ in range(t)]
         m, e = map(np.stack, zip(*draws))
         bit_errors += int(np.sum(decrypt(p, s, encrypt(p, s, m, ch, e), ch) != m))

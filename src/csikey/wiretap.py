@@ -9,6 +9,7 @@ observations as stacks of vectors that broadcast against them.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -18,10 +19,12 @@ from .errors import (DegenerateBasisError, NumericalError, ParameterError,
                      need_array, need_int, need_real)
 from .numerics import RANK_FLOOR, _matvec, svd
 
+CHUNK = 64  # channel uses per stacked draw; bounds the memory held at once
 
-@dataclass
+
+@dataclass(frozen=True)
 class SystemParams:
-    """All scalar parameters of the wiretap system."""
+    """All scalar parameters of the wiretap system, fixed once built."""
 
     n: int
     m_rx: int
@@ -44,12 +47,13 @@ class SystemParams:
             raise ParameterError(f"k^2 must be a positive normal float, k = {self.k}")
         if self.m_rx > 16 * self.n:
             warnings.warn(f"m_rx={self.m_rx} above 16*n={16 * self.n}", stacklevel=2)
-        self.P = math.sqrt(self.n * (self.M - 1) * (2 * self.M - 1) / 6.0)
+        object.__setattr__(self, "P", math.sqrt(
+            self.n * (self.M - 1) * (2 * self.M - 1) / 6.0))
 
-    @property
+    @cached_property
     def noise_width(self) -> float:
-        """Channel noise width M * alpha * noise_scale, 0 at scale 0; the
-        ParameterError of psi_sample unless it is a positive float."""
+        """Channel noise width M * alpha * noise_scale, 0 at scale 0, checked
+        at its first read: psi_sample's ParameterError unless a positive float."""
         return self.noise_scale and need_real(
             "width", self.M * self.alpha * self.noise_scale, 0, math.inf)
 
@@ -94,7 +98,7 @@ def _make_instance(p: SystemParams, rng, t: int, eve: bool = False) -> Channels:
 
 def channel_noise(p: SystemParams, rng: np.random.Generator, shape) -> np.ndarray:
     """Bob's or Eve's channel noise, i.i.d. of width p.noise_width; at
-    scale 0, zeros and no draw."""
+    scale 0, zeros and no draw.  Every run draws its noise here."""
     return _psi_sample(p.noise_width, rng, shape)
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csikey import attacks, cli, lattice
+from csikey import attacks, cli, lattice, wiretap
 from csikey.attacks import (bdd_sample_count, bdd_via_mimo, ber_experiment,
                             babai_attack,
                             decision_to_search, error_handling_search,
@@ -429,7 +429,7 @@ def test_ber_experiment_matches_reference_across_chunks(p):
     # ML and 8^6 does not.
     for noise_scale in (1.0, 0.0):
         _assert_matches_reference(replace(p, noise_scale=noise_scale),
-                                  attacks.BER_CHUNK + 1, 11)
+                                  wiretap.CHUNK + 1, 11)
 
 
 @pytest.mark.parametrize("M,with_ml", [(10, True), (11, False)])

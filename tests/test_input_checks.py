@@ -49,6 +49,7 @@ RX = r"must have shape \(\.\.\., 8\), got \(3,\)"  # a length-3 vector at P's m_
 INT = r"must be an integer in \[1, 2\^53\]"  # need_int's default range from 1
 POS = r"must be a real in \(0, inf\)"  # need_real's positive reals
 STACKS = r"a stack of matrices \(2, \d, \d\) and one of vectors \(3, \d\) do not broadcast"
+M_INT = r"M must be an integer in \[2, 2\^53\]"  # SystemParams' rule for M
 NOISE = r"noise of shape \(3, 8\) does not broadcast against the channel output \(2, 8\)"
 
 
@@ -180,6 +181,14 @@ CHECKS = {  # name: (error, message pattern, call)
                             lambda: babai_attack([], np.zeros((0, 8)), 4)),
     "ber-noise-width-inf": (ParameterError, rf"width {POS}, got inf", lambda:
         ber_experiment(SystemParams(n=2, m_rx=2, M=4, alpha=1e308), 1, RNG)),
+    "zf-M-fractional": (ParameterError, rf"{M_INT}, got 2.5", lambda:
+        zf_decode(np.eye(2), np.array([0.4, 3.0]), 2.5)),
+    "zf-M-zero": (ParameterError, rf"{M_INT}, got 0", lambda:
+        zf_decode(np.eye(2), np.array([0.4, 3.0]), 0)),
+    "babai-M-bool": (ParameterError, rf"{M_INT}, got True", lambda: babai_attack(
+        [lll_reduce(LatticeBasis(np.eye(2)))], np.array([[0.4, 3.0]]), True)),
+    "babai-M-negative": (ParameterError, rf"{M_INT}, got -3", lambda: babai_attack(
+        [lll_reduce(LatticeBasis(np.eye(2)))], np.array([[0.4, 3.0]]), -3)),
     # distributions
     "psi-width-zero": (ParameterError, rf"width {POS}", lambda:
         psi_sample(0.0, RNG)),
@@ -328,6 +337,8 @@ CHECKS = {  # name: (error, message pattern, call)
         run_key_agreement(P, 2.5, "none", RNG)),
     "key-agreement-noise-width-inf": (ParameterError, rf"width {POS}, got inf", lambda:
         run_key_agreement(SystemParams(n=2, m_rx=2, M=4, alpha=1e308), 4, "none", RNG)),
+    "cipher-noise-width-inf": (ParameterError, rf"width {POS}, got inf", lambda:
+        run_cipher(SystemParams(n=2, m_rx=2, M=4, alpha=1e308), 1, RNG)),
     "cipher-secret-shape": (ParameterError, r"s must have shape \(4,\), got \(3,\)",
         lambda: encrypt(P, np.zeros(3), np.zeros(4), None, np.zeros(8))),
     "cipher-secret-range": (ParameterError, rf"s {SYMBOL} 4", lambda:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csikey
 from csikey.errors import ParameterError
 from csikey.numerics import make_rng
 from csikey.params import secrecy_capacity
@@ -236,3 +241,15 @@ def test_successive_instances_uncorrelated():
 def test_stacked_bits_to_hex_equals_per_row_calls(width):
     rows = make_rng(9).integers(0, 2, size=(5, width))
     assert bits_to_hex(rows) == [bits_to_hex(row) for row in rows]
+
+
+def test_protocols_do_not_load_the_attack_layer():
+    # A fresh interpreter, since this one has loaded every module already.
+    src = str(Path(csikey.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, csikey.protocols; "
+         "print('csikey.attacks' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,21 @@ def test_params_validation():
         _params(m_rx=8 * 16 + 1)
     numpy_ints = _params(n=np.int64(8), m_rx=np.int32(8), M=np.int64(4))
     assert numpy_ints.P == _params().P
+
+
+def test_params_are_frozen():
+    p = _params()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.alpha = 1.0
+    assert p.alpha == 0.1
+
+
+def test_noise_width_belongs_to_its_params():
+    # The width is cached on each params object; replace builds a new one.
+    p = _params()
+    assert p.noise_width == p.M * p.alpha
+    assert dataclasses.replace(p, noise_scale=0.0).noise_width == 0
+    assert p.noise_width == p.M * p.alpha
 
 
 def test_wide_channel_rejected():
